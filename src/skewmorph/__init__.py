@@ -1,11 +1,10 @@
 """Skew-morphisms of elementary abelian p-groups: enumeration,
 validation and structural classification.
 
-The hot kernels live in ``_kernels`` and run under numba when available;
-set SKEWMORPH_BACKEND=numpy to force the pure-numpy path.
+The hot kernels live in ``_kernels``, in numpy.
 """
 
-from ._kernels import available_backends, current_backend, set_backend
+from ._kernels import current_backend
 from .enumeration import (
     compare_sets,
     formula_count,
@@ -37,7 +36,6 @@ __all__ = [
     "SkewMorphism",
     "SkewProductGroup",
     "SkewValidationError",
-    "available_backends",
     "build_and_verify_example",
     "build_skew_product",
     "classify",
@@ -49,7 +47,6 @@ __all__ = [
     "full_enum",
     "nonnormal_count",
     "read_jsonl",
-    "set_backend",
     "sweep_classify",
     "validate",
     "verify_theorem1",

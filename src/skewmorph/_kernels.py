@@ -1,8 +1,4 @@
-"""Hot kernels with a numba fast path and a numpy/python fallback.
-
-The backend is picked from the SKEWMORPH_BACKEND environment variable
-("numba" or "numpy"); numba is the default when importable.  Both paths
-compute identical results, the fallback is just slower on big sweeps.
+"""Hot kernels on index arrays, in numpy.
 
 Index convention: the vector (v_1, ..., v_n) over F_p is encoded as
 i = sum v_j * p**(n-j), so index 0 is the identity and basis vectors come
@@ -10,59 +6,17 @@ first in each block.  All kernels work on these integer indices through
 precomputed addition/subtraction tables.
 """
 
-import os
 import math
 import functools
-import warnings
 
 import numpy as np
 
-try:
-    from numba import njit
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-    def njit(*args, **kws):
-        # identity decorator so the module still imports without numba
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
-
-
 IDX_DTYPE = np.int16
-BRUTE_CAP = 4096
-
-_backend = None
-
-
-def available_backends():
-    return ("numba", "numpy") if HAS_NUMBA else ("numpy",)
 
 
 def current_backend():
-    global _backend
-    if _backend is None:
-        want = os.environ.get("SKEWMORPH_BACKEND", "numba").strip().lower()
-        if want not in ("numba", "numpy"):
-            raise ValueError("SKEWMORPH_BACKEND must be 'numba' or 'numpy', got %r" % want)
-        if want == "numba" and not HAS_NUMBA:
-            warnings.warn("numba not importable, falling back to numpy backend")
-            want = "numpy"
-        _backend = want
-    return _backend
-
-
-def set_backend(name):
-    """Force a backend ('numba' or 'numpy'); returns the previous one."""
-    global _backend
-    if name not in ("numba", "numpy"):
-        raise ValueError("unknown backend %r" % name)
-    if name == "numba" and not HAS_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    prev = _backend
-    _backend = name
-    return prev
+    """Name of the kernel implementation; there is one, in numpy."""
+    return "numpy"
 
 
 def index_vectors(p, n):
@@ -75,9 +29,17 @@ def index_vectors(p, n):
     return np.stack(cols, axis=1).astype(np.int64)
 
 
+def check_index_width(p, n):
+    """Reject F_p^n when its point indices do not fit IDX_DTYPE."""
+    if p ** n - 1 > np.iinfo(IDX_DTYPE).max:
+        raise ValueError("p**n = %d points exceed the %s index range"
+                         % (p ** n, np.dtype(IDX_DTYPE).name))
+
+
 @functools.lru_cache(maxsize=64)
 def index_tables(p, n):
     """(add, sub, neg) index tables for F_p^n; add[i,j] = index of v_i + v_j."""
+    check_index_width(p, n)
     V = index_vectors(p, n)
     place = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
     add = ((V[:, None, :] + V[None, :, :]) % p) @ place
@@ -109,66 +71,10 @@ def perm_order_capped(images, cap):
 # ---------------------------------------------------------------------------
 # validation: recover the power function or report a witness
 
-# status codes shared by both backends
 OK = 0
 NOT_PERMUTATION = 1
 NO_POWER_MATCH = 2
 ORDER_TOO_BIG = 3
-
-
-@njit(cache=True, nogil=True)
-def _validate_nb(images, add, sub, pi):
-    N = images.shape[0]
-    seen = np.zeros(N, np.uint8)
-    for i in range(N):
-        v = images[i]
-        if v < 0 or v >= N or seen[v] == 1:
-            return NOT_PERMUTATION, 0, i
-        seen[v] = 1
-    if images[0] != 0:
-        return NOT_PERMUTATION, 0, 0
-
-    # permutation order via cycle lcm; anything above N-1 cannot be a
-    # skew-morphism (transitive group with cyclic stabilizer bound)
-    for i in range(N):
-        seen[i] = 0
-    order = 1
-    for start in range(N):
-        if seen[start] == 1:
-            continue
-        length = 0
-        x = start
-        while seen[x] == 0:
-            seen[x] = 1
-            x = images[x]
-            length += 1
-        order = order * length // math.gcd(order, length)
-        if order > N - 1 and N > 1:
-            return ORDER_TOO_BIG, 0, start
-
-    powers = np.empty((order, N), images.dtype)
-    for y in range(N):
-        powers[0, y] = y
-    for e in range(1, order):
-        for y in range(N):
-            powers[e, y] = images[powers[e - 1, y]]
-
-    for x in range(N):
-        sx = images[x]
-        found = -1
-        for e in range(order):
-            match = True
-            for y in range(N):
-                if sub[images[add[x, y]], sx] != powers[e, y]:
-                    match = False
-                    break
-            if match:
-                found = e
-                break
-        if found < 0:
-            return NO_POWER_MATCH, order, x
-        pi[x] = found
-    return OK, order, -1
 
 
 def _validate_np(images, add, sub, pi):
@@ -199,22 +105,8 @@ def validate_images(p, n, images):
     add, sub, _ = index_tables(p, n)
     images = np.ascontiguousarray(images, dtype=IDX_DTYPE)
     pi = np.zeros(len(images), dtype=IDX_DTYPE)
-    if current_backend() == "numba":
-        status, order, witness = _validate_nb(images, add, sub, pi)
-    else:
-        status, order, witness = _validate_np(images, add, sub, pi)
+    status, order, witness = _validate_np(images, add, sub, pi)
     return int(status), int(order), pi, int(witness)
-
-
-@njit(cache=True, nogil=True)
-def _validate_batch_nb(batch, add, sub, out):
-    B = batch.shape[0]
-    N = batch.shape[1]
-    pi = np.zeros(N, batch.dtype)
-    for b in range(B):
-        status, order, witness = _validate_nb(batch[b], add, sub, pi)
-        out[b] = status
-    return out
 
 
 def validate_many(p, n, batch):
@@ -222,12 +114,9 @@ def validate_many(p, n, batch):
     add, sub, _ = index_tables(p, n)
     batch = np.ascontiguousarray(batch, dtype=IDX_DTYPE)
     out = np.zeros(batch.shape[0], dtype=np.int64)
-    if current_backend() == "numba":
-        _validate_batch_nb(batch, add, sub, out)
-    else:
-        pi = np.zeros(batch.shape[1], dtype=IDX_DTYPE)
-        for b in range(batch.shape[0]):
-            out[b] = _validate_np(batch[b], add, sub, pi)[0]
+    pi = np.zeros(batch.shape[1], dtype=IDX_DTYPE)
+    for b in range(batch.shape[0]):
+        out[b] = _validate_np(batch[b], add, sub, pi)[0]
     return out
 
 
@@ -235,72 +124,8 @@ def validate_many(p, n, batch):
 # exhaustive search over image assignments (tiny N only)
 
 
-@njit(cache=True, nogil=True)
-def _prune_ok_nb(images, add, sub, t):
-    # partial consistency: each f_x must commute with sigma wherever all
-    # participating values are already assigned (indices are assigned in
-    # order, so "assigned" is just "<= t")
-    N = images.shape[0]
-    for x in range(1, t + 1):
-        sx = images[x]
-        for y in range(1, N):
-            u = add[x, y]
-            if u > t:
-                continue
-            w = sub[images[u], sx]
-            if y <= t and w <= t:
-                v = add[x, images[y]]
-                if v <= t:
-                    if sub[images[v], sx] != images[w]:
-                        return False
-    return True
-
-
-@njit(cache=True, nogil=True)
-def _brute_nb(N, add, sub, out):
-    images = np.full(N, -1, IDX_DTYPE)
-    images[0] = 0
-    used = np.zeros(N, np.uint8)
-    used[0] = 1
-    nxt = np.ones(N + 1, np.int64)
-    pi = np.zeros(N, IDX_DTYPE)
-    count = 0
-    t = 1
-    while t >= 1:
-        if t == N:
-            status, order, witness = _validate_nb(images, add, sub, pi)
-            if status == OK:
-                out[count] = images
-                count += 1
-            t -= 1
-            continue
-        if images[t] >= 0:
-            used[images[t]] = 0
-            images[t] = -1
-        c = nxt[t]
-        placed = False
-        while c < N:
-            if used[c] == 0:
-                images[t] = c
-                if _prune_ok_nb(images, add, sub, t):
-                    placed = True
-                    break
-                images[t] = -1
-            c += 1
-        if placed:
-            used[c] = 1
-            nxt[t] = c + 1
-            t += 1
-            nxt[t] = 1
-        else:
-            nxt[t] = 1
-            t -= 1
-    return count
-
-
 def _brute_py(p, n, add, sub):
-    # plain DFS with vectorized leaf validation; pruning is left to the
-    # numba path, at these sizes numpy leaves are cheap enough
+    # plain DFS over every permutation fixing 0, vectorized leaf validation
     N = p ** n
     images = np.full(N, -1, dtype=IDX_DTYPE)
     images[0] = 0
@@ -332,15 +157,8 @@ def brute_images(p, n):
     if N > 9:
         raise ValueError("exhaustive search capped at p**n <= 9, got %d" % N)
     add, sub, _ = index_tables(p, n)
-    if current_backend() == "numba":
-        out = np.zeros((BRUTE_CAP, N), dtype=IDX_DTYPE)
-        count = _brute_nb(N, add, sub, out)
-        if count >= BRUTE_CAP:
-            raise RuntimeError("brute force result buffer overflow")
-        arr = out[:count].copy()
-    else:
-        found = _brute_py(p, n, add, sub)
-        arr = np.array(found, dtype=IDX_DTYPE).reshape(len(found), N)
+    found = _brute_py(p, n, add, sub)
+    arr = np.array(found, dtype=IDX_DTYPE).reshape(len(found), N)
     return lex_sorted(arr)
 
 
@@ -348,24 +166,11 @@ def brute_images(p, n):
 # conjugation batches for orbit closures
 
 
-@njit(cache=True, nogil=True)
-def _conj_batch_nb(batch, a, ainv, out):
-    B = batch.shape[0]
-    N = batch.shape[1]
-    for b in range(B):
-        for x in range(N):
-            out[b, x] = ainv[batch[b, a[x]]]
-    return out
-
-
 def conj_batch(batch, a, ainv):
     """Conjugate each image row s by the index permutation a: x -> ainv[s[a[x]]]."""
     batch = np.ascontiguousarray(batch, dtype=IDX_DTYPE)
     a = np.ascontiguousarray(a, dtype=IDX_DTYPE)
     ainv = np.ascontiguousarray(ainv, dtype=IDX_DTYPE)
-    if current_backend() == "numba":
-        out = np.empty_like(batch)
-        return _conj_batch_nb(batch, a, ainv, out)
     return ainv[batch[:, a]]
 
 
@@ -375,17 +180,3 @@ def lex_sorted(arr):
         return arr
     order = np.lexsort(arr.T[::-1])
     return arr[order]
-
-
-def warm_up():
-    """Compile the numba kernels on a trivial case (no-op on numpy)."""
-    if current_backend() != "numba":
-        return
-    add, sub, _ = index_tables(2, 1)
-    pi = np.zeros(2, dtype=IDX_DTYPE)
-    _validate_nb(np.array([0, 1], dtype=IDX_DTYPE), add, sub, pi)
-    out = np.zeros((BRUTE_CAP, 2), dtype=IDX_DTYPE)
-    _brute_nb(2, add, sub, out)
-    ident = np.array([0, 1], dtype=IDX_DTYPE)
-    _conj_batch_nb(ident.reshape(1, 2), ident, ident, np.empty((1, 2), dtype=IDX_DTYPE))
-    _validate_batch_nb(ident.reshape(1, 2), add, sub, np.zeros(1, dtype=np.int64))

@@ -96,8 +96,21 @@ def write_summary_csv(results, path):
 
 def brute_force_enum(p, n):
     arrs = K.brute_images(p, n)
-    skews = [sc.validate(p, n, a) for a in arrs]
+    skews = [_validated(p, n, a, "brute", i) for i, a in enumerate(arrs)]
     return _result_from_skews(p, n, "brute", skews)
+
+
+def _validated(p, n, images, block, index):
+    """A computed member as a validated SkewMorphism.
+
+    The images come from this module, not from the user, so a member
+    that breaks the skew law is a finding (AssertionError), not bad input.
+    """
+    try:
+        return sc.validate(p, n, images)
+    except sc.SkewValidationError as exc:
+        raise AssertionError("p=%d n=%d: %s member %d fails validation (status %s): %s"
+                             % (p, n, block, index, exc.status, exc)) from None
 
 
 def _result_from_skews(p, n, method, skews):
@@ -115,15 +128,8 @@ def _result_from_skews(p, n, method, skews):
 
 def enum_automorphisms(p, n):
     """All of GL(n,p) as skew-morphisms with constant power function."""
-    ms = fpalg.gl_matrices_array(n, p)
-    perms = fpalg.matrices_to_perms(ms, p)
-    out = []
-    N = p ** n
-    for row in perms:
-        order = K.perm_order_capped(row, N)
-        pi = np.full(N, 1 if order > 1 else 0, dtype=K.IDX_DTYPE)
-        out.append(sc.SkewMorphism(p, n, row, pi, order))
-    return out
+    perms = fpalg.matrices_to_perms(fpalg.gl_matrices_array(n, p), p)
+    return [_validated(p, n, row, "GL", i) for i, row in enumerate(perms)]
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +188,7 @@ def _seed_for_config(p, n, i, M2):
 
 def _seed_chunk(args):
     p, n, chunk = args
-    return [np.asarray(_seed_for_config(p, n, i, FpMatrix(p, rows)).images)
-            for i, rows in chunk]
+    return [_seed_for_config(p, n, i, FpMatrix(p, rows)) for i, rows in chunk]
 
 
 def _canonical_config_seeds(p, n, i_values, sigma2_list, workers=1):
@@ -200,7 +205,7 @@ def _canonical_config_seeds(p, n, i_values, sigma2_list, workers=1):
     chunks = [(p, n, raw[a:a + bound]) for a in range(0, len(raw), bound)]
     with ProcessPoolExecutor(max_workers=workers) as ex:
         parts = list(ex.map(_seed_chunk, chunks))
-    return [sc.validate(p, n, img) for part in parts for img in part]
+    return [sk for part in parts for sk in part]
 
 
 def _scalar_sigma2_list(p):
@@ -214,13 +219,7 @@ def enum_nonnormal_n2(p, workers=None):
     seeds = _canonical_config_seeds(p, 2, range(1, p), _scalar_sigma2_list(p),
                                     workers=_resolve_workers(workers))
     skews = aut_closure(p, 2, seeds)
-    expected = nonnormal_count(p, 2)
-    if len(skews) != expected:
-        raise AssertionError(
-            "non-normal closure gives %d instances, formula says %d" % (len(skews), expected))
-    for s in skews:
-        if s.is_automorphism():
-            raise AssertionError("automorphism leaked into the non-normal set")
+    _check_nonnormal(p, 2, len(skews), skews)
     return skews
 
 
@@ -239,21 +238,25 @@ def enum_nonnormal_n3(p, count_only=None, sample_rate=0.01, workers=None):
     omega = sorted(fpalg.omega_set(p), key=lambda M: M.rows)
     seeds = _canonical_config_seeds(p, 3, range(1, p), omega,
                                     workers=_resolve_workers(workers))
-    expected = nonnormal_count(p, 3)
-    if not count_only:
-        skews = aut_closure(p, 3, seeds)
-        if len(skews) != expected:
-            raise AssertionError(
-                "non-normal closure gives %d instances, formula says %d" % (len(skews), expected))
-        for s in skews:
-            if s.is_automorphism():
-                raise AssertionError("automorphism leaked into the non-normal set")
-        return skews, len(skews), len(skews)
-    count, validated = aut_closure_count(p, 3, seeds, sample_rate=sample_rate)
+    if count_only:
+        count, checked = aut_closure_count(p, 3, seeds, sample_rate=sample_rate)
+        _check_nonnormal(p, 3, count, checked)
+        return None, count, len(checked)
+    skews = aut_closure(p, 3, seeds)
+    _check_nonnormal(p, 3, len(skews), skews)
+    return skews, len(skews), len(skews)
+
+
+def _check_nonnormal(p, n, count, validated):
+    """The block's count must equal the formula, and none of its validated
+    members may be an automorphism."""
+    expected = nonnormal_count(p, n)
     if count != expected:
         raise AssertionError(
-            "non-normal closure counts %d instances, formula says %d" % (count, expected))
-    return None, count, validated
+            "non-normal closure gives %d instances, formula says %d" % (count, expected))
+    for s in validated:
+        if s.is_automorphism():
+            raise AssertionError("automorphism leaked into the non-normal set")
 
 
 # ---------------------------------------------------------------------------
@@ -269,67 +272,59 @@ def _gl_generator_perms(p, n):
         out.append((a, ainv))
     return out
 
-def aut_closure(p, n, seeds):
-    """Orbit closure of seed skew-morphisms under all GL conjugations.
 
-    Breadth-first over images arrays; every new member is validated.
+def _closure_rows(p, n, seeds):
+    """Breadth-first GL-conjugation closure of seeds, as (row, seed) pairs.
+
+    The distinct seeds come first, each paired with its validated object;
+    every later row is a new conjugate, paired with None.  The order
+    depends only on the seed order and the generator list, so a sample
+    taken by position is the same on every run.
     """
     gens = _gl_generator_perms(p, n)
-    N = p ** n
-    byte_index = {}
-    rows = []
+    seen = set()
     frontier = []
     for s in seeds:
-        key = s.images.tobytes()
-        if key not in byte_index:
-            byte_index[key] = len(rows)
-            rows.append(np.asarray(s.images, dtype=K.IDX_DTYPE))
-            frontier.append(rows[-1])
+        key = s.key()
+        if key not in seen:
+            seen.add(key)
+            frontier.append(s.images)
+            yield s.images, s
     while frontier:
         batch = np.stack(frontier)
         frontier = []
         for a, ainv in gens:
-            conj = K.conj_batch(batch, a, ainv)
-            for row in conj:
+            for row in K.conj_batch(batch, a, ainv):
                 key = row.tobytes()
-                if key not in byte_index:
-                    byte_index[key] = len(rows)
+                if key not in seen:
+                    seen.add(key)
                     row = row.copy()
-                    rows.append(row)
                     frontier.append(row)
-    out = [sc.validate(p, n, r) for r in rows]
+                    yield row, None
+
+
+def aut_closure(p, n, seeds):
+    """Orbit closure of seed skew-morphisms under all GL conjugations.
+
+    The seeds are kept as they are; every new member is validated.
+    """
+    out = [seed if seed is not None else _validated(p, n, row, "closure", i)
+           for i, (row, seed) in enumerate(_closure_rows(p, n, seeds))]
     return sorted(out, key=lambda s: tuple(s.images))
 
 
 def aut_closure_count(p, n, seeds, sample_rate=0.01):
-    """Count-only closure: hash members, validate a deterministic sample."""
-    gens = _gl_generator_perms(p, n)
+    """Count-only closure: (member count, the seeds plus every stride-th
+    member by closure position, validated)."""
     stride = max(1, int(round(1.0 / sample_rate)))
-    seen = set()
-    frontier = []
-    validated = 0
-    for s in seeds:
-        key = s.images.tobytes()
-        if key not in seen:
-            seen.add(key)
-            frontier.append(np.asarray(s.images, dtype=K.IDX_DTYPE))
-            validated += 1  # seeds passed full validation at extraction
-    while frontier:
-        batch = np.stack(frontier)
-        frontier = []
-        for a, ainv in gens:
-            conj = K.conj_batch(batch, a, ainv)
-            for row in conj:
-                key = row.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    frontier.append(row.copy())
-                    if len(seen) % stride == 0:
-                        sk = sc.validate(p, n, row)
-                        if sk.is_automorphism():
-                            raise AssertionError("automorphism leaked into the non-normal set")
-                        validated += 1
-    return len(seen), validated
+    count = 0
+    checked = []
+    for count, (row, seed) in enumerate(_closure_rows(p, n, seeds), 1):
+        if seed is not None:
+            checked.append(seed)
+        elif count % stride == 0:
+            checked.append(_validated(p, n, row, "closure", count - 1))
+    return count, checked
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +338,7 @@ def full_enum(p, n, method="structured", count_only=None, sample_rate=0.01,
         raise ValueError("n must be 1, 2 or 3")
     if method not in ("brute", "structured", "both"):
         raise ValueError("unknown method %r" % method)
+    K.check_index_width(p, n)
     if method == "brute":
         return brute_force_enum(p, n)
     if method == "both":
@@ -358,6 +354,7 @@ def full_enum(p, n, method="structured", count_only=None, sample_rate=0.01,
     if count_only is None:
         count_only = n == 3 and p >= 5
     if count_only and n == 3 and p >= 5:
+        _check_key_set_fits(p, n)
         nn, nn_count, validated = enum_nonnormal_n3(
             p, count_only=True, sample_rate=sample_rate, workers=workers)
         aut_count = fpalg.gl_order(3, p)
@@ -375,7 +372,6 @@ def full_enum(p, n, method="structured", count_only=None, sample_rate=0.01,
         else:
             nn, _, _ = enum_nonnormal_n3(p, count_only=False, workers=workers)
             skews = skews + list(nn)
-    _validate_all(p, n, skews)
     return _result_from_skews(p, n, "structured", skews)
 
 
@@ -397,18 +393,30 @@ def _sampled_gl_validation(p, n, rate, seed=0):
     status = K.validate_many(p, n, perms)
     if (status != K.OK).any():
         bad = int(np.nonzero(status != K.OK)[0][0])
-        raise AssertionError("sampled GL element fails validation (status %d)"
-                             % int(status[bad]))
+        raise AssertionError("p=%d n=%d: sampled GL member %d fails validation (status %d)"
+                             % (p, n, bad, int(status[bad])))
     return len(picked)
 
 
-def _validate_all(p, n, skews):
-    batch = np.stack([s.images for s in skews])
-    status = K.validate_many(p, n, batch)
-    bad = np.nonzero(status != K.OK)[0]
-    if bad.size:
-        raise AssertionError("member %d fails validation (status %d)"
-                             % (int(bad[0]), int(status[bad[0]])))
+def physical_memory_bytes():
+    """Physical memory of this host, in bytes."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_key_set_fits(p, n):
+    """Reject a count-only run whose closure key set cannot fit in memory.
+
+    Each non-normal member is hashed as its images bytes; the payload
+    alone is a lower bound on what the set holds.
+    """
+    keys = nonnormal_count(p, n)
+    need = keys * p ** n * np.dtype(K.IDX_DTYPE).itemsize
+    have = physical_memory_bytes()
+    if need > have:
+        raise ValueError(
+            "count-only (%d,%d) would hash %d member keys of %d bytes, %.1f GB, "
+            "more than the %.1f GB of physical memory"
+            % (p, n, keys, need // keys, need / 1e9, have / 1e9))
 
 
 def compare_sets(A, B):

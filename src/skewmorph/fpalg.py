@@ -10,7 +10,6 @@ p <= 251 is accepted; only small p is exercised by the enumeration.
 
 from dataclasses import dataclass
 import functools
-import itertools
 
 import numpy as np
 
@@ -208,10 +207,6 @@ class AffineMap:
         return AffineMap(Minv, -Minv.apply(self.shift))
 
 
-def compose_affine(f, g):
-    return f.compose(g)
-
-
 def element_order(x, cap=ORDER_CAP):
     """Order of a matrix or affine map by iterated composition."""
     if isinstance(x, FpMatrix):
@@ -310,19 +305,6 @@ def nullspace_mod(a, p):
 def rank_mod(vectors, p):
     a = np.array(vectors, dtype=np.int64).reshape(len(vectors), -1) % p
     return a.shape[0] - nullspace_mod(a.T, p).shape[0] if a.size else 0
-
-
-def fixed_vectors(M):
-    """All row vectors with v*M = v."""
-    basis = nullspace_mod((M.array() - np.eye(M.n, dtype=np.int64)).T, M.p)
-    d = basis.shape[0]
-    out = []
-    for coeffs in itertools.product(range(M.p), repeat=d):
-        v = np.zeros(M.n, dtype=np.int64)
-        for c, b in zip(coeffs, basis):
-            v = (v + c * b) % M.p
-        out.append(FpVector(M.p, tuple(int(c) for c in v)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -465,17 +447,6 @@ def conjugacy_class(M):
                     nxt.append(y)
         frontier = nxt
     return frozenset(seen)
-
-
-def g1_class_members(n, p):
-    """Conjugates of the canonical unipotent: for n=2 this is every order-p
-    element of GL(2,p); for n=3 it is the class fixing a plane pointwise."""
-    check_prime(p)
-    if p == 2:
-        raise ValueError("class enumeration is used for odd p only")
-    if n not in (2, 3):
-        raise ValueError("n must be 2 or 3")
-    return conjugacy_class(canonical_unipotent(n, p))
 
 
 def _commutant_arrays(M):

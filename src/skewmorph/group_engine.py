@@ -663,10 +663,6 @@ def metacyclic_group(p, n):
 # the three 729 / 54 / 4374 reference groups, built inner to outer
 
 
-def _vec(n, j):
-    return tuple(1 if i == j else 0 for i in range(n))
-
-
 def example_e2():
     """X = <a,b,s | a^3=b^3=s^6=1, a^s=a^2 b, b^s=b^2>, with G = <a s^2, b>."""
     base = elementary_abelian_group(3, 2)

@@ -72,6 +72,10 @@ class SkewMorphism:
     def __hash__(self):
         return hash((self.p, self.n, self.key()))
 
+    def __reduce__(self):
+        # rebuilt through __init__, so the arrays arrive read-only again
+        return SkewMorphism, (self.p, self.n, self.images, self.pi, self.order)
+
     def __repr__(self):
         return "SkewMorphism(p=%d, n=%d, order=%d, k=%d, m=%d)" % (
             self.p, self.n, self.order, self.k, self.m)
@@ -121,21 +125,9 @@ def validate(p, n, images):
     return sk
 
 
-def derive_power(p, n, images):
-    """The power function alone, as an array reduced mod order."""
-    return validate(p, n, images).pi
-
-
-def is_automorphism(sk):
-    return sk.is_automorphism()
-
-
 def from_matrix(M):
     """Skew-morphism of an invertible matrix (power function constant 1)."""
-    perm = fpalg.matrix_to_perm(M)
-    order = K.perm_order_capped(perm, M.p ** M.n)
-    pi = np.full(len(perm), 1 if order > 1 else 0, dtype=K.IDX_DTYPE)
-    return SkewMorphism(M.p, M.n, perm, pi, order)
+    return validate(M.p, M.n, fpalg.matrix_to_perm(M))
 
 
 def aut_conjugate(sk, alpha):

@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
+from skewmorph import _kernels as K
 from skewmorph import cli
 from skewmorph import enumeration as en
 
@@ -54,6 +56,43 @@ def test_enum_count_mismatch_exits_1(tmp_path, monkeypatch):
         raise AssertionError("count off by one")
     monkeypatch.setattr(en, "full_enum", boom)
     assert run_cli(["enum", "--p", "3", "--n", "2", "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("argv, failing_call, message", [
+    (["--p", "3", "--n", "2"], 5, "p=3 n=2: GL member 4 fails validation (status 2)"),
+    # 48 GL members and 2 seed extractions come first
+    (["--p", "3", "--n", "2"], 51, "p=3 n=2: closure member 2 fails validation (status 2)"),
+    (["--p", "2", "--n", "2", "--method", "brute"], 1,
+     "p=2 n=2: brute member 0 fails validation (status 2)"),
+], ids=["GL", "closure", "brute"])
+def test_enum_member_failing_validation_is_a_finding(tmp_path, monkeypatch, capsys,
+                                                     argv, failing_call, message):
+    real = K.validate_images
+    calls = []
+
+    def flaky(p, n, images):
+        calls.append(1)
+        status, order, pi, witness = real(p, n, images)
+        if len(calls) == failing_call:
+            return K.NO_POWER_MATCH, order, pi, 1
+        return status, order, pi, witness
+
+    monkeypatch.setattr(K, "validate_images", flaky)
+    assert run_cli(["enum"] + argv + ["--out", str(tmp_path)]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_enum_unfinishable_config_exits_2_at_once(tmp_path, monkeypatch, capsys):
+    # the figure of a 7 GB host, whatever this host has
+    monkeypatch.setattr(en, "physical_memory_bytes", lambda: 7 * 10 ** 9)
+    t0 = time.monotonic()
+    assert run_cli(["enum", "--p", "7", "--n", "3", "--out", str(tmp_path)]) == 2
+    assert "20191680 member keys of 686 bytes" in capsys.readouterr().err
+    # 37**3 points overflow the int16 index tables
+    assert run_cli(["enum", "--p", "37", "--n", "3", "--out", str(tmp_path)]) == 2
+    assert "index range" in capsys.readouterr().err
+    assert time.monotonic() - t0 < 5
+    en._check_key_set_fits(5, 3)  # (5,3) needs 170 MB and still runs
 
 
 def test_verify_round(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from skewmorph import _kernels as K
 from skewmorph import enumeration as en
 from skewmorph import fpalg
 
@@ -89,9 +90,38 @@ def test_count_only_path_at_33(set33):
     nn, count, validated = en.enum_nonnormal_n3(3, count_only=True, sample_rate=0.05)
     assert nn is None
     assert count == 2080
-    assert validated >= 2080 * 0.01
+    # the 20 seeds plus every 20th member in breadth-first closure order
+    assert validated == 123
     full = {s.key() for s in set33.skews if not s.is_automorphism()}
     assert count == len(full)
+
+
+def test_each_member_validated_once(monkeypatch):
+    kernel_rows = []
+    seeds = []
+    validate_images, validate_many = K.validate_images, K.validate_many
+    config_seeds = en._canonical_config_seeds
+
+    def one(p, n, images):
+        kernel_rows.append(1)
+        return validate_images(p, n, images)
+
+    def many(p, n, batch):
+        kernel_rows.append(len(batch))
+        return validate_many(p, n, batch)
+
+    def counted_seeds(*args, **kwargs):
+        out = config_seeds(*args, **kwargs)
+        seeds.extend(out)
+        return out
+
+    monkeypatch.setattr(K, "validate_images", one)
+    monkeypatch.setattr(K, "validate_many", many)
+    monkeypatch.setattr(en, "_canonical_config_seeds", counted_seeds)
+    res = en.full_enum(3, 3)
+    assert res.count_total == 13312 and len(seeds) == 20
+    # a seed is validated when extracted, every other member once
+    assert sum(kernel_rows) <= res.count_total + len(seeds)
 
 
 def test_sampled_gl_validation():
