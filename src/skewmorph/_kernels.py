@@ -124,27 +124,49 @@ def validate_many(p, n, batch):
 # exhaustive search over image assignments (tiny N only)
 
 
+def _prune_ok(images, add, sub, t):
+    # f_x(y) = s(x + y) - s(x) is a power of s, so it commutes with s:
+    # f_x(s(y)) = s(f_x(y)) wherever every value involved is assigned
+    # (points are assigned in index order, so "assigned" is "<= t")
+    N = len(images)
+    for x in range(1, t + 1):
+        sx = images[x]
+        add_x = add[x]
+        for y in range(1, N):
+            u = add_x[y]
+            if u > t:
+                continue
+            w = sub[images[u]][sx]
+            if y <= t and w <= t:
+                v = add_x[images[y]]
+                if v <= t and sub[images[v]][sx] != images[w]:
+                    return False
+    return True
+
+
 def _brute_py(p, n, add, sub):
-    # plain DFS over every permutation fixing 0, vectorized leaf validation
+    # DFS over permutations fixing 0, pruned by _prune_ok; every leaf
+    # that survives is validated in full
     N = p ** n
-    images = np.full(N, -1, dtype=IDX_DTYPE)
-    images[0] = 0
-    used = [False] * N
-    used[0] = True
+    add_l, sub_l = add.tolist(), sub.tolist()
+    images = [0] + [-1] * (N - 1)
+    used = [True] + [False] * (N - 1)
     found = []
     pi = np.zeros(N, dtype=IDX_DTYPE)
 
     def rec(t):
         if t == N:
-            if _validate_np(images, add, sub, pi)[0] == OK:
-                found.append(images.copy())
+            leaf = np.array(images, dtype=IDX_DTYPE)
+            if _validate_np(leaf, add, sub, pi)[0] == OK:
+                found.append(leaf)
             return
         for c in range(1, N):
             if not used[c]:
-                used[c] = True
                 images[t] = c
-                rec(t + 1)
-                used[c] = False
+                if _prune_ok(images, add_l, sub_l, t):
+                    used[c] = True
+                    rec(t + 1)
+                    used[c] = False
         images[t] = -1
 
     rec(1)

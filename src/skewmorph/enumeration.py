@@ -27,7 +27,7 @@ from . import _kernels as K
 from . import fpalg
 from . import group_engine as ge
 from . import skew_core as sc
-from .fpalg import AffineMap, FpMatrix, check_prime
+from .fpalg import FpMatrix, check_prime
 
 
 def formula_count(p, n):
@@ -141,25 +141,7 @@ def _crt_sigma(L, M2, k, p):
     # so sigma has order exactly k*p and sigma^k, sigma^p recover the parts
     u = pow(k, -1, p)
     v = pow(p, -1, k)
-    return AffineMap.from_matrix(L.pow(u) * M2.pow(v))
-
-
-def _affine_group_from(G_elems, s, order, gens):
-    """The group G<s> materialized as an explicit element list.
-
-    The list has |G|*order distinct elements and sits inside the affine
-    group generated by the same elements, which has the same size, so it
-    is closed; FiniteGroup gets it without a BFS.
-    """
-    p, n = s.p, s.n
-    spows = [AffineMap.identity(p, n)]
-    for _ in range(order - 1):
-        spows.append(spows[-1] * s)
-    elems = [g * sp for g in G_elems for sp in spows]
-    if len(set(elems)) != len(G_elems) * order:
-        raise ValueError("G<s> collapses; configuration invalid")
-    carrier = ge.affine_carrier(p, n)
-    return ge.FiniteGroup(carrier, elems, gens)
+    return L.pow(u) * M2.pow(v)
 
 
 def _resolve_workers(workers):
@@ -168,21 +150,40 @@ def _resolve_workers(workers):
     return max(1, workers)
 
 
+def _as_perm(M):
+    return tuple(fpalg.matrix_to_perm(M).tolist())
+
+
 def _seed_for_config(p, n, i, M2):
+    """The seed of one canonical configuration, read off X = G<s>.
+
+    Affine maps of F_p^n are index permutations held as tuples: the
+    translations are columns of the addition table, the linear maps come
+    from matrix_to_perm.  X is the element list G * <s>; FiniteGroup
+    rejects duplicates, so a collapsing product fails here, and
+    extract_skew checks the rest of the factorization.
+    """
+    N = p ** n
+    carrier = ge.perm_carrier(N)
+    mul = carrier.mul
+    add = K.index_tables(p, n)[0]
+    trans = [tuple(add[:, p ** (n - 1 - j)].tolist()) for j in range(n)]
     L = fpalg.canonical_unipotent(n, p)
-    carrier = ge.affine_carrier(p, n)
-    trans = [AffineMap.translation(fpalg.basis_vector(p, n, j)) for j in range(n)]
-    Li = AffineMap.from_matrix(L.pow(-i))
+    Li = _as_perm(L.pow(-i))
     if n == 2:
-        g_gens = (trans[0], trans[1] * Li)
+        g_gens = (trans[0], mul(trans[1], Li))
     else:
-        g_gens = (trans[1], trans[2], trans[0] * Li)
-    G = ge.FiniteGroup.from_generators(carrier, g_gens, cap=p ** n + 1)
-    if len(G) != p ** n:
-        raise ValueError("canonical G has order %d, expected %d" % (len(G), p ** n))
+        g_gens = (trans[1], trans[2], mul(trans[0], Li))
+    G = ge.FiniteGroup.from_generators(carrier, g_gens, cap=N + 1)
+    if len(G) != N:
+        raise ValueError("canonical G has order %d, expected %d" % (len(G), N))
     k = M2.order()
-    s = _crt_sigma(L, M2, k, p)
-    X = _affine_group_from(G.elements, s, k * p, g_gens + (s,))
+    s = _as_perm(_crt_sigma(L, M2, k, p))
+    spows = [carrier.identity]
+    for _ in range(k * p - 1):
+        spows.append(mul(spows[-1], s))
+    X = ge.FiniteGroup(carrier, [mul(g, sp) for g in G.elements for sp in spows],
+                       g_gens + (s,))
     return sc.extract_skew(X, G, s, g_gens)
 
 
@@ -339,6 +340,9 @@ def full_enum(p, n, method="structured", count_only=None, sample_rate=0.01,
     if method not in ("brute", "structured", "both"):
         raise ValueError("unknown method %r" % method)
     K.check_index_width(p, n)
+    if count_only and (method != "structured" or n != 3 or p == 2):
+        raise ValueError("no count-only path for %s (%d,%d): it exists for the "
+                         "structured method, odd p and n = 3" % (method, p, n))
     if method == "brute":
         return brute_force_enum(p, n)
     if method == "both":
@@ -353,7 +357,7 @@ def full_enum(p, n, method="structured", count_only=None, sample_rate=0.01,
 
     if count_only is None:
         count_only = n == 3 and p >= 5
-    if count_only and n == 3 and p >= 5:
+    if count_only:
         _check_key_set_fits(p, n)
         nn, nn_count, validated = enum_nonnormal_n3(
             p, count_only=True, sample_rate=sample_rate, workers=workers)

@@ -1,6 +1,6 @@
-"""Dense linear and affine algebra over prime fields F_p.
+"""Dense linear algebra over prime fields F_p.
 
-Vectors are rows and matrices act on the right (x -> x*M + v), so
+Vectors are rows and matrices act on the right (x -> x*M), so
 composition reads left to right everywhere.  Matrices are stored as
 tuples of residue rows, which keeps them hashable and usable as group
 elements; batch work converts to numpy internally.
@@ -61,9 +61,6 @@ class FpVector:
     def scale(self, c):
         return FpVector(self.p, tuple((c * a) % self.p for a in self.coords))
 
-    def is_zero(self):
-        return all(c == 0 for c in self.coords)
-
 
 def vec_index(v):
     """Big-endian index of a vector: (v_1,...,v_n) -> sum v_j p**(n-j)."""
@@ -78,10 +75,6 @@ def index_vec(i, p, n):
     for j in range(n - 1, -1, -1):
         coords.append((i // p ** j) % p)
     return FpVector(p, tuple(coords))
-
-
-def zero_vector(p, n):
-    return FpVector(p, (0,) * n)
 
 
 def basis_vector(p, n, j):
@@ -159,60 +152,9 @@ class FpMatrix:
         return FpVector(self.p, coords)
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    linear: FpMatrix
-    shift: FpVector
-
-    def __post_init__(self):
-        if self.linear.p != self.shift.p or self.linear.n != self.shift.n:
-            raise ValueError("linear part and shift must share p and dimension")
-
-    @property
-    def p(self):
-        return self.linear.p
-
-    @property
-    def n(self):
-        return self.linear.n
-
-    @classmethod
-    def identity(cls, p, n):
-        return cls(FpMatrix.identity(p, n), zero_vector(p, n))
-
-    @classmethod
-    def from_matrix(cls, M):
-        return cls(M, zero_vector(M.p, M.n))
-
-    @classmethod
-    def translation(cls, v):
-        return cls(FpMatrix.identity(v.p, v.n), v)
-
-    def is_identity(self):
-        return self.linear.is_identity() and self.shift.is_zero()
-
-    def apply(self, v):
-        return self.linear.apply(v) + self.shift
-
-    def compose(self, other):
-        """self then other: x -> (x*M1 + v1)*M2 + v2."""
-        M = self.linear * other.linear
-        v = other.linear.apply(self.shift) + other.shift
-        return AffineMap(M, v)
-
-    __mul__ = compose
-
-    def inverse(self):
-        Minv = self.linear.inverse()
-        return AffineMap(Minv, -Minv.apply(self.shift))
-
-
 def element_order(x, cap=ORDER_CAP):
-    """Order of a matrix or affine map by iterated composition."""
-    if isinstance(x, FpMatrix):
-        ident = FpMatrix.identity(x.p, x.n)
-    else:
-        ident = AffineMap.identity(x.p, x.n)
+    """Order of a matrix by iterated multiplication."""
+    ident = FpMatrix.identity(x.p, x.n)
     acc = x
     for k in range(1, cap + 1):
         if acc == ident:

@@ -1,8 +1,8 @@
 """Small concrete finite groups: closures, characteristic subgroups, extensions.
 
 Elements are hashable python values; a Carrier bundles the multiplication,
-inversion and identity for one representation (permutation tuples, affine
-maps, normal-form pairs of an extension tower, plain integers mod m).
+inversion and identity for one representation (permutation tuples,
+normal-form pairs of an extension tower, plain integers mod m).
 Groups are immutable once built and every query here is pure, so all of
 this is safe to sweep in parallel from the callers.
 
@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 from . import fpalg
-from .fpalg import AffineMap, FpMatrix, FpVector
 
 CLOSURE_CAP = 10 ** 5
 
@@ -58,9 +57,16 @@ def vector_carrier(p, n):
     return Carrier(mul, inv, (0,) * n, "Z_%d^%d" % (p, n))
 
 
-def affine_carrier(p, n):
-    return Carrier(lambda a, b: a * b, lambda a: a.inverse(),
-                   AffineMap.identity(p, n), "AGL(%d,%d)" % (n, p))
+def perm_carrier(degree):
+    """Permutations of range(degree) as tuples; a * b is "a then b"."""
+    def mul(a, b):
+        return tuple([b[x] for x in a])
+    def inv(a):
+        out = [0] * degree
+        for x, y in enumerate(a):
+            out[y] = x
+        return tuple(out)
+    return Carrier(mul, inv, tuple(range(degree)), "Sym(%d)" % degree)
 
 
 class FiniteGroup:

@@ -237,12 +237,6 @@ class SkewProductGroup:
     def identity(self):
         return (0, 0)
 
-    def g_ids(self):
-        return np.arange(self.N, dtype=np.int64) * self.order
-
-    def sigma_ids(self):
-        return np.arange(self.order, dtype=np.int64)
-
     def p_ids(self):
         """Ids of P = G <sigma^k>, the Sylow-p-carrying normal piece."""
         k = self.sk.k
@@ -251,17 +245,6 @@ class SkewProductGroup:
 
     def sigma_pair(self, e=1):
         return (0, e % self.order)
-
-    def sigma1_pair(self):
-        return (0, self.sk.k % self.order)
-
-    def sigma2_pair(self):
-        return (0, self.sk.p ** self.sk.m % self.order)
-
-    def z_pair(self):
-        if self.sk.m == 0:
-            raise ValueError("z = sigma^(k p^(m-1)) needs m >= 1")
-        return (0, self.sk.k * self.sk.p ** (self.sk.m - 1) % self.order)
 
     def self_test(self):
         """Group-law check: full associativity when small, sampled otherwise."""
@@ -283,19 +266,15 @@ class SkewProductGroup:
         perm_rows = np.sort(T, axis=1)
         assert (perm_rows == ident[None, :]).all(), "rows are not permutations"
 
-    def commutator_ids(self):
-        """Distinct values of [x, y] = x^-1 y^-1 x y over all pairs, as ids."""
-        T = self.table()
-        inv = self.inv_table().astype(np.int64)
-        heads = T[inv[:, None], inv[None, :]]
-        return np.unique(T[heads, T])
+    def generator_ids(self):
+        """Pair ids of the basis translations (e_j, 0), then sigma (0, 1)."""
+        ids = [self.pair_id(self.sk.p ** (self.sk.n - 1 - j), 0) for j in range(self.sk.n)]
+        if self.order > 1:
+            ids.append(self.pair_id(0, 1))
+        return np.array(ids, dtype=np.int64)
 
     def derived_is_abelian(self):
-        # pairwise-commuting generators span an abelian subgroup, so the
-        # commutator set commuting elementwise settles X' without a closure
-        C = self.commutator_ids()
-        sub = self.table()[np.ix_(C, C)]
-        return bool((sub == sub.T).all())
+        return cayley_derived_is_abelian(self.table(), self.generator_ids())
 
     def as_finite_group(self):
         from . import group_engine
@@ -303,11 +282,47 @@ class SkewProductGroup:
             mul=self.mult_pairs, inv=self.inv_pair, identity=self.identity)
         elements = frozenset(
             (g, i) for g in range(self.N) for i in range(self.order))
-        gens = tuple((fpalg.vec_index(fpalg.basis_vector(self.sk.p, self.sk.n, j)), 0)
-                     for j in range(self.sk.n))
-        if self.order > 1:
-            gens += ((0, 1),)
+        gens = tuple(self.id_pair(i) for i in self.generator_ids())
         return group_engine.FiniteGroup(carrier, elements, gens)
+
+
+def _subgroup_mask(T, gens):
+    """Membership mask of the subgroup generated by gens in the group with
+    Cayley table T (identity id 0), by breadth-first right multiplication."""
+    mask = np.zeros(T.shape[0], dtype=bool)
+    mask[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    gens = np.asarray(gens, dtype=np.int64)
+    while frontier.size:
+        step = np.unique(T[frontier[:, None], gens[None, :]])
+        frontier = step[~mask[step]]
+        mask[frontier] = True
+    return mask
+
+
+def cayley_derived_is_abelian(T, gens):
+    """Whether the derived subgroup of the group <gens> is abelian.
+
+    T is the Cayley table on ids with identity 0.  X' is the normal
+    closure of the commutators of the generators: conjugates of its
+    generators by the generators of X are added until they all lie in
+    the subgroup, and X' is abelian exactly when its generators commute.
+    """
+    gens = np.asarray(gens, dtype=np.int64)
+    ginv = np.argmin(T[gens], axis=1)  # the identity 0 is the row minimum
+    heads = T[ginv[:, None], ginv[None, :]]
+    comms = T[heads, T[gens[:, None], gens[None, :]]]
+    dgens = sorted(set(comms.ravel().tolist()) - {0})
+    mask = _subgroup_mask(T, dgens)
+    i = 0
+    while i < len(dgens):
+        for c in T[T[ginv, dgens[i]], gens].tolist():
+            if not mask[c]:
+                dgens.append(c)
+                mask = _subgroup_mask(T, dgens)
+        i += 1
+    sub = T[np.ix_(dgens, dgens)]
+    return bool((sub == sub.T).all())
 
 
 def build_skew_product(sk):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,48 @@ def test_aut_closure_fixes_complete_set(brute32):
     orbit = en.aut_closure(3, 2, nonnormal[:1])
     assert {s.key() for s in orbit} <= {s.key() for s in nonnormal}
     assert len(orbit) > 1
+
+
+def _seed_digest(seeds):
+    h = hashlib.sha256()
+    for s in seeds:
+        h.update(np.asarray(s.images, dtype="<i2").tobytes())
+    return h.hexdigest()
+
+
+def _omega(p):
+    return sorted(fpalg.omega_set(p), key=lambda M: M.rows)
+
+
+def test_seed_digests():
+    # sha256 of the concatenated seed images, in canonical config order,
+    # as extracted by the affine-map code this enumeration started from
+    seeds = {
+        (5, 2): en._canonical_config_seeds(5, 2, range(1, 5), en._scalar_sigma2_list(5)),
+        (7, 2): en._canonical_config_seeds(7, 2, range(1, 7), en._scalar_sigma2_list(7)),
+        (3, 3): en._canonical_config_seeds(3, 3, range(1, 3), _omega(3)),
+        (5, 3): [en._seed_for_config(5, 3, i, M2) for i, M2 in
+                 [(i, M2) for i in range(1, 5) for M2 in _omega(5)][::20]],
+    }
+    assert {key: len(v) for key, v in seeds.items()} == {
+        (5, 2): 12, (7, 2): 30, (3, 3): 20, (5, 3): 46}
+    assert {key: _seed_digest(v) for key, v in seeds.items()} == {
+        (5, 2): "61de8ab2960b9c2388dcc9eb93170d37655407deb35e7141b62eb4220d409863",
+        (7, 2): "9f8a8b7269e08514aed32959c98ba8782100919d642fcf79c3c6ab6b5ca7670d",
+        (3, 3): "2eea1b1f775e4b1140117084c84a08c09ddb8c226bee18e21d38190705fcfd38",
+        (5, 3): "a807d68886379cd510e9435c79283002f7bf8dce8871708ec6e7f43470b6d798",
+    }
+
+
+def test_count_only_flag_is_honoured_or_refused():
+    res = en.full_enum(3, 3, count_only=True)
+    assert res.skews is None
+    assert res.count_total == 13312 and res.count_nonaut == 2080
+    assert res.sample_validated > 0
+    for p, n, method in ((3, 2, "structured"), (2, 3, "structured"),
+                         (3, 1, "structured"), (3, 3, "both"), (3, 3, "brute")):
+        with pytest.raises(ValueError):
+            en.full_enum(p, n, method=method, count_only=True)
 
 
 def test_count_only_path_at_33(set33):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from skewmorph import fpalg
-from skewmorph.fpalg import AffineMap, FpMatrix, FpVector
+from skewmorph.fpalg import FpMatrix, FpVector
 
 
 def test_check_prime_rejects_composites():
@@ -71,29 +71,6 @@ def test_row_convention_apply():
     M = FpMatrix(3, ((1, 1), (0, 1)))
     assert M.apply(FpVector(3, (1, 0))).coords == (1, 1)
     assert M.apply(FpVector(3, (0, 1))).coords == (0, 1)
-
-
-def test_affine_compose_and_inverse():
-    p, n = 5, 2
-    rng = np.random.default_rng(1)
-    maps = []
-    while len(maps) < 6:
-        a = rng.integers(0, p, (n, n))
-        M = FpMatrix.from_array(a, p)
-        if M.det() == 0:
-            continue
-        v = FpVector(p, tuple(int(c) for c in rng.integers(0, p, n)))
-        maps.append(AffineMap(M, v))
-    pts = [fpalg.index_vec(i, p, n) for i in range(p ** n)]
-    for f, g in itertools.product(maps, repeat=2):
-        fg = f * g
-        for x in pts:
-            assert fg.apply(x) == g.apply(f.apply(x))
-    for f in maps:
-        finv = f.inverse()
-        assert (f * finv).is_identity()
-        for x in pts:
-            assert finv.apply(f.apply(x)) == x
 
 
 def test_gl_order_against_direct_count():

@@ -25,6 +25,16 @@ def test_cyclic_and_elementary_abelian():
     assert ge.elementary_abelian_rank(E, 3) == 2
 
 
+def test_perm_carrier_is_a_then_b():
+    c = ge.perm_carrier(4)
+    a, b = (1, 2, 3, 0), (0, 2, 1, 3)
+    # a then b: x -> b[a[x]]
+    assert c.mul(a, b) == tuple(b[a[x]] for x in range(4))
+    assert c.mul(a, c.inv(a)) == c.identity == (0, 1, 2, 3)
+    G = ge.FiniteGroup.from_generators(c, (a, b))
+    assert len(G) == 24
+
+
 def test_closure_cap():
     with pytest.raises(ge.ClosureCapError):
         ge.FiniteGroup.from_generators(ge.cyclic_carrier(100), (1,), cap=50)

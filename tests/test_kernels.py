@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,22 @@ def test_perm_order_capped():
     images = np.array([0, 2, 3, 1, 5, 6, 7, 8, 4], dtype=K.IDX_DTYPE)
     assert K.perm_order_capped(images, 100) == 15
     assert K.perm_order_capped(images, 8) == -1
+
+
+def _unpruned_brute(p, n):
+    # reference: every permutation fixing 0, each leaf validated in full
+    N = p ** n
+    found = []
+    for tail in itertools.permutations(range(1, N)):
+        images = np.array((0,) + tail, dtype=K.IDX_DTYPE)
+        if K.validate_images(p, n, images)[0] == K.OK:
+            found.append(images)
+    return K.lex_sorted(np.array(found, dtype=K.IDX_DTYPE))
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2)])
+def test_pruned_brute_equals_unpruned(p, n):
+    assert (K.brute_images(p, n) == _unpruned_brute(p, n)).all()
 
 
 def test_validate_images_ok():

@@ -46,21 +46,6 @@ def test_random_matrix_skews(seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 47), st.integers(1, 47))
-def test_affine_group_law(a_seed, b_seed):
-    def decode(s):
-        M = fpalg.FpMatrix(3, (((s % 2) + 1, s % 3), (0, (s % 4 % 2) + 1)))
-        v = fpalg.FpVector(3, (s % 3, (s // 3) % 3))
-        return fpalg.AffineMap(M, v)
-    f, g = decode(a_seed), decode(b_seed)
-    h = f * g
-    for i in range(9):
-        x = fpalg.index_vec(i, 3, 2)
-        assert h.apply(x) == g.apply(f.apply(x))
-    assert (f * f.inverse()).is_identity()
-
-
-@settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_perm_order_is_minimal(seed):
     rng = np.random.default_rng(seed)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,30 @@ def test_derived_is_abelian_matches_group_engine(brute32):
         fast = spg.derived_is_abelian()
         slow = ge.is_metabelian(spg.as_finite_group())
         assert fast == slow
+
+
+def _all_commutators_abelian(T):
+    # reference: the set of all commutators [x, y] commutes elementwise
+    # exactly when the subgroup it generates, X', is abelian
+    inv = np.argmin(T, axis=1)
+    C = np.unique(T[T[inv[:, None], inv[None, :]], T])
+    sub = T[np.ix_(C, C)]
+    return bool((sub == sub.T).all())
+
+
+def test_derived_is_abelian_matches_all_commutators(brute32, set52):
+    for sk in brute32.skews[::3] + set52.skews[::40]:
+        spg = sc.SkewProductGroup(sk, check=False)
+        assert spg.derived_is_abelian() == _all_commutators_abelian(spg.table())
+    # every skew product is metabelian, so a negative case comes from
+    # elsewhere: S_4, whose derived subgroup A_4 is not abelian
+    perms = list(itertools.permutations(range(4)))
+    ids = {q: i for i, q in enumerate(perms)}
+    T = np.array([[ids[tuple(b[x] for x in a)] for b in perms] for a in perms])
+    gens = [ids[(1, 0, 2, 3)], ids[(1, 2, 3, 0)]]
+    assert not _all_commutators_abelian(T)
+    assert not sc.cayley_derived_is_abelian(T, gens)
+    assert sc.cayley_derived_is_abelian(T, gens[:1])
 
 
 def test_build_extract_round_trip(brute32):
