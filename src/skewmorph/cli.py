@@ -142,7 +142,7 @@ def cmd_bench(args):
         batch = K.brute_images(args.p, args.n)
     else:
         ms = fpalg.gl_matrices_array(args.n, args.p)
-        batch = fpalg.matrices_to_perms(ms, args.p)
+        batch = fpalg.matrix_to_perm(ms, args.p)
     print("benchmark: validate_many on %d candidates, p=%d n=%d, best of %d"
           % (batch.shape[0], args.p, args.n, args.repeat))
     K.index_tables(args.p, args.n)  # build the cached tables outside the timing

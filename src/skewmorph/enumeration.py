@@ -27,7 +27,7 @@ from . import _kernels as K
 from . import fpalg
 from . import group_engine as ge
 from . import skew_core as sc
-from .fpalg import FpMatrix, check_prime
+from .fpalg import check_prime
 
 
 def formula_count(p, n):
@@ -128,7 +128,7 @@ def _result_from_skews(p, n, method, skews):
 
 def enum_automorphisms(p, n):
     """All of GL(n,p) as skew-morphisms with constant power function."""
-    perms = fpalg.matrices_to_perms(fpalg.gl_matrices_array(n, p), p)
+    perms = fpalg.matrix_to_perm(fpalg.gl_matrices_array(n, p), p)
     return [_validated(p, n, row, "GL", i) for i, row in enumerate(perms)]
 
 
@@ -141,7 +141,7 @@ def _crt_sigma(L, M2, k, p):
     # so sigma has order exactly k*p and sigma^k, sigma^p recover the parts
     u = pow(k, -1, p)
     v = pow(p, -1, k)
-    return L.pow(u) * M2.pow(v)
+    return fpalg.mat_pow(L, u, p) @ fpalg.mat_pow(M2, v, p) % p
 
 
 def _resolve_workers(workers):
@@ -150,8 +150,8 @@ def _resolve_workers(workers):
     return max(1, workers)
 
 
-def _as_perm(M):
-    return tuple(fpalg.matrix_to_perm(M).tolist())
+def _as_perm(M, p):
+    return tuple(fpalg.matrix_to_perm(M, p).tolist())
 
 
 def _seed_for_config(p, n, i, M2):
@@ -169,7 +169,7 @@ def _seed_for_config(p, n, i, M2):
     add = K.index_tables(p, n)[0]
     trans = [tuple(add[:, p ** (n - 1 - j)].tolist()) for j in range(n)]
     L = fpalg.canonical_unipotent(n, p)
-    Li = _as_perm(L.pow(-i))
+    Li = _as_perm(fpalg.mat_pow(L, p - i, p), p)  # L^-i, as L has order p
     if n == 2:
         g_gens = (trans[0], mul(trans[1], Li))
     else:
@@ -177,8 +177,8 @@ def _seed_for_config(p, n, i, M2):
     G = ge.FiniteGroup.from_generators(carrier, g_gens, cap=N + 1)
     if len(G) != N:
         raise ValueError("canonical G has order %d, expected %d" % (len(G), N))
-    k = M2.order()
-    s = _as_perm(_crt_sigma(L, M2, k, p))
+    k = fpalg.matrix_order(M2, p)
+    s = _as_perm(_crt_sigma(L, M2, k, p), p)
     spows = [carrier.identity]
     for _ in range(k * p - 1):
         spows.append(mul(spows[-1], s))
@@ -189,7 +189,7 @@ def _seed_for_config(p, n, i, M2):
 
 def _seed_chunk(args):
     p, n, chunk = args
-    return [_seed_for_config(p, n, i, FpMatrix(p, rows)) for i, rows in chunk]
+    return [_seed_for_config(p, n, i, M2) for i, M2 in chunk]
 
 
 def _canonical_config_seeds(p, n, i_values, sigma2_list, workers=1):
@@ -201,16 +201,15 @@ def _canonical_config_seeds(p, n, i_values, sigma2_list, workers=1):
     configs = [(i, M2) for i in i_values for M2 in sigma2_list]
     if workers <= 1 or len(configs) < 2 * workers:
         return [_seed_for_config(p, n, i, M2) for i, M2 in configs]
-    raw = [(i, M2.rows) for i, M2 in configs]
-    bound = -(-len(raw) // workers)
-    chunks = [(p, n, raw[a:a + bound]) for a in range(0, len(raw), bound)]
+    bound = -(-len(configs) // workers)
+    chunks = [(p, n, configs[a:a + bound]) for a in range(0, len(configs), bound)]
     with ProcessPoolExecutor(max_workers=workers) as ex:
         parts = list(ex.map(_seed_chunk, chunks))
     return [sk for part in parts for sk in part]
 
 
 def _scalar_sigma2_list(p):
-    return [FpMatrix.from_array(np.eye(2, dtype=int) * s, p) for s in range(2, p)]
+    return np.arange(2, p)[:, None, None] * np.eye(2, dtype=np.int64)
 
 
 def enum_nonnormal_n2(p, workers=None):
@@ -236,8 +235,7 @@ def enum_nonnormal_n3(p, count_only=None, sample_rate=0.01, workers=None):
         raise ValueError("non-normal skew-morphisms need p odd")
     if count_only is None:
         count_only = p >= 5
-    omega = sorted(fpalg.omega_set(p), key=lambda M: M.rows)
-    seeds = _canonical_config_seeds(p, 3, range(1, p), omega,
+    seeds = _canonical_config_seeds(p, 3, range(1, p), fpalg.omega_set(p),
                                     workers=_resolve_workers(workers))
     if count_only:
         count, checked = aut_closure_count(p, 3, seeds, sample_rate=sample_rate)
@@ -265,13 +263,8 @@ def _check_nonnormal(p, n, count, validated):
 
 
 def _gl_generator_perms(p, n):
-    gens = fpalg.gl_generators(n, p)
-    out = []
-    for M in gens:
-        a = fpalg.matrix_to_perm(M)
-        ainv = np.argsort(a).astype(K.IDX_DTYPE)
-        out.append((a, ainv))
-    return out
+    perms = fpalg.matrix_to_perm(fpalg.gl_generators(n, p), p)
+    return [(a, np.argsort(a).astype(K.IDX_DTYPE)) for a in perms]
 
 
 def _closure_rows(p, n, seeds):
@@ -387,13 +380,12 @@ def _sampled_gl_validation(p, n, rate, seed=0):
     picked = {}
     while len(picked) < target:
         ms = rng.integers(0, p, size=(max(64, target), n, n))
-        ms = ms[fpalg._batch_det(ms, p) != 0]
+        ms = ms[fpalg.mat_det(ms, p) != 0]
         for m in ms:
             picked.setdefault(m.tobytes(), m)
             if len(picked) >= target:
                 break
-    perms = fpalg.matrices_to_perms(
-        np.stack(list(picked.values())), p)
+    perms = fpalg.matrix_to_perm(np.stack(list(picked.values())), p)
     status = K.validate_many(p, n, perms)
     if (status != K.OK).any():
         bad = int(np.nonzero(status != K.OK)[0][0])

@@ -1,15 +1,14 @@
 """Dense linear algebra over prime fields F_p.
 
 Vectors are rows and matrices act on the right (x -> x*M), so
-composition reads left to right everywhere.  Matrices are stored as
-tuples of residue rows, which keeps them hashable and usable as group
-elements; batch work converts to numpy internally.
+composition reads left to right everywhere.  A matrix is an (n, n)
+int64 array of residues and a batch of matrices is a (K, n, n) array;
+power, determinant and the matrix-to-permutation map take either shape.
+Points of F_p^n appear only as indices, in the big-endian convention of
+``_kernels``.
 
 p <= 251 is accepted; only small p is exercised by the enumeration.
 """
-
-from dataclasses import dataclass
-import functools
 
 import numpy as np
 
@@ -20,13 +19,23 @@ ORDER_CAP = 10 ** 6
 SPACE_CAP = 5 * 10 ** 6
 
 
-def is_prime(m):
-    if m < 2:
-        return False
-    for d in range(2, int(m ** 0.5) + 1):
+def prime_divisors(m):
+    """Distinct prime divisors of m >= 1 in ascending order, by trial division."""
+    out = []
+    d = 2
+    while d * d <= m:
         if m % d == 0:
-            return False
-    return True
+            out.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    if m > 1:
+        out.append(m)
+    return out
+
+
+def is_prime(m):
+    return m >= 2 and prime_divisors(m) == [m]
 
 
 def check_prime(p):
@@ -34,183 +43,54 @@ def check_prime(p):
         raise ValueError("p must be a prime <= %d, got %r" % (PRIME_MAX, p))
 
 
-@dataclass(frozen=True)
-class FpVector:
-    p: int
-    coords: tuple
-
-    def __post_init__(self):
-        check_prime(self.p)
-        if any(not (0 <= c < self.p) for c in self.coords):
-            raise ValueError("coordinates must be reduced residues mod %d" % self.p)
-
-    @property
-    def n(self):
-        return len(self.coords)
-
-    def __add__(self, other):
-        assert self.p == other.p and self.n == other.n
-        return FpVector(self.p, tuple((a + b) % self.p for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        return FpVector(self.p, tuple((-a) % self.p for a in self.coords))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return FpVector(self.p, tuple((c * a) % self.p for a in self.coords))
+def matrix(rows, p):
+    """A square matrix of reduced residues mod p as an (n, n) int64 array."""
+    check_prime(p)
+    m = np.array(rows, dtype=np.int64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("matrix must be square")
+    if ((m < 0) | (m >= p)).any():
+        raise ValueError("entries must be reduced residues mod %d" % p)
+    return m
 
 
-def vec_index(v):
-    """Big-endian index of a vector: (v_1,...,v_n) -> sum v_j p**(n-j)."""
-    i = 0
-    for c in v.coords:
-        i = i * v.p + c
-    return i
+def mat_pow(ms, e, p):
+    """ms**e mod p for e >= 0, by repeated squaring."""
+    ms = np.asarray(ms, dtype=np.int64)
+    result = np.broadcast_to(np.eye(ms.shape[-1], dtype=np.int64), ms.shape).copy()
+    base = ms % p
+    while e:
+        if e & 1:
+            result = result @ base % p
+        base = base @ base % p
+        e >>= 1
+    return result
 
 
-def index_vec(i, p, n):
-    coords = []
-    for j in range(n - 1, -1, -1):
-        coords.append((i // p ** j) % p)
-    return FpVector(p, tuple(coords))
+def mat_det(ms, p):
+    """Determinant mod p by the closed forms for n <= 3."""
+    n = ms.shape[-1]
+    if n == 1:
+        return ms[..., 0, 0] % p
+    if n == 2:
+        return (ms[..., 0, 0] * ms[..., 1, 1] - ms[..., 0, 1] * ms[..., 1, 0]) % p
+    if n == 3:
+        a, b, c = ms[..., 0, 0], ms[..., 0, 1], ms[..., 0, 2]
+        d, e, f = ms[..., 1, 0], ms[..., 1, 1], ms[..., 1, 2]
+        g, h, i = ms[..., 2, 0], ms[..., 2, 1], ms[..., 2, 2]
+        return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % p
+    raise ValueError("determinant implemented for n <= 3, got n = %d" % n)
 
 
-def basis_vector(p, n, j):
-    return FpVector(p, tuple(1 if t == j else 0 for t in range(n)))
-
-
-@dataclass(frozen=True)
-class FpMatrix:
-    p: int
-    rows: tuple
-
-    def __post_init__(self):
-        check_prime(self.p)
-        n = len(self.rows)
-        for row in self.rows:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-            if any(not (0 <= c < self.p) for c in row):
-                raise ValueError("entries must be reduced residues mod %d" % self.p)
-
-    @property
-    def n(self):
-        return len(self.rows)
-
-    @classmethod
-    def from_array(cls, a, p):
-        a = np.asarray(a) % p
-        return cls(p, tuple(tuple(int(c) for c in row) for row in a))
-
-    def array(self):
-        return np.array(self.rows, dtype=np.int64)
-
-    @classmethod
-    def identity(cls, p, n):
-        return cls(p, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    def is_identity(self):
-        return self == FpMatrix.identity(self.p, self.n)
-
-    def __mul__(self, other):
-        assert self.p == other.p
-        prod = self.array() @ other.array() % self.p
-        return FpMatrix.from_array(prod, self.p)
-
-    def pow(self, e):
-        n, p = self.n, self.p
-        if e < 0:
-            return self.inverse().pow(-e)
-        result = FpMatrix.identity(p, n)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def det(self):
-        return det_mod(self.array(), self.p)
-
-    def inverse(self):
-        inv = inv_mod(self.array(), self.p)
-        if inv is None:
-            raise ValueError("matrix is singular mod %d" % self.p)
-        return FpMatrix.from_array(inv, self.p)
-
-    def order(self):
-        return element_order(self)
-
-    def apply(self, v):
-        coords = tuple(
-            int(sum(v.coords[i] * self.rows[i][j] for i in range(self.n)) % self.p)
-            for j in range(self.n)
-        )
-        return FpVector(self.p, coords)
-
-
-def element_order(x, cap=ORDER_CAP):
-    """Order of a matrix by iterated multiplication."""
-    ident = FpMatrix.identity(x.p, x.n)
-    acc = x
+def matrix_order(m, p, cap=ORDER_CAP):
+    """Order of one invertible matrix by iterated multiplication."""
+    eye = np.eye(m.shape[0], dtype=np.int64)
+    acc = m % p
     for k in range(1, cap + 1):
-        if acc == ident:
+        if (acc == eye).all():
             return k
-        acc = acc * x
+        acc = acc @ m % p
     raise RuntimeError("order cap exceeded")
-
-
-# ---------------------------------------------------------------------------
-# modular linear algebra helpers (numpy int64 arrays)
-
-
-def det_mod(a, p):
-    a = np.array(a, dtype=np.int64) % p
-    n = a.shape[0]
-    det = 1
-    for col in range(n):
-        piv = -1
-        for r in range(col, n):
-            if a[r, col] % p:
-                piv = r
-                break
-        if piv < 0:
-            return 0
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            det = -det % p
-        det = det * a[col, col] % p
-        inv = pow(int(a[col, col]), p - 2, p)
-        for r in range(col + 1, n):
-            if a[r, col]:
-                a[r] = (a[r] - a[r, col] * inv * a[col]) % p
-    return int(det % p)
-
-
-def inv_mod(a, p):
-    a = np.array(a, dtype=np.int64) % p
-    n = a.shape[0]
-    aug = np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1)
-    row = 0
-    for col in range(n):
-        piv = -1
-        for r in range(row, n):
-            if aug[r, col] % p:
-                piv = r
-                break
-        if piv < 0:
-            return None
-        if piv != row:
-            aug[[row, piv]] = aug[[piv, row]]
-        aug[row] = aug[row] * pow(int(aug[row, col]), p - 2, p) % p
-        for r in range(n):
-            if r != row and aug[r, col]:
-                aug[r] = (aug[r] - aug[r, col] * aug[row]) % p
-        row += 1
-    return aug[:, n:]
 
 
 def nullspace_mod(a, p):
@@ -244,11 +124,6 @@ def nullspace_mod(a, p):
     return basis
 
 
-def rank_mod(vectors, p):
-    a = np.array(vectors, dtype=np.int64).reshape(len(vectors), -1) % p
-    return a.shape[0] - nullspace_mod(a.T, p).shape[0] if a.size else 0
-
-
 # ---------------------------------------------------------------------------
 # GL(n, p): order, generators, batch enumeration
 
@@ -276,7 +151,8 @@ def primitive_root(p):
 
 
 def gl_generators(n, p):
-    """Transvections plus one diagonal generator; generates all of GL(n,p)."""
+    """Transvections plus one diagonal generator, as a (K, n, n) array;
+    they generate all of GL(n,p)."""
     check_prime(p)
     gens = []
     eye = np.eye(n, dtype=np.int64)
@@ -285,43 +161,14 @@ def gl_generators(n, p):
             if i != j:
                 m = eye.copy()
                 m[i, j] = 1
-                gens.append(FpMatrix.from_array(m, p))
+                gens.append(m)
     if p > 2:
         m = eye.copy()
         m[0, 0] = primitive_root(p)
-        gens.append(FpMatrix.from_array(m, p))
+        gens.append(m)
     if not gens:
-        gens.append(FpMatrix.identity(p, n))
-    return gens
-
-
-def _batch_matmul(a, b, p):
-    return np.einsum("kij,kjl->kil", a, b) % p
-
-
-def _batch_det(ms, p):
-    n = ms.shape[1]
-    if n == 1:
-        return ms[:, 0, 0] % p
-    if n == 2:
-        return (ms[:, 0, 0] * ms[:, 1, 1] - ms[:, 0, 1] * ms[:, 1, 0]) % p
-    if n == 3:
-        a, b, c = ms[:, 0, 0], ms[:, 0, 1], ms[:, 0, 2]
-        d, e, f = ms[:, 1, 0], ms[:, 1, 1], ms[:, 1, 2]
-        g, h, i = ms[:, 2, 0], ms[:, 2, 1], ms[:, 2, 2]
-        return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % p
-    return np.array([det_mod(m, p) for m in ms], dtype=np.int64)
-
-
-def _batch_pow(ms, e, p):
-    result = np.broadcast_to(np.eye(ms.shape[1], dtype=np.int64), ms.shape).copy()
-    base = ms % p
-    while e:
-        if e & 1:
-            result = _batch_matmul(result, base, p)
-        base = _batch_matmul(base, base, p)
-        e >>= 1
-    return result
+        gens.append(eye)
+    return np.stack(gens)
 
 
 def gl_matrices_array(n, p):
@@ -331,78 +178,43 @@ def gl_matrices_array(n, p):
         raise ValueError("GL enumeration too large: p**(n*n) = %d" % total)
     flat = index_vectors(p, n * n)
     ms = flat.reshape(total, n, n)
-    keep = _batch_det(ms, p) != 0
-    return ms[keep]
+    return ms[mat_det(ms, p) != 0]
 
 
-def matrix_to_perm(M):
-    """Index permutation of F_p^n induced by v -> v*M."""
-    V = index_vectors(M.p, M.n)
-    place = M.p ** np.arange(M.n - 1, -1, -1, dtype=np.int64)
-    return ((V @ M.array() % M.p) @ place).astype(IDX_DTYPE)
-
-
-def matrices_to_perms(ms, p):
-    """(K, p**n) index permutations for a batch of (K, n, n) matrices."""
-    n = ms.shape[1]
+def matrix_to_perm(ms, p):
+    """Index permutation of F_p^n induced by v -> v*M: shape (p**n,) for
+    one matrix, (K, p**n) for a batch."""
+    n = ms.shape[-1]
     V = index_vectors(p, n)
     place = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return (np.einsum("vj,kjl->kvl", V, ms) % p @ place).astype(IDX_DTYPE)
+    return ((V @ ms % p) @ place).astype(IDX_DTYPE)
 
 
 # ---------------------------------------------------------------------------
-# unipotent class machinery for the non-normal constructions
-
-
-def unipotent_class_reps(p):
-    """The two 3x3 unipotent Jordan representatives over F_p, p odd."""
-    check_prime(p)
-    if p == 2:
-        raise ValueError("unipotent class representatives are used for odd p only")
-    g1 = FpMatrix(p, ((1, 1, 0), (0, 1, 0), (0, 0, 1)))
-    g2 = FpMatrix(p, ((1, 1, 0), (0, 1, 1), (0, 0, 1)))
-    return g1, g2
+# the unipotent seed and the Omega set of the non-normal constructions
 
 
 def canonical_unipotent(n, p):
-    """Seed representative whose conjugacy class drives the constructions."""
+    """Seed representative whose conjugacy class drives the constructions;
+    for n = 3 it is the unipotent Jordan type (2, 1)."""
     if n == 2:
-        return FpMatrix(p, ((1, 0), (1, 1)))
+        return matrix(((1, 0), (1, 1)), p)
     if n == 3:
-        return unipotent_class_reps(p)[0]
+        return matrix(((1, 1, 0), (0, 1, 0), (0, 0, 1)), p)
     raise ValueError("canonical unipotent defined for n in {2, 3}")
 
 
-def conjugacy_class(M):
-    """Full GL conjugacy class of M by orbit closure over GL generators."""
-    gens = gl_generators(M.n, M.p)
-    pairs = [(g, g.inverse()) for g in gens]
-    seen = {M}
-    frontier = [M]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g, ginv in pairs:
-                y = ginv * x * g
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return frozenset(seen)
-
-
-def _commutant_arrays(M):
+def _commutant_arrays(M, p):
     """All matrices commuting with M, as an (K, n, n) int64 array."""
-    n, p = M.n, M.p
-    a = M.array()
+    n = M.shape[0]
     # linear system in the n*n unknowns of A: (A M - M A)[i, j] = 0
     coeff = np.zeros((n * n, n * n), dtype=np.int64)
     for i in range(n):
         for j in range(n):
             eq = i * n + j
             for k in range(n):
-                coeff[eq, i * n + k] += a[k, j]
-                coeff[eq, k * n + j] -= a[i, k]
+                coeff[eq, i * n + k] += M[k, j]
+                coeff[eq, k * n + j] -= M[i, k]
     basis = nullspace_mod(coeff % p, p)
     d = basis.shape[0]
     if p ** d > SPACE_CAP:
@@ -412,29 +224,21 @@ def _commutant_arrays(M):
     return flat.reshape(-1, n, n)
 
 
-def centralizer_in_gl(M):
-    """Invertible matrices commuting with M."""
-    ms = _commutant_arrays(M)
-    ms = ms[_batch_det(ms, M.p) != 0]
-    return frozenset(FpMatrix.from_array(m, M.p) for m in ms)
-
-
-def moves_every_line(M):
+def moves_every_line(ms, p):
     """True when x -> x*M sends every coset v + W, v not in W, to a
-    different coset, W the plane fixed pointwise by the first Jordan rep."""
-    p = M.p
-    arr = M.array()
-    if arr[1, 0] % p or arr[2, 0] % p:
+    different coset, W the plane fixed pointwise by the canonical
+    unipotent; one flag per matrix of a batch."""
+    ms = np.asarray(ms)
+    if (ms[..., 1:, 0] % p).any():
         raise ValueError("matrix does not stabilize the reference plane")
-    for c in range(1, p):
-        if (c * arr[0, 0] - c) % p == 0:
-            return False
-    return True
+    c = np.arange(1, p).reshape((-1,) + (1,) * (ms.ndim - 2))
+    return ((c * ms[..., 0, 0] - c) % p != 0).all(axis=0)
 
 
 def omega_set(p):
-    """Non-identity centralizer elements of the first Jordan rep whose order
-    divides p-1 and which move every affine line off the fixed plane.
+    """Non-identity centralizer elements of the canonical unipotent whose
+    order divides p-1 and which move every affine line off the fixed plane,
+    as a (K, 3, 3) array in lexicographic order of the entries.
 
     Computed by direct filtering; the two closed-form counts in
     omega_formula_derivation / omega_formula_printed disagree with each
@@ -443,19 +247,14 @@ def omega_set(p):
     check_prime(p)
     if p == 2:
         raise ValueError("omega set is defined for odd p")
-    g1 = unipotent_class_reps(p)[0]
-    ms = _commutant_arrays(g1)
-    ms = ms[_batch_det(ms, p) != 0]
-    powered = _batch_pow(ms, p - 1, p)
+    ms = _commutant_arrays(canonical_unipotent(3, p), p)
+    ms = ms[mat_det(ms, p) != 0]
     eye = np.eye(3, dtype=np.int64)
-    semisimple = (powered == eye).all(axis=(1, 2))
+    semisimple = (mat_pow(ms, p - 1, p) == eye).all(axis=(1, 2))
     not_ident = ~(ms == eye).all(axis=(1, 2))
-    out = []
-    for m in ms[semisimple & not_ident]:
-        cand = FpMatrix.from_array(m, p)
-        if moves_every_line(cand):
-            out.append(cand)
-    return frozenset(out)
+    ms = ms[semisimple & not_ident]
+    ms = ms[moves_every_line(ms, p)]
+    return ms[np.lexsort(ms.reshape(len(ms), -1).T[::-1])]
 
 
 def omega_formula_derivation(p):

@@ -222,23 +222,10 @@ def core(H, X):
     return FiniteGroup(X.carrier, elems, tuple(elems))
 
 
-def center(X):
-    elems = [x for x in X.elements
-             if all(X.mul(x, g) == X.mul(g, x) for g in X.generators)]
-    return FiniteGroup(X.carrier, elems, tuple(elems))
-
-
 def centralizer(X, S):
     S = tuple(S)
     elems = [x for x in X.elements
              if all(X.mul(x, s) == X.mul(s, x) for s in S)]
-    return FiniteGroup(X.carrier, elems, tuple(elems))
-
-
-def normalizer(X, H):
-    _require_subgroup(H, X)
-    elems = [x for x in X.elements
-             if all(X.conj(h, x) in H.element_set for h in H.generators)]
     return FiniteGroup(X.carrier, elems, tuple(elems))
 
 
@@ -272,36 +259,21 @@ def is_metabelian(X):
 
 
 def prime_power_split(m):
+    """(p, e) with m = p**e, e >= 1."""
     if m == 1:
         raise ValueError("trivial group has no defining prime")
-    p = m
-    for d in range(2, int(m ** 0.5) + 1):
-        if m % d == 0:
-            p = d
-            break
-    e = 0
-    rest = m
-    while rest % p == 0:
-        rest //= p
-        e += 1
-    if rest != 1:
+    divs = fpalg.prime_divisors(m)
+    if len(divs) != 1:
         raise ValueError("%d is not a prime power" % m)
+    p, e = divs[0], 1
+    while p ** e < m:
+        e += 1
     return p, e
 
 
 def omega1_pgroup(P):
     p, _ = prime_power_split(len(P))
     gens = [x for x in P.elements if P.power(x, p) == P.identity]
-    return FiniteGroup.from_generators(P.carrier, gens)
-
-
-def frattini_pgroup(P):
-    p, _ = prime_power_split(len(P))
-    gens = list(derived_subgroup(P).elements)
-    gens.extend(P.power(x, p) for x in P.elements)
-    gens = [g for g in dict.fromkeys(gens) if g != P.identity]
-    if not gens:
-        return FiniteGroup(P.carrier, [P.identity], ())
     return FiniteGroup.from_generators(P.carrier, gens)
 
 
@@ -464,7 +436,7 @@ def find_complement(X, N, pair_cap=10 ** 5):
             continue
         # any K through x needs <x> to miss N; a nontrivial intersection
         # would contain some prime-order power of x
-        if any(X.power(x, o // q) in N.element_set for q in _prime_divs(o)):
+        if any(X.power(x, o // q) in N.element_set for q in fpalg.prime_divisors(o)):
             continue
         orders[x] = o
     for x, o in orders.items():
@@ -486,20 +458,6 @@ def find_complement(X, N, pair_cap=10 ** 5):
             if len(K) == m and len(K.element_set & N.element_set) == 1:
                 return K
     return None
-
-
-def _prime_divs(o):
-    out = []
-    d = 2
-    while d * d <= o:
-        if o % d == 0:
-            out.append(d)
-            while o % d == 0:
-                o //= d
-        d += 1
-    if o > 1:
-        out.append(o)
-    return out
 
 
 def has_complement(X, N):

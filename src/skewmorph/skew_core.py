@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels as K
 from . import fpalg
-from .fpalg import FpMatrix, check_prime
+from .fpalg import check_prime
 
 JSON_FIELDS = ("p", "n", "order", "k", "m", "sigma", "pi", "automorphism")
 
@@ -125,17 +125,10 @@ def validate(p, n, images):
     return sk
 
 
-def from_matrix(M):
-    """Skew-morphism of an invertible matrix (power function constant 1)."""
-    return validate(M.p, M.n, fpalg.matrix_to_perm(M))
-
-
-def aut_conjugate(sk, alpha):
-    """Conjugate by an automorphism alpha of G: alpha^-1 . sigma . alpha."""
-    if isinstance(alpha, FpMatrix):
-        a = fpalg.matrix_to_perm(alpha)
-    else:
-        a = np.ascontiguousarray(alpha, dtype=K.IDX_DTYPE)
+def aut_conjugate(sk, M):
+    """Conjugate by the automorphism alpha: x -> x*M of G, M an invertible
+    (n, n) matrix array: alpha^-1 . sigma . alpha."""
+    a = fpalg.matrix_to_perm(np.asarray(M), sk.p)
     ainv = np.argsort(a).astype(K.IDX_DTYPE)
     out = K.conj_batch(sk.images.reshape(1, -1), a, ainv)[0]
     return validate(sk.p, sk.n, out)
@@ -147,30 +140,6 @@ def power_coprime(sk, j):
         raise ValueError("exponent must be coprime to the order")
     S = sk.power_table()
     return validate(sk.p, sk.n, S[j % sk.order])
-
-
-def inverse_closed_generating_orbits(sk):
-    """<sigma>-orbits on nonzero vectors that span F_p^n and satisfy O = -O."""
-    _, _, neg = K.index_tables(sk.p, sk.n)
-    V = K.index_vectors(sk.p, sk.n)
-    seen = np.zeros(sk.N, dtype=bool)
-    seen[0] = True
-    out = []
-    for start in range(1, sk.N):
-        if seen[start]:
-            continue
-        orbit = []
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            orbit.append(x)
-            x = int(sk.images[x])
-        oset = set(orbit)
-        if any(int(neg[i]) not in oset for i in orbit):
-            continue
-        if fpalg.rank_mod(V[orbit], sk.p) == sk.n:
-            out.append(tuple(orbit))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +157,9 @@ class SkewProductGroup:
         add, sub, neg = K.index_tables(sk.p, sk.n)
         self.add, self.sub, self.neg = add, sub, neg
         self.S = sk.power_table()
-        PS = np.zeros((self.order + 1, self.N), dtype=np.int64)
-        for i in range(self.order):
-            PS[i + 1] = PS[i] + sk.pi[self.S[i]]
-        self.PS = (PS[: self.order] % self.order).astype(K.IDX_DTYPE)
+        # PS[i, g] = sum_{t<i} pi(sigma^t g), an exclusive running sum
+        steps = sk.pi[self.S].astype(np.int64)
+        self.PS = ((np.cumsum(steps, axis=0) - steps) % self.order).astype(K.IDX_DTYPE)
         self._table = None
         self._inv = None
         if check:
@@ -345,10 +313,7 @@ def extract_skew(X, G, s, generators):
     mul, inv = X.mul, X.inv
     order = X.element_order(s)
     p_pow = len(G.elements)
-    p = smallest_prime_factor(p_pow)
-    n = round(math.log(p_pow, p))
-    if p ** n != p_pow:
-        raise ValueError("|G| is not a prime power")
+    p, n = group_engine.prime_power_split(p_pow)
     if len(generators) != n:
         raise ValueError("need %d generators, got %d" % (n, len(generators)))
 
@@ -364,7 +329,7 @@ def extract_skew(X, G, s, generators):
         raise ValueError("G meets <s> nontrivially")
     _check_corefree(X, s_pows, order)
 
-    # label G by generator exponents, big-endian like vec_index
+    # label G by generator exponents, big-endian like the point indices
     label = {}
     for idx in range(p_pow):
         exps = []
@@ -400,7 +365,7 @@ def extract_skew(X, G, s, generators):
 def _check_corefree(X, s_pows, order):
     # a nontrivial normal subgroup inside <s> would contain a prime-order
     # subgroup of <s>, itself normal, so minimal subgroups suffice
-    for q in set(prime_factors(order)):
+    for q in fpalg.prime_divisors(order):
         d = order // q
         sub = {s_pows[(d * t) % order] for t in range(q)}
         normal = True
@@ -414,26 +379,6 @@ def _check_corefree(X, s_pows, order):
                 break
         if normal:
             raise ValueError("<s> is not core-free: order-%d subgroup is normal" % q)
-
-
-def smallest_prime_factor(m):
-    for d in range(2, int(m ** 0.5) + 1):
-        if m % d == 0:
-            return d
-    return m
-
-
-def prime_factors(m):
-    out = []
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            out.append(d)
-            m //= d
-        d += 1
-    if m > 1:
-        out.append(m)
-    return out
 
 
 # ---------------------------------------------------------------------------

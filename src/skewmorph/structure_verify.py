@@ -159,8 +159,7 @@ def verify_sylow_normal(sk, deep=False):
     sp = sc.SkewProductGroup(sk)
     X = sp.as_finite_group()
     o = sp.order
-    trans = tuple((fpalg.vec_index(fpalg.basis_vector(sk.p, sk.n, j)), 0)
-                  for j in range(sk.n))
+    trans = tuple((sk.p ** (sk.n - 1 - j), 0) for j in range(sk.n))
     P = X.subgroup(trans + ((0, sk.k % o),))
     if len(P) != sk.N * (o // sk.k):
         raise AssertionError("Sylow carrier has wrong order %d" % len(P))
@@ -199,16 +198,11 @@ def find_affine_embedding(sk):
     """
     p, n, o, k = sk.p, sk.n, sk.order, sk.k
     N = sk.N
-    add, _, neg = K.index_tables(p, n)
-    pi = np.asarray(sk.pi, dtype=np.int64)
-    if o == 1 or (pi == 1).all():
+    if o == 1 or (np.asarray(sk.pi) == 1).all():
         return AffineEmbedding(True, "G", n, None, 0)
 
-    S = sk.power_table().astype(np.int64)
-    PS = np.zeros((o, N), dtype=np.int64)
-    for i in range(1, o):
-        PS[i] = PS[i - 1] + pi[S[i - 1]]
-    PS %= o
+    X = sc.SkewProductGroup(sk, check=False)
+    add, S, PS = X.add, X.S.astype(np.int64), X.PS.astype(np.int64)
 
     idx = np.arange(N)
     kk = k % o
@@ -254,16 +248,7 @@ def find_affine_embedding(sk):
         cand &= (S[ia, z] == z) & (PS[ia, z] == ia)
     cand_ids = np.nonzero(cand)[0]
 
-    def smult(x, y):
-        g = int(add[x[0], S[x[1], y[0]]])
-        return g, (int(PS[x[1], y[0]]) + y[1]) % o
-
-    def sinv(x):
-        g = int(S[(o - x[1]) % o, neg[x[0]]])
-        return g, (-int(PS[x[1], g])) % o
-
-    gens = [(int(fpalg.vec_index(fpalg.basis_vector(p, n, j))), 0)
-            for j in range(n)] + [(0, 1)]
+    gens = [X.id_pair(g) for g in X.generator_ids()]
     zt_pairs = [(v, 0) for v in basis]
 
     tried = 0
@@ -272,7 +257,7 @@ def find_affine_embedding(sk):
         tried += 1
         x_pows = [(0, 0)]
         for _ in range(p - 1):
-            x_pows.append(smult(x_pows[-1], (a, i)))
+            x_pows.append(X.mult_pairs(x_pows[-1], (a, i)))
         exp_to_t = {e_t: t for t, (_, e_t) in enumerate(x_pows)}
         if len(exp_to_t) != p:
             continue
@@ -283,13 +268,13 @@ def find_affine_embedding(sk):
             t = exp_to_t.get(pair[1])
             if t is None:
                 return False
-            return int(add[pair[0], neg[x_pows[t][0]]]) in zt_set
+            return int(add[pair[0], X.neg[x_pows[t][0]]]) in zt_set
 
         ok = True
         for y in gens:
-            yi = sinv(y)
+            yi = X.inv_pair(y)
             for t_elem in zt_pairs + [(a, i)]:
-                if not in_T(smult(smult(yi, t_elem), y)):
+                if not in_T(X.mult_pairs(X.mult_pairs(yi, t_elem), y)):
                     ok = False
                     break
             if not ok:
@@ -348,11 +333,9 @@ E1_ACTION_DEGENERATE = ((1, 0, 0), (1, 1, 0), (0, 0, 1))
 
 def action_condition(rows, p, m):
     """(M - I)^(p^(m-1) - 1) != 0 for the action matrix on the abelian base."""
-    M = fpalg.FpMatrix(p, rows)
-    d = (M.array() - np.eye(M.n, dtype=np.int64)) % p
-    e = p ** (m - 1) - 1
-    powered = fpalg.FpMatrix.from_array(d, p).pow(e)
-    return not (powered.array() % p == 0).all()
+    M = fpalg.matrix(rows, p)
+    d = (M - np.eye(len(M), dtype=np.int64)) % p
+    return bool(fpalg.mat_pow(d, p ** (m - 1) - 1, p).any())
 
 
 def verify_nilpotency_condition():

@@ -205,8 +205,8 @@ def test_criterion_8_property_suites(small_brutes, struct32, set33, set52, set72
 
     # closure under coprime powers and automorphism conjugation
     keys32 = {s.key() for s in struct32.skews}
-    mats = [fpalg.FpMatrix(3, ((1, 1), (0, 1))), fpalg.FpMatrix(3, ((2, 0), (0, 1))),
-            fpalg.FpMatrix(3, ((0, 1), (1, 0))), fpalg.FpMatrix(3, ((1, 0), (2, 1)))]
+    mats = [fpalg.matrix(rows, 3) for rows in (((1, 1), (0, 1)), ((2, 0), (0, 1)),
+                                               ((0, 1), (1, 0)), ((1, 0), (2, 1)))]
     for sk in struct32.skews:
         for j in range(1, sk.order):
             if np.gcd(j, sk.order) == 1:

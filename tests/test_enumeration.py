@@ -96,7 +96,7 @@ def _seed_digest(seeds):
 
 
 def _omega(p):
-    return sorted(fpalg.omega_set(p), key=lambda M: M.rows)
+    return fpalg.omega_set(p)
 
 
 def test_seed_digests():

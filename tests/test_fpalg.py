@@ -3,8 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
+from skewmorph import _kernels as K
 from skewmorph import fpalg
-from skewmorph.fpalg import FpMatrix, FpVector
+
+
+def _inverse(M, p):
+    return fpalg.mat_pow(M, fpalg.matrix_order(M, p) - 1, p)
 
 
 def test_check_prime_rejects_composites():
@@ -16,39 +20,66 @@ def test_check_prime_rejects_composites():
         fpalg.check_prime(1)
 
 
+def test_prime_divisors():
+    assert fpalg.prime_divisors(1) == []
+    assert fpalg.prime_divisors(2) == [2]
+    assert fpalg.prime_divisors(360) == [2, 3, 5]
+    assert fpalg.prime_divisors(4374) == [2, 3]
+    assert fpalg.prime_divisors(97) == [97]
+    assert [m for m in range(30) if fpalg.is_prime(m)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
 def test_vector_index_round_trip():
     for p, n in ((2, 3), (3, 2), (5, 3)):
-        for i in range(p ** n):
-            v = fpalg.index_vec(i, p, n)
-            assert fpalg.vec_index(v) == i
+        V = K.index_vectors(p, n)
+        place = p ** np.arange(n - 1, -1, -1)
+        assert (V @ place == np.arange(p ** n)).all()
+        assert len({tuple(v) for v in V}) == p ** n
     # big-endian: first coordinate is the most significant digit
-    assert fpalg.vec_index(FpVector(3, (1, 0))) == 3
-    assert fpalg.vec_index(FpVector(3, (0, 1))) == 1
+    V = K.index_vectors(3, 2)
+    assert tuple(V[3]) == (1, 0)
+    assert tuple(V[1]) == (0, 1)
 
 
 def test_vector_arithmetic():
-    a = FpVector(5, (1, 4))
-    b = FpVector(5, (3, 3))
-    assert (a + b).coords == (4, 2)
-    assert (a - b).coords == (3, 1)
-    assert (-a).coords == (4, 1)
-    assert a.scale(3).coords == (3, 2)
-    with pytest.raises(ValueError):
-        FpVector(5, (5, 0))
+    # vectors are point indices; arithmetic goes through the index tables
+    add, sub, neg = K.index_tables(5, 2)
+    V = K.index_vectors(5, 2)
+    a, b = 1 * 5 + 4, 3 * 5 + 3
+    assert tuple(V[add[a, b]]) == (4, 2)
+    assert tuple(V[sub[a, b]]) == (3, 1)
+    assert tuple(V[neg[a]]) == (4, 1)
+    assert tuple(V[add[add[a, a], a]]) == (3, 2)
 
 
 def test_matrix_arithmetic_and_inverse():
-    M = FpMatrix(7, ((2, 1), (3, 4)))
-    I = FpMatrix.identity(7, 2)
-    assert (M * M.inverse()) == I
-    assert M.pow(0) == I
-    assert M.pow(3) == M * M * M
-    assert M.pow(-2) == (M * M).inverse()
-    assert M.det() == (2 * 4 - 1 * 3) % 7
-    singular = FpMatrix(7, ((1, 2), (2, 4)))
-    assert singular.det() == 0
+    M = fpalg.matrix(((2, 1), (3, 4)), 7)
+    I = np.eye(2, dtype=np.int64)
+    Minv = _inverse(M, 7)
+    assert (M @ Minv % 7 == I).all()
+    assert (fpalg.mat_pow(M, 0, 7) == I).all()
+    assert (fpalg.mat_pow(M, 3, 7) == M @ M @ M % 7).all()
+    assert (fpalg.mat_pow(Minv, 2, 7) == _inverse(M @ M % 7, 7)).all()
+    assert fpalg.mat_det(M, 7) == (2 * 4 - 1 * 3) % 7
+    singular = fpalg.matrix(((1, 2), (2, 4)), 7)
+    assert fpalg.mat_det(singular, 7) == 0
+    # the batch forms agree with the single-matrix forms
+    batch = np.stack([M, singular, Minv])
+    assert (fpalg.mat_det(batch, 7) == [fpalg.mat_det(m, 7) for m in batch]).all()
+    assert (fpalg.mat_pow(batch, 5, 7) ==
+            np.stack([fpalg.mat_pow(m, 5, 7) for m in batch])).all()
     with pytest.raises(ValueError):
-        singular.inverse()
+        fpalg.mat_det(np.eye(4, dtype=np.int64), 7)
+
+
+def test_matrix_rejects_bad_input():
+    assert fpalg.matrix(((1, 2), (0, 1)), 3).dtype == np.int64
+    with pytest.raises(ValueError):
+        fpalg.matrix(((1, 2, 0), (0, 1, 0)), 3)
+    with pytest.raises(ValueError):
+        fpalg.matrix(((1, 0), (0, 1)), 9)
+    with pytest.raises(ValueError):
+        fpalg.matrix(((3, 0), (0, 1)), 3)
 
 
 def test_matrix_order_divides_gl_order():
@@ -57,20 +88,21 @@ def test_matrix_order_divides_gl_order():
         found = 0
         gl = fpalg.gl_order(n, p)
         while found < 10:
-            a = rng.integers(0, p, (n, n))
-            M = FpMatrix.from_array(a, p)
-            if M.det() == 0:
+            M = rng.integers(0, p, (n, n))
+            if fpalg.mat_det(M, p) == 0:
                 continue
-            assert M.pow(M.order()).is_identity()
-            assert gl % M.order() == 0
+            order = fpalg.matrix_order(M, p)
+            assert (fpalg.mat_pow(M, order, p) == np.eye(n, dtype=np.int64)).all()
+            assert gl % order == 0
             found += 1
 
 
 def test_row_convention_apply():
     # x -> x M acts on row vectors; the (1,0) row picks out the first row
-    M = FpMatrix(3, ((1, 1), (0, 1)))
-    assert M.apply(FpVector(3, (1, 0))).coords == (1, 1)
-    assert M.apply(FpVector(3, (0, 1))).coords == (0, 1)
+    M = fpalg.matrix(((1, 1), (0, 1)), 3)
+    perm = fpalg.matrix_to_perm(M, 3)
+    assert perm[1 * 3 + 0] == 1 * 3 + 1
+    assert perm[0 * 3 + 1] == 0 * 3 + 1
 
 
 def test_gl_order_against_direct_count():
@@ -78,7 +110,7 @@ def test_gl_order_against_direct_count():
         count = 0
         for entries in itertools.product(range(p), repeat=n * n):
             a = np.array(entries).reshape(n, n)
-            if fpalg.det_mod(a, p) != 0:
+            if fpalg.mat_det(a, p) != 0:
                 count += 1
         assert count == fpalg.gl_order(n, p)
 
@@ -87,7 +119,7 @@ def test_gl_matrices_array_complete():
     for p, n in ((3, 2), (2, 3)):
         ms = fpalg.gl_matrices_array(n, p)
         assert ms.shape == (fpalg.gl_order(n, p), n, n)
-        dets = fpalg._batch_det(ms, p)
+        dets = fpalg.mat_det(ms, p)
         assert (dets != 0).all()
         seen = {bytes(m.astype(np.uint8).ravel()) for m in ms}
         assert len(seen) == ms.shape[0]
@@ -96,15 +128,15 @@ def test_gl_matrices_array_complete():
 def test_gl_generators_generate():
     for p, n in ((3, 2), (5, 2), (3, 3)):
         gens = fpalg.gl_generators(n, p)
-        seen = {FpMatrix.identity(p, n)}
-        frontier = list(seen)
+        ident = np.eye(n, dtype=np.int64)
+        seen = {ident.tobytes()}
+        frontier = [ident]
         while frontier:
             nxt = []
             for M in frontier:
-                for g in gens:
-                    c = M * g
-                    if c not in seen:
-                        seen.add(c)
+                for c in M @ gens % p:
+                    if c.tobytes() not in seen:
+                        seen.add(c.tobytes())
                         nxt.append(c)
             frontier = nxt
         assert len(seen) == fpalg.gl_order(n, p)
@@ -116,35 +148,50 @@ def test_primitive_root():
         assert sorted(pow(r, e, p) for e in range(p - 1)) == list(range(1, p))
 
 
+def _apply_index(rows, p, i):
+    """Index of v*M for the point of index i, in plain Python."""
+    n = len(rows)
+    v = [(i // p ** (n - 1 - j)) % p for j in range(n)]
+    out = 0
+    for j in range(n):
+        out = out * p + sum(v[t] * rows[t][j] for t in range(n)) % p
+    return out
+
+
 def test_matrix_to_perm_is_action():
-    p, n = 3, 2
-    M = fpalg.canonical_unipotent(n, p)
-    perm = fpalg.matrix_to_perm(M)
-    for i in range(p ** n):
-        v = fpalg.index_vec(i, p, n)
-        assert perm[i] == fpalg.vec_index(M.apply(v))
-    ms = fpalg.gl_matrices_array(n, p)
-    batch = fpalg.matrices_to_perms(ms, p)
-    for row, m in zip(batch[:20], ms[:20]):
-        single = fpalg.matrix_to_perm(FpMatrix.from_array(m, p))
-        assert (row == single).all()
+    for p, n in ((3, 2), (2, 3)):
+        ms = fpalg.gl_matrices_array(n, p)[::7]
+        batch = fpalg.matrix_to_perm(ms, p)
+        assert batch.shape == (len(ms), p ** n)
+        for row, m in zip(batch, ms):
+            rows = m.tolist()
+            expected = [_apply_index(rows, p, i) for i in range(p ** n)]
+            assert fpalg.matrix_to_perm(m, p).tolist() == expected
+            assert row.tolist() == expected
+    M = fpalg.canonical_unipotent(3, 5)
+    assert fpalg.matrix_to_perm(M, 5).tolist() == [
+        _apply_index(M.tolist(), 5, i) for i in range(125)]
 
 
 def test_canonical_unipotent_orders():
     for p in (3, 5, 7):
         for n in (2, 3):
             M = fpalg.canonical_unipotent(n, p)
-            assert M.order() == p
-            assert not M.is_identity()
+            assert fpalg.matrix_order(M, p) == p
+            assert not (M == np.eye(n, dtype=np.int64)).all()
 
 
 def test_conjugacy_class_of_transvection():
     # size |GL| / |centralizer|; for the n=2 transvection over F_3 that is 48/6
-    M = fpalg.canonical_unipotent(2, 3)
-    cls = fpalg.conjugacy_class(M)
-    cent = fpalg.centralizer_in_gl(M)
-    assert len(cls) * len(cent) == fpalg.gl_order(2, 3)
-    assert all(c.order() == 3 for c in cls)
+    p = 3
+    M = fpalg.canonical_unipotent(2, p)
+    gl = fpalg.gl_matrices_array(2, p)
+    inv = np.stack([_inverse(g, p) for g in gl])
+    cls = {c.tobytes(): c for c in inv @ M @ gl % p}
+    cent = [g for g in gl if (g @ M % p == M @ g % p).all()]
+    assert len(cls) == 8 and len(cent) == 6
+    assert len(cls) * len(cent) == fpalg.gl_order(2, p)
+    assert all(fpalg.matrix_order(c, p) == 3 for c in cls.values())
 
 
 def test_omega_sizes_and_formulas():
@@ -158,7 +205,18 @@ def test_omega_sizes_and_formulas():
     assert fpalg.omega_formula_printed(3) != 10
 
 
+def test_omega_set_is_a_lexicographic_array():
+    om = fpalg.omega_set(3)
+    assert isinstance(om, np.ndarray)
+    assert om.shape == (10, 3, 3)
+    flat = [tuple(m.ravel().tolist()) for m in om]
+    assert flat == sorted(flat)
+    assert len(set(flat)) == 10
+
+
 def test_omega_members_move_every_line():
-    for M in fpalg.omega_set(3):
-        assert fpalg.moves_every_line(M)
-        assert M.order() % 3 != 0
+    om = fpalg.omega_set(3)
+    assert fpalg.moves_every_line(om, 3).all()
+    for M in om:
+        assert fpalg.moves_every_line(M, 3)
+        assert fpalg.matrix_order(M, 3) % 3 != 0

@@ -84,8 +84,9 @@ def test_validate_images_no_power_match():
 def test_conj_batch_round_trip():
     arrs = K.brute_images(3, 2)
     M = fpalg.canonical_unipotent(2, 3)
-    a = fpalg.matrix_to_perm(M).astype(K.IDX_DTYPE)
-    ainv = fpalg.matrix_to_perm(M.inverse()).astype(K.IDX_DTYPE)
+    Minv = fpalg.mat_pow(M, fpalg.matrix_order(M, 3) - 1, 3)
+    a = fpalg.matrix_to_perm(M, 3)
+    ainv = fpalg.matrix_to_perm(Minv, 3)
     conj = K.conj_batch(arrs, a, ainv)
     # conjugating a complete set by an automorphism permutes it
     assert {bytes(r) for r in conj} == {bytes(r) for r in arrs}
