@@ -17,6 +17,7 @@ in full.
 """
 
 import csv
+import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -154,15 +155,10 @@ def _as_perm(M, p):
     return tuple(fpalg.matrix_to_perm(M, p).tolist())
 
 
-def _seed_for_config(p, n, i, M2):
-    """The seed of one canonical configuration, read off X = G<s>.
-
-    Affine maps of F_p^n are index permutations held as tuples: the
-    translations are columns of the addition table, the linear maps come
-    from matrix_to_perm.  X is the element list G * <s>; FiniteGroup
-    rejects duplicates, so a collapsing product fails here, and
-    extract_skew checks the rest of the factorization.
-    """
+@functools.lru_cache(maxsize=8)
+def _config_group(p, n, i):
+    """G = <translations, L^-i> of the configurations with this i, as
+    (generators, G); it does not depend on sigma_2."""
     N = p ** n
     carrier = ge.perm_carrier(N)
     mul = carrier.mul
@@ -177,6 +173,22 @@ def _seed_for_config(p, n, i, M2):
     G = ge.FiniteGroup.from_generators(carrier, g_gens, cap=N + 1)
     if len(G) != N:
         raise ValueError("canonical G has order %d, expected %d" % (len(G), N))
+    return g_gens, G
+
+
+def _seed_for_config(p, n, i, M2):
+    """The seed of one canonical configuration, read off X = G<s>.
+
+    Affine maps of F_p^n are index permutations held as tuples: the
+    translations are columns of the addition table, the linear maps come
+    from matrix_to_perm.  X is the element list G * <s>; FiniteGroup
+    rejects duplicates, so a collapsing product fails here, and
+    extract_skew checks the rest of the factorization.
+    """
+    g_gens, G = _config_group(p, n, i)
+    carrier = G.carrier
+    mul = carrier.mul
+    L = fpalg.canonical_unipotent(n, p)
     k = fpalg.matrix_order(M2, p)
     s = _as_perm(_crt_sigma(L, M2, k, p), p)
     spows = [carrier.identity]

@@ -1,26 +1,37 @@
 """Small concrete finite groups: closures, characteristic subgroups, extensions.
 
 Elements are hashable python values; a Carrier bundles the multiplication,
-inversion and identity for one representation (permutation tuples,
-normal-form pairs of an extension tower, plain integers mod m).
-Groups are immutable once built and every query here is pure, so all of
-this is safe to sweep in parallel from the callers.
+inversion and identity for one representation (permutation tuples, pairs
+of a skew product, plain integers mod m).  Groups are immutable once built
+and every query here is pure, so all of this is safe to sweep in parallel
+from the callers.
+
+The groups built here (elementary abelian groups and their cyclic
+extensions) are index-coded: the elements are the ints 0..|X|-1 with
+identity 0, and one multiplication serves a python int and a numpy index
+array alike, returning the same kind it was given.  F_p^n is its point
+indices under the _kernels addition table.
 
 Extensions by a cyclic group are given by the conjugation action of the
 top generator on base generators, the way presentations state relations
-like x^-1 b x = alpha(b) with x^t = c.  Elements are normal forms (b, j)
-meaning b x^j, multiplied by
+like x^-1 b x = alpha(b) with x^t = c.  The element b t + j means b x^j,
+and codes multiply by
 
     (b1, j1)(b2, j2) = (b1 . alpha^(-j1)(b2) . c^q, r),  j1+j2 = q t + r.
 
 build_extension refuses specs whose action fails to extend to an
-automorphism or whose t-th power is not conjugation by c.
+automorphism or whose t-th power is not conjugation by c, and checks the
+law it builds on index arrays before returning the group.
 """
 
 import itertools
 import math
+import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from . import _kernels as K
 from . import fpalg
 
 CLOSURE_CAP = 10 ** 5
@@ -49,12 +60,9 @@ def cyclic_carrier(m):
     return Carrier(lambda a, b: (a + b) % m, lambda a: (-a) % m, 0, "Z_%d" % m)
 
 
-def vector_carrier(p, n):
-    def mul(a, b):
-        return tuple((x + y) % p for x, y in zip(a, b))
-    def inv(a):
-        return tuple((-x) % p for x in a)
-    return Carrier(mul, inv, (0,) * n, "Z_%d^%d" % (p, n))
+def _code(x):
+    # table lookups give numpy scalars for int keys; elements stay python ints
+    return x if isinstance(x, np.ndarray) else int(x)
 
 
 def perm_carrier(degree):
@@ -272,9 +280,14 @@ def prime_power_split(m):
 
 
 def omega1_pgroup(P):
+    """The subgroup generated by the elements of order p.  An element of
+    order p joins the generators only when the span so far misses it."""
     p, _ = prime_power_split(len(P))
-    gens = [x for x in P.elements if P.power(x, p) == P.identity]
-    return FiniteGroup.from_generators(P.carrier, gens)
+    om = FiniteGroup(P.carrier, [P.identity], ())
+    for x in P.elements:
+        if x not in om.element_set and P.power(x, p) == P.identity:
+            om = FiniteGroup.from_generators(P.carrier, om.generators + (x,))
+    return om
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +369,13 @@ def _infer_p(X, rank):
     return sizes.pop()
 
 
-def normal_elem_abelian_subgroups(X, rank, p=None, cap=CLOSURE_CAP):
+def normal_elem_abelian_subgroups(X, rank, p=None):
     """All N normal in X with N elementary abelian of order p^rank.
 
     Search over joins of conjugacy classes of order-p elements; complete
     because such an N is generated by the classes of its own elements.
+    A join is closed over the generators of its smaller part plus the new
+    class elements, and its closure stops once it passes p^rank.
     """
     if len(X) > 5000:
         raise ValueError("group too large for the subgroup search")
@@ -378,18 +393,21 @@ def normal_elem_abelian_subgroups(X, rank, p=None, cap=CLOSURE_CAP):
         seen |= cl
         classes.append(cl)
 
-    def grow(elem_frozen):
-        sub = FiniteGroup.from_generators(X.carrier, sorted(elem_frozen, key=repr), cap)
-        return sub
+    def grow(gens, cl):
+        try:
+            return FiniteGroup.from_generators(
+                X.carrier, gens + tuple(sorted(cl, key=repr)), target)
+        except ClosureCapError:
+            return None
 
     found = {}
     nodes = {}
     queue = []
     for cl in classes:
-        H = grow(cl)
-        key = H.element_set
-        if elementary_abelian_rank(H, p) is None or len(H) > target:
+        H = grow((), cl)
+        if H is None or elementary_abelian_rank(H, p) is None:
             continue
+        key = H.element_set
         if key not in nodes:
             nodes[key] = H
             queue.append(H)
@@ -401,8 +419,8 @@ def normal_elem_abelian_subgroups(X, rank, p=None, cap=CLOSURE_CAP):
         for cl in classes:
             if cl <= H.element_set:
                 continue
-            J = grow(H.element_set | cl)
-            if len(J) > target or elementary_abelian_rank(J, p) is None:
+            J = grow(H.generators, cl - H.element_set)
+            if J is None or elementary_abelian_rank(J, p) is None:
                 continue
             key = J.element_set
             if key not in nodes:
@@ -509,29 +527,36 @@ class ExtensionSpec:
 
 
 def _extend_action(base, action):
-    """Grow the generator action to all of the base along BFS factorizations."""
-    alpha = {base.identity: base.identity}
-    layer = [base.identity]
-    for g in base.generators:
+    """Grow the generator action to all of the base, as an index array,
+    layer by layer along the generators."""
+    n = len(base)
+    gens = base.generators
+    for g in gens:
         if g not in action:
             raise ValueError("action missing generator %r" % (g,))
-    while layer:
+        if action[g] not in base.element_set:
+            raise ValueError("action sends %r outside the base" % (g,))
+    alpha = np.full(n, -1, dtype=np.int64)
+    alpha[0] = 0
+    layer = np.zeros(1, dtype=np.int64)
+    while layer.size:
         fresh = []
-        for x in layer:
-            for g in base.generators:
-                y = base.mul(x, g)
-                if y not in alpha:
-                    alpha[y] = base.mul(alpha[x], action[g])
-                    fresh.append(y)
-        layer = fresh
-    if len(alpha) != len(base):
+        for g in gens:
+            y, first = np.unique(base.mul(layer, g), return_index=True)
+            new = alpha[y] < 0
+            alpha[y[new]] = base.mul(alpha[layer[first[new]]], action[g])
+            fresh.append(y[new])
+        layer = np.concatenate([layer[:0]] + fresh)
+    if (alpha < 0).any():
         raise ValueError("generators do not reach the whole base")
     # hom check on (element, generator) pairs proves the full property
-    for x in base.elements:
-        for g in base.generators:
-            if alpha[base.mul(x, g)] != base.mul(alpha[x], action[g]):
-                raise ValueError("action is not a homomorphism at (%r, %r)" % (x, g))
-    if len(set(alpha.values())) != len(base):
+    elems = np.arange(n)
+    for g in gens:
+        bad = alpha[base.mul(elems, g)] != base.mul(alpha, action[g])
+        if bad.any():
+            raise ValueError("action is not a homomorphism at (%d, %r)"
+                             % (np.argmax(bad), g))
+    if np.unique(alpha).size != n:
         raise ValueError("action is not injective")
     return alpha
 
@@ -541,67 +566,87 @@ def build_extension(spec, assoc_samples=10 ** 5):
     t = spec.top_order
     if t < 1:
         raise ValueError("top order must be positive")
+    nb = len(base)
+    if base.identity != 0 or base.elements != tuple(range(nb)):
+        raise ValueError("the base must be index-coded: elements 0..|B|-1, identity 0")
     c = spec.twist if spec.twist is not None else base.identity
     if c not in base.element_set:
         raise ValueError("twist element is not in the base")
     alpha = _extend_action(base, spec.action)
     if alpha[c] != c:
         raise ValueError("action must fix the twist element")
-    ainv = {v: k for k, v in alpha.items()}
 
-    apow = [{x: x for x in base.elements}]
-    ipow = [{x: x for x in base.elements}]
-    for _ in range(t):
-        apow.append({x: alpha[apow[-1][x]] for x in base.elements})
-        ipow.append({x: ainv[ipow[-1][x]] for x in base.elements})
-    conj_c = {g: base.mul(base.mul(base.inv(c), g), c) for g in base.generators}
-    for g in base.generators:
-        if apow[t][g] != conj_c[g]:
-            raise ValueError("t-th power of the action is not conjugation by the twist")
-
-    c_inv = base.inv(c)
+    # apow[j] = alpha^j and ipow[j] = alpha^-j, as index arrays
+    apow = np.empty((t + 1, nb), dtype=np.int64)
+    apow[0] = np.arange(nb)
+    for j in range(t):
+        apow[j + 1] = alpha[apow[j]]
+    gens = np.array(base.generators, dtype=np.int64)
+    conj_c = base.mul(base.mul(base.inv(c), gens), c)
+    if (apow[t, gens] != conj_c).any():
+        raise ValueError("t-th power of the action is not conjugation by the twist")
+    apow = apow[:t]
+    ipow = np.argsort(apow, axis=1)
+    # twist[q] is y -> y c^q; wrap[j] is y -> alpha^j(y) c^-1 for j > 0
+    # and the identity for j = 0, so neither law branches on its input
+    twist = np.stack([apow[0], base.mul(apow[0], c)])
+    wrap = base.mul(apow, base.inv(c))
+    wrap[0] = apow[0]
 
     def mul(u, v):
-        b1, j1 = u
-        b2, j2 = v
+        b1, j1 = divmod(u, t)
+        b2, j2 = divmod(v, t)
         q, r = divmod(j1 + j2, t)
-        y = base.mul(b1, ipow[j1][b2])
-        if q:
-            y = base.mul(y, c)
-        return (y, r)
+        return _code(twist[q, base.mul(b1, _code(ipow[j1, b2]))]) * t + r
 
+    # (b x^j)^-1 = alpha^j(b^-1) c^-1 x^(t-j) for j > 0
     def inv(u):
-        b, j = u
-        if j == 0:
-            return (base.inv(b), 0)
-        return (base.mul(apow[j][base.inv(b)], c_inv), t - j)
+        b, j = divmod(u, t)
+        return _code(wrap[j, base.inv(b)]) * t + (-j) % t
 
-    ident = (base.identity, 0)
-    carrier = Carrier(mul, inv, ident, spec.name)
-    elements = [(b, j) for b in base.elements for j in range(t)]
-    gens = tuple((g, 0) for g in base.generators) + ((base.identity, 1),)
-    X = FiniteGroup(carrier, elements, gens)
+    carrier = Carrier(mul, inv, 0, spec.name)
+    gens = tuple(g * t for g in base.generators) + (1 % t,)
+    X = FiniteGroup(carrier, list(range(nb * t)), gens)
     _self_test(X, assoc_samples)
     return X
 
 
+ASSOC_CHUNK = 10 ** 4
+
+
+def _check_assoc(mul, a, b, c):
+    bad = mul(mul(a, b), c) != mul(a, mul(b, c))
+    if bad.any():
+        a, b, c = np.broadcast_arrays(a, b, c)
+        i = np.argmax(bad)
+        raise AssertionError("associativity fails at (%d, %d, %d)" % (a[i], b[i], c[i]))
+
+
 def _self_test(X, assoc_samples):
-    import random
+    """Identity on the generators, inverses everywhere, and associativity:
+    on every triple when |X| <= 200, else on assoc_samples seeded uniform
+    triples.  X must be index-coded, with a law that broadcasts."""
     e = X.identity
-    for g in X.generators:
-        assert X.mul(e, g) == g and X.mul(g, e) == g, "identity fails"
-    for x in X.elements:
-        assert X.mul(x, X.inv(x)) == e, "inverse fails at %r" % (x,)
+    gens = np.array(X.generators, dtype=np.int64)
+    if (X.mul(e, gens) != gens).any() or (X.mul(gens, e) != gens).any():
+        raise AssertionError("identity fails")
+    elems = np.array(X.elements, dtype=np.int64)
+    bad = X.mul(elems, X.inv(elems)) != e
+    if bad.any():
+        raise AssertionError("inverse fails at %d" % elems[np.argmax(bad)])
     n = len(X)
     if n <= 200:
-        triples = itertools.product(X.elements, repeat=3)
-    else:
-        rng = random.Random(0)
-        triples = ((rng.choice(X.elements), rng.choice(X.elements), rng.choice(X.elements))
-                   for _ in range(assoc_samples))
-    for a, b, cc in triples:
-        if X.mul(X.mul(a, b), cc) != X.mul(a, X.mul(b, cc)):
-            raise AssertionError("associativity fails at (%r, %r, %r)" % (a, b, cc))
+        b, c = np.repeat(elems, n), np.tile(elems, n)
+        for a in X.elements:
+            _check_assoc(X.mul, a, b, c)
+        return
+    # not numpy.random: importing it adds about 5 MB of resident memory
+    rng = random.Random(0)
+    for start in range(0, assoc_samples, ASSOC_CHUNK):
+        m = min(ASSOC_CHUNK, assoc_samples - start)
+        pos = np.frombuffer(rng.randbytes(24 * m), dtype=np.uint64) % n
+        a, b, c = elems[pos.reshape(3, m)]
+        _check_assoc(X.mul, a, b, c)
 
 
 def cyclic_group(m):
@@ -609,10 +654,13 @@ def cyclic_group(m):
 
 
 def elementary_abelian_group(p, n):
-    carrier = vector_carrier(p, n)
-    elements = [tuple(v) for v in itertools.product(range(p), repeat=n)]
-    gens = tuple(tuple(1 if i == j else 0 for i in range(n)) for j in range(n))
-    return FiniteGroup(carrier, elements, gens)
+    """F_p^n on its point indices, big-endian as in _kernels.index_vectors;
+    the generators are the basis vectors."""
+    add, _, neg = (tab.astype(np.int64) for tab in K.index_tables(p, n))
+    carrier = Carrier(lambda a, b: _code(add[a, b]), lambda a: _code(neg[a]),
+                      0, "Z_%d^%d" % (p, n))
+    return FiniteGroup(carrier, list(range(p ** n)),
+                       tuple(p ** (n - 1 - j) for j in range(n)))
 
 
 def metacyclic_group(p, n):
@@ -624,17 +672,17 @@ def metacyclic_group(p, n):
 
 
 # ---------------------------------------------------------------------------
-# the three 729 / 54 / 4374 reference groups, built inner to outer
+# the three 729 / 54 / 4374 reference groups, built inner to outer; the
+# generators of an extension are the base generators, then the top one
 
 
 def example_e2():
     """X = <a,b,s | a^3=b^3=s^6=1, a^s=a^2 b, b^s=b^2>, with G = <a s^2, b>."""
     base = elementary_abelian_group(3, 2)
     a, b = base.generators
-    spec = ExtensionSpec(base, 6, {a: (2, 1), b: (0, 2)}, name="Z_3^2:Z_6")
-    X = build_extension(spec)
-    a_, b_ = (a, 0), (b, 0)
-    s = (base.identity, 1)
+    action = {a: base.mul(base.mul(a, a), b), b: base.mul(b, b)}
+    X = build_extension(ExtensionSpec(base, 6, action, name="Z_3^2:Z_6"))
+    a_, b_, s = X.generators
     s2 = X.mul(s, s)
     g1 = X.mul(a_, s2)
     G = X.subgroup((g1, b_))
@@ -648,19 +696,15 @@ def example_e1():
     a_1 -> a_1, a_2 -> a_1 a_2, a_3 -> a_2 a_3, and s^b = s^4 a_3."""
     A = elementary_abelian_group(3, 3)
     a1, a2, a3 = A.generators
-    inner_spec = ExtensionSpec(A, 9, {a1: (1, 0, 0), a2: (1, 1, 0), a3: (0, 1, 1)},
+    inner_spec = ExtensionSpec(A, 9, {a1: a1, a2: A.mul(a1, a2), a3: A.mul(a2, a3)},
                                name="Z_3^3:Z_9")
     AC = build_extension(inner_spec)
-    s_in = (A.identity, 1)
+    *a_in, s_in = AC.generators
     # b fixes A pointwise and sends s to s^4 a_3
-    s4a3 = AC.mul(AC.power(s_in, 4), ((0, 0, 1), 0))
-    action = {(a1, 0): (a1, 0), (a2, 0): (a2, 0), (a3, 0): (a3, 0), s_in: s4a3}
-    outer_spec = ExtensionSpec(AC, 3, action, name="(Z_3^3:Z_9):Z_3")
-    X = build_extension(outer_spec)
-    lift = lambda x: (x, 0)
-    a1_, a2_, a3_ = lift((a1, 0)), lift((a2, 0)), lift((a3, 0))
-    b_ = (AC.identity, 1)
-    s = lift(s_in)
+    action = {a: a for a in a_in}
+    action[s_in] = AC.mul(AC.power(s_in, 4), a_in[2])
+    X = build_extension(ExtensionSpec(AC, 3, action, name="(Z_3^3:Z_9):Z_3"))
+    a1_, a2_, a3_, s, b_ = X.generators
     G = X.subgroup((a1_, a2_, a3_, b_))
     z = X.power(s, 3)
     return {"X": X, "G": G, "P": X, "sigma": s, "gens": (a1_, a2_, a3_, b_),
@@ -676,20 +720,16 @@ def example_e3():
     A = elementary_abelian_group(3, 4)
     a1, a2, a3, a4 = A.generators
     inner_spec = ExtensionSpec(
-        A, 18,
-        {a1: (1, 1, 0, 0), a2: (0, 1, 1, 0), a3: (0, 0, 1, 0), a4: (0, 0, 0, 1)},
+        A, 18, {a1: A.mul(a1, a2), a2: A.mul(a2, a3), a3: a3, a4: a4},
         name="Z_3^4:Z_18")
     AC = build_extension(inner_spec)
-    s_in = (A.identity, 1)
-    tgt = AC.mul(AC.power(s_in, 13), ((1, 1, 1, 0), 0))
-    action = {(g, 0): (g, 0) for g in A.generators}
-    action[s_in] = tgt
-    outer_spec = ExtensionSpec(AC, 3, action, name="(Z_3^4:Z_18):Z_3")
-    X = build_extension(outer_spec)
-    lift = lambda x: (x, 0)
-    a_gens = tuple(lift((g, 0)) for g in A.generators)
-    a5_ = (AC.identity, 1)
-    s = lift(s_in)
+    *a_in, s_in = AC.generators
+    action = {a: a for a in a_in}
+    a123 = AC.mul(AC.mul(a_in[0], a_in[1]), a_in[2])
+    action[s_in] = AC.mul(AC.power(s_in, 13), a123)
+    X = build_extension(ExtensionSpec(AC, 3, action, name="(Z_3^4:Z_18):Z_3"))
+    *a_gens, s, a5_ = X.generators
+    a_gens = tuple(a_gens)
     G = X.subgroup(a_gens + (a5_,))
     s2 = X.mul(s, s)
     P = X.subgroup(G.generators + (s2,))

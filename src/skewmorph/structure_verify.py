@@ -338,10 +338,10 @@ def action_condition(rows, p, m):
     return bool(fpalg.mat_pow(d, p ** (m - 1) - 1, p).any())
 
 
-def verify_nilpotency_condition():
+def verify_nilpotency_condition(d):
+    """The action-matrix condition and C_X(A) = <G, z> on the e1 data d."""
     cond = action_condition(E1_ACTION, 3, 2)
     neg = action_condition(E1_ACTION_DEGENERATE, 3, 2)
-    d = ge.example_e1()
     cent = ge.centralizer(d["X"], d["A"].generators)
     gz = ge.FiniteGroup.from_generators(
         d["X"].carrier, tuple(d["G"].generators) + (d["z"],))
@@ -447,7 +447,7 @@ def _example_report_e1():
     om = omega1_report(X, G, d["z"], 3, 4)
     claims.append(Claim("Omega_1(X) order", 243, om["omega_order"]))
     claims.append(Claim("Omega_1(X) = <G, z>", True, om["equals_G_z"]))
-    nil = verify_nilpotency_condition()
+    nil = verify_nilpotency_condition(d)
     claims.append(Claim("(M-I)^(p^(m-1)-1) nonzero", True, nil["condition_holds"]))
     claims.append(Claim("degenerate control vanishes", True, nil["degenerate_control_fails"]))
     claims.append(Claim("C_X(A) = <G, z>", True, nil["centralizer_is_G_z"]))

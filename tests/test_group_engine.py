@@ -156,3 +156,85 @@ def test_complement_found_is_one(x54):
     assert K is not None
     assert len(K) * len(subs[0]) == len(X)
     assert len(K.element_set & subs[0].element_set) == 1
+
+
+def test_build_extension_refusals():
+    C9 = ge.cyclic_group(9)
+    # 3 = 1 + 1 + 1 in the base, so 3 must go to 3 * alpha(1) = 6, not 3
+    two_gens = ge.FiniteGroup(C9.carrier, C9.elements, (1, 3))
+    with pytest.raises(ValueError, match="not a homomorphism"):
+        ge.build_extension(ge.ExtensionSpec(two_gens, 2, {1: 2, 3: 3}))
+    # alpha(x) = 2x has order 6 mod 9, so alpha^2 is not trivial conjugation
+    with pytest.raises(ValueError, match="t-th power"):
+        ge.build_extension(ge.ExtensionSpec(C9, 2, {1: 2}))
+    with pytest.raises(ValueError, match="fix the twist"):
+        ge.build_extension(ge.ExtensionSpec(C9, 6, {1: 2}, twist=3))
+    # the same action with the fixed twist 0 and t = 6 is accepted
+    assert len(ge.build_extension(ge.ExtensionSpec(C9, 6, {1: 2}))) == 54
+    # a twisted one: x^-1 b x = b^4 and x^3 = b^3, which 4x fixes
+    X = ge.build_extension(ge.ExtensionSpec(C9, 3, {1: 4}, twist=3))
+    b, x = X.generators
+    assert len(X) == 27 and X.element_order(x) == 9
+    assert X.power(x, 3) == X.power(b, 3) == 3 * 3
+    assert X.conj(b, x) == X.power(b, 4)
+
+
+# up to order 200 every triple is checked, whatever the sample count
+@pytest.mark.parametrize("n, samples", [(12, 0), (300, 10 ** 5)])
+def test_extension_self_test_rejects_bad_law(n, samples):
+    # Z_n by its Cayley table, then row r permuted away from x -> r + x on
+    # every column but those of the identity and of -r: identity and
+    # inverses still hold, associativity does not
+    T = np.add.outer(np.arange(n), np.arange(n)) % n
+    ge._self_test(ge.FiniteGroup(ge.Carrier(lambda a, b: T[a, b], lambda a: (-a) % n, 0),
+                                 list(range(n)), (1,)), samples)
+    r = 5
+    cols = np.array([x for x in range(1, n) if x != n - r])
+    T[r, cols] = T[r, cols[::-1]]
+    X = ge.FiniteGroup(ge.Carrier(lambda a, b: T[a, b], lambda a: (-a) % n, 0),
+                       list(range(n)), (1,))
+    with pytest.raises(AssertionError, match="associativity"):
+        ge._self_test(X, samples)
+
+
+def test_reference_group_relations():
+    # e2: a^s = a^2 b, b^s = b^2, s^6 = 1
+    X = ge.example_e2()["X"]
+    a, b, s = X.generators
+    assert [X.element_order(x) for x in (a, b, s)] == [3, 3, 6]
+    assert X.conj(a, s) == X.mul(X.mul(a, a), b)
+    assert X.conj(b, s) == X.mul(b, b)
+    groups = [X]
+
+    # e1: a_1^s = a_1, a_2^s = a_1 a_2, a_3^s = a_2 a_3, s^9 = 1,
+    # b fixes A and s^b = s^4 a_3
+    X = ge.example_e1()["X"]
+    a1, a2, a3, s, b = X.generators
+    assert [X.element_order(x) for x in (a1, a2, a3, s, b)] == [3, 3, 3, 9, 3]
+    assert X.conj(a1, s) == a1
+    assert X.conj(a2, s) == X.mul(a1, a2)
+    assert X.conj(a3, s) == X.mul(a2, a3)
+    assert all(X.conj(x, b) == x for x in (a1, a2, a3))
+    assert X.conj(s, b) == X.mul(X.power(s, 4), a3)
+    groups.append(X)
+
+    # e3: a1^s = a1 a2, a2^s = a2 a3, a3^s = a3, a4^s = a4, s^18 = 1,
+    # a5 fixes a1..a4 and s^(a5) = s^13 a1 a2 a3
+    X = ge.example_e3()["X"]
+    a1, a2, a3, a4, s, a5 = X.generators
+    assert X.element_order(s) == 18 and X.element_order(a5) == 3
+    assert X.conj(a1, s) == X.mul(a1, a2)
+    assert X.conj(a2, s) == X.mul(a2, a3)
+    assert X.conj(a3, s) == a3 and X.conj(a4, s) == a4
+    assert all(X.conj(x, a5) == x for x in (a1, a2, a3, a4))
+    assert X.conj(s, a5) == X.mul(X.power(s, 13), X.mul(X.mul(a1, a2), a3))
+    groups.append(X)
+
+    # the law on index arrays is the scalar law elementwise, on ints
+    for X in groups:
+        u = np.arange(len(X))
+        v = (7 * u + 3) % len(X)
+        prod = X.mul(u, v)
+        assert prod.tolist() == [X.mul(int(x), int(y)) for x, y in zip(u, v)]
+        assert X.inv(u).tolist() == [X.inv(x) for x in X.elements]
+        assert all(type(X.mul(x, x)) is int for x in X.generators)
