@@ -155,10 +155,11 @@ def _as_perm(M, p):
     return tuple(fpalg.matrix_to_perm(M, p).tolist())
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def _config_group(p, n, i):
     """G = <translations, L^-i> of the configurations with this i, as
-    (generators, G); it does not depend on sigma_2."""
+    (generators, G); it does not depend on sigma_2.  Configs run i-major,
+    so one cached group serves each run of them."""
     N = p ** n
     carrier = ge.perm_carrier(N)
     mul = carrier.mul
