@@ -55,7 +55,7 @@ def build_parser():
     p_om.add_argument("--p", type=int, required=True)
     p_om.set_defaults(func=cmd_omega)
 
-    p_be = sub.add_parser("bench", help="time the validation kernel")
+    p_be = sub.add_parser("bench", help="time the validation kernels")
     p_be.add_argument("--p", type=int, default=3)
     p_be.add_argument("--n", type=int, default=2, choices=(1, 2, 3))
     p_be.add_argument("--repeat", type=int, default=3)
@@ -143,17 +143,26 @@ def cmd_bench(args):
     else:
         ms = fpalg.gl_matrices_array(args.n, args.p)
         batch = fpalg.matrix_to_perm(ms, args.p)
-    print("benchmark: validate_many on %d candidates, p=%d n=%d, best of %d"
-          % (batch.shape[0], args.p, args.n, args.repeat))
+    print("benchmark: %s validation of %d candidates, p=%d n=%d, best of %d"
+          % (K.current_backend(), batch.shape[0], args.p, args.n, args.repeat))
     K.index_tables(args.p, args.n)  # build the cached tables outside the timing
-    best = min(_time_once(args.p, args.n, batch) for _ in range(args.repeat))
-    print("  %-6s %8.2f ms" % (K.current_backend(), best * 1e3))
+    # the two sides of the size selection: enumeration validates blocks,
+    # reading records back validates one row at a time
+    for name, run in (("validate_many, one batch", K.validate_many),
+                      ("validate_images, per row", _per_row)):
+        best = min(_time_once(run, args.p, args.n, batch) for _ in range(args.repeat))
+        print("  %-26s %8.2f ms" % (name, best * 1e3))
     return 0
 
 
-def _time_once(p, n, batch):
+def _per_row(p, n, batch):
+    for row in batch:
+        K.validate_images(p, n, row)
+
+
+def _time_once(run, p, n, batch):
     t0 = time.perf_counter()
-    K.validate_many(p, n, batch)
+    run(p, n, batch)
     return time.perf_counter() - t0
 
 

@@ -96,26 +96,27 @@ def write_summary_csv(results, path):
 
 
 def brute_force_enum(p, n):
-    arrs = K.brute_images(p, n)
-    skews = [_validated(p, n, a, "brute", i) for i, a in enumerate(arrs)]
+    skews = _validated_rows(p, n, K.brute_images(p, n), "brute")
     return _result_from_skews(p, n, "brute", skews)
 
 
-def _validated(p, n, images, block, index):
-    """A computed member as a validated SkewMorphism.
+def _validated_rows(p, n, rows, block, index=None):
+    """Computed members as validated SkewMorphisms, in one kernel call.
 
-    The images come from this module, not from the user, so a member
-    that breaks the skew law is a finding (AssertionError), not bad input.
+    The rows come from this module, not from the user, so a member that
+    breaks the skew law is a finding (AssertionError), not bad input.
+    index[r] is the member index the finding names for row r (default r).
     """
     try:
-        return sc.validate(p, n, images)
+        return sc.validate_rows(p, n, rows)
     except sc.SkewValidationError as exc:
+        at = exc.row if index is None else index[exc.row]
         raise AssertionError("p=%d n=%d: %s member %d fails validation (status %s): %s"
-                             % (p, n, block, index, exc.status, exc)) from None
+                             % (p, n, block, at, exc.status, exc)) from None
 
 
 def _result_from_skews(p, n, method, skews):
-    skews = sorted(set(skews), key=lambda s: tuple(s.images))
+    skews = sorted(set(skews), key=lambda s: s.images.tolist())
     aut = sum(1 for s in skews if s.is_automorphism())
     return EnumerationResult(
         p=p, n=n, method=method, skews=skews, count_total=len(skews),
@@ -130,7 +131,7 @@ def _result_from_skews(p, n, method, skews):
 def enum_automorphisms(p, n):
     """All of GL(n,p) as skew-morphisms with constant power function."""
     perms = fpalg.matrix_to_perm(fpalg.gl_matrices_array(n, p), p)
-    return [_validated(p, n, row, "GL", i) for i, row in enumerate(perms)]
+    return _validated_rows(p, n, perms, "GL")
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +314,18 @@ def _closure_rows(p, n, seeds):
 def aut_closure(p, n, seeds):
     """Orbit closure of seed skew-morphisms under all GL conjugations.
 
-    The seeds are kept as they are; every new member is validated.
+    The seeds are kept as they are; the new members are validated in one
+    batch, each named by its closure position.
     """
-    out = [seed if seed is not None else _validated(p, n, row, "closure", i)
-           for i, (row, seed) in enumerate(_closure_rows(p, n, seeds))]
-    return sorted(out, key=lambda s: tuple(s.images))
+    out, rows, at = [], [], []
+    for i, (row, seed) in enumerate(_closure_rows(p, n, seeds)):
+        if seed is not None:
+            out.append(seed)
+        else:
+            rows.append(row)
+            at.append(i)
+    out += _validated_rows(p, n, _stack(rows, p ** n), "closure", at)
+    return sorted(out, key=lambda s: s.images.tolist())
 
 
 def aut_closure_count(p, n, seeds, sample_rate=0.01):
@@ -325,13 +333,19 @@ def aut_closure_count(p, n, seeds, sample_rate=0.01):
     member by closure position, validated)."""
     stride = max(1, int(round(1.0 / sample_rate)))
     count = 0
-    checked = []
+    checked, rows, at = [], [], []
     for count, (row, seed) in enumerate(_closure_rows(p, n, seeds), 1):
         if seed is not None:
             checked.append(seed)
         elif count % stride == 0:
-            checked.append(_validated(p, n, row, "closure", count - 1))
+            rows.append(row)
+            at.append(count - 1)
+    checked += _validated_rows(p, n, _stack(rows, p ** n), "closure", at)
     return count, checked
+
+
+def _stack(rows, N):
+    return np.array(rows, dtype=K.IDX_DTYPE).reshape(len(rows), N)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +413,7 @@ def _sampled_gl_validation(p, n, rate, seed=0):
             if len(picked) >= target:
                 break
     perms = fpalg.matrix_to_perm(np.stack(list(picked.values())), p)
-    status = K.validate_many(p, n, perms)
+    status = K.validate_many(p, n, perms)[0]
     if (status != K.OK).any():
         bad = int(np.nonzero(status != K.OK)[0][0])
         raise AssertionError("p=%d n=%d: sampled GL member %d fails validation (status %d)"

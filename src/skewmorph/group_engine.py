@@ -197,10 +197,6 @@ def _close(carrier, gens, cap):
     return elems
 
 
-def closure(carrier, gens, cap=CLOSURE_CAP):
-    return FiniteGroup.from_generators(carrier, gens, cap)
-
-
 def _require_subgroup(H, X):
     if H.carrier is not X.carrier:
         raise ValueError("carrier mismatch")

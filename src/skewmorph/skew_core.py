@@ -24,10 +24,11 @@ JSON_FIELDS = ("p", "n", "order", "k", "m", "sigma", "pi", "automorphism")
 
 
 class SkewValidationError(ValueError):
-    def __init__(self, message, status=None, witness=None):
+    def __init__(self, message, status=None, witness=None, row=None):
         super().__init__(message)
         self.status = status
         self.witness = witness
+        self.row = row  # the failing row of a batch, None for one array
 
 
 def _split_order(order, p):
@@ -107,22 +108,46 @@ def validate(p, n, images):
         raise SkewValidationError(
             "expected %d images, got shape %r" % (p ** n, images.shape))
     status, order, pi, witness = K.validate_images(p, n, images)
-    if status == K.NOT_PERMUTATION:
-        raise SkewValidationError(
-            "images are not a permutation fixing 0 (index %d)" % witness,
-            status=status, witness=witness)
-    if status == K.ORDER_TOO_BIG:
-        raise SkewValidationError(
-            "permutation order exceeds p**n - 1, cannot be a skew-morphism",
-            status=status, witness=witness)
-    if status == K.NO_POWER_MATCH:
-        raise SkewValidationError(
-            "f_x is no power of sigma at x = %d" % witness,
-            status=status, witness=witness)
+    if status != K.OK:
+        _raise_status(status, witness)
     sk = SkewMorphism(p, n, images, pi, order)
     if sk.order > 1:
         assert sk.pi[0] == 1, "pi(0) must be 1 for order >= 2"
     return sk
+
+
+def validate_rows(p, n, batch):
+    """validate for every row of a (B, p**n) batch, in one kernel call.
+
+    The first failing row raises SkewValidationError, with its index in
+    the error's row attribute.
+    """
+    check_prime(p)
+    if n < 1:
+        raise ValueError("n must be positive")
+    batch = np.ascontiguousarray(batch, dtype=K.IDX_DTYPE)
+    if batch.ndim != 2 or batch.shape[1] != p ** n:
+        raise SkewValidationError(
+            "expected rows of %d images, got shape %r" % (p ** n, batch.shape))
+    status, order, pi, witness = K.validate_many(p, n, batch)
+    bad = np.flatnonzero(status != K.OK)
+    if bad.size:
+        r = int(bad[0])
+        _raise_status(int(status[r]), int(witness[r]), row=r)
+    assert (pi[order > 1, 0] == 1).all(), "pi(0) must be 1 for order >= 2"
+    # each member owns copies of its rows: views would keep the batch alive
+    return [SkewMorphism(p, n, row.copy(), row_pi.copy(), o)
+            for row, row_pi, o in zip(batch, pi, order.tolist())]
+
+
+def _raise_status(status, witness, row=None):
+    if status == K.NOT_PERMUTATION:
+        message = "images are not a permutation fixing 0 (index %d)" % witness
+    elif status == K.ORDER_TOO_BIG:
+        message = "permutation order exceeds p**n - 1, cannot be a skew-morphism"
+    else:
+        message = "f_x is no power of sigma at x = %d" % witness
+    raise SkewValidationError(message, status=status, witness=witness, row=row)
 
 
 def aut_conjugate(sk, M):
@@ -161,7 +186,6 @@ class SkewProductGroup:
         steps = sk.pi[self.S].astype(np.int64)
         self.PS = ((np.cumsum(steps, axis=0) - steps) % self.order).astype(K.IDX_DTYPE)
         self._table = None
-        self._inv = None
         if check:
             self.self_test()
 
@@ -194,12 +218,6 @@ class SkewProductGroup:
             T = (A1[:, :, :, None].astype(np.int64) * o + E1[None, :, :, :])
             self._table = T.reshape(self.M, self.M).astype(np.int32)
         return self._table
-
-    def inv_table(self):
-        if self._inv is None:
-            # identity has pair id 0, the row minimum, hit exactly once
-            self._inv = np.argmin(self.table(), axis=1).astype(np.int32)
-        return self._inv
 
     @property
     def identity(self):
@@ -392,8 +410,8 @@ def skew_to_obj(sk):
         "order": sk.order,
         "k": sk.k,
         "m": sk.m,
-        "sigma": [int(v) for v in sk.images],
-        "pi": [int(v) for v in sk.pi],
+        "sigma": sk.images.tolist(),
+        "pi": sk.pi.tolist(),
         "automorphism": sk.is_automorphism(),
     }
 
@@ -412,13 +430,13 @@ def parse_record(obj):
         if field in obj and int(obj[field]) != got:
             raise SkewValidationError(
                 "record field %r = %r disagrees with recomputed %d" % (field, obj[field], got))
-    if "pi" in obj and [int(v) for v in obj["pi"]] != [int(v) for v in sk.pi]:
+    if "pi" in obj and [int(v) for v in obj["pi"]] != sk.pi.tolist():
         raise SkewValidationError("record power function disagrees with recomputed one")
     return sk
 
 
 def write_jsonl(skews, path):
-    skews = sorted(skews, key=lambda s: tuple(s.images))
+    skews = sorted(skews, key=lambda s: s.images.tolist())
     with open(path, "w") as fh:
         for sk in skews:
             fh.write(skew_to_json(sk))

@@ -562,7 +562,7 @@ def classified_record(sk, rep=None, affine=None):
 
 def write_classified_jsonl(path, rows):
     """rows: (skew, report-or-None, embedding-or-None) triples."""
-    rows = sorted(rows, key=lambda r: tuple(r[0].images))
+    rows = sorted(rows, key=lambda r: r[0].images.tolist())
     with open(path, "w") as fh:
         for sk, rep, aff in rows:
             fh.write(json.dumps(classified_record(sk, rep, aff),

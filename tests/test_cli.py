@@ -58,26 +58,26 @@ def test_enum_count_mismatch_exits_1(tmp_path, monkeypatch):
     assert run_cli(["enum", "--p", "3", "--n", "2", "--out", str(tmp_path)]) == 1
 
 
-@pytest.mark.parametrize("argv, failing_call, message", [
-    (["--p", "3", "--n", "2"], 5, "p=3 n=2: GL member 4 fails validation (status 2)"),
-    # 48 GL members and 2 seed extractions come first
-    (["--p", "3", "--n", "2"], 51, "p=3 n=2: closure member 2 fails validation (status 2)"),
-    (["--p", "2", "--n", "2", "--method", "brute"], 1,
+@pytest.mark.parametrize("argv, failing_call, failing_row, message", [
+    (["--p", "3", "--n", "2"], 1, 4, "p=3 n=2: GL member 4 fails validation (status 2)"),
+    # the GL block is the first batch; the 2 seeds come first in the closure
+    (["--p", "3", "--n", "2"], 2, 0, "p=3 n=2: closure member 2 fails validation (status 2)"),
+    (["--p", "2", "--n", "2", "--method", "brute"], 1, 0,
      "p=2 n=2: brute member 0 fails validation (status 2)"),
 ], ids=["GL", "closure", "brute"])
-def test_enum_member_failing_validation_is_a_finding(tmp_path, monkeypatch, capsys,
-                                                     argv, failing_call, message):
-    real = K.validate_images
+def test_enum_member_failing_validation_is_a_finding(tmp_path, monkeypatch, capsys, argv,
+                                                     failing_call, failing_row, message):
+    real = K.validate_many
     calls = []
 
-    def flaky(p, n, images):
+    def flaky(p, n, batch):
         calls.append(1)
-        status, order, pi, witness = real(p, n, images)
+        status, order, pi, witness = real(p, n, batch)
         if len(calls) == failing_call:
-            return K.NO_POWER_MATCH, order, pi, 1
+            status[failing_row], witness[failing_row] = K.NO_POWER_MATCH, 1
         return status, order, pi, witness
 
-    monkeypatch.setattr(K, "validate_images", flaky)
+    monkeypatch.setattr(K, "validate_many", flaky)
     assert run_cli(["enum"] + argv + ["--out", str(tmp_path)]) == 1
     assert message in capsys.readouterr().err
 
@@ -153,7 +153,7 @@ def test_omega_commands(capsys):
 def test_bench(capsys):
     assert run_cli(["bench", "--p", "3", "--n", "2", "--repeat", "1"]) == 0
     text = capsys.readouterr().out
-    for name in ("numpy",):
+    for name in ("numpy", "validate_many", "validate_images"):
         assert name in text
 
 

@@ -81,6 +81,88 @@ def test_validate_images_no_power_match():
     assert witness >= 0
 
 
+def _per_row(p, n, batch):
+    rows = [K.validate_images(p, n, row) for row in batch]
+    return (np.array([r[0] for r in rows]), np.array([r[1] for r in rows]),
+            np.array([r[2] for r in rows]).reshape(len(batch), p ** n),
+            np.array([r[3] for r in rows]))
+
+
+def _assert_batch_matches_per_row(p, n, batch):
+    got, want = K.validate_many(p, n, batch), _per_row(p, n, batch)
+    for field, g, w in zip(("status", "order", "pi", "witness"), got, want):
+        assert (g == w).all(), field
+    return got[0]
+
+
+def _near_misses(rows, rng, count):
+    # two images other than 0 swapped in each row
+    out = rows[rng.integers(0, len(rows), count)].copy()
+    N = rows.shape[1]
+    a = rng.integers(1, N, count)
+    b = (a + rng.integers(1, N - 1, count) - 1) % (N - 1) + 1
+    r = np.arange(count)
+    out[r, a], out[r, b] = out[r, b], out[r, a]
+    return out
+
+
+def _perms_fixing_0(rng, N, count):
+    return np.array([[0] + list(rng.permutation(np.arange(1, N))) for _ in range(count)],
+                    dtype=K.IDX_DTYPE)
+
+
+def _malformed(rng, N):
+    rows = _perms_fixing_0(rng, N, 8)
+    rows[0, 3] = rows[0, 5]           # repeated image
+    rows[1, 2] = N                    # image out of range
+    rows[2, 4] = -1                   # negative image
+    rows[3, [0, 1]] = rows[3, [1, 0]]  # a permutation moving 0
+    rows[4, 0] = 1                    # moves 0 and repeats 1
+    rows[5] = np.roll(np.arange(N), 1)
+    return rows[:6]
+
+
+def _gl_perms(p, n):
+    return fpalg.matrix_to_perm(fpalg.gl_matrices_array(n, p), p)
+
+
+@pytest.mark.parametrize("p,n", [(3, 3), (7, 2)])
+def test_validate_many_matches_per_row_on_gl(p, n):
+    gl = _gl_perms(p, n)
+    assert (_assert_batch_matches_per_row(p, n, gl) == K.OK).all()
+    rng = np.random.default_rng(p * 10 + n)
+    near = _near_misses(gl, rng, 400)
+    assert (_assert_batch_matches_per_row(p, n, near) == K.NO_POWER_MATCH).any()
+    status = _assert_batch_matches_per_row(p, n, _perms_fixing_0(rng, p ** n, 300))
+    assert set(status.tolist()) <= {K.NO_POWER_MATCH, K.ORDER_TOO_BIG, K.OK}
+    assert K.ORDER_TOO_BIG in status and K.NO_POWER_MATCH in status
+    bad = _malformed(rng, p ** n)
+    assert (_assert_batch_matches_per_row(p, n, bad) == K.NOT_PERMUTATION).all()
+    # one mixed batch, shuffled, so every status meets every chunk position
+    mixed = np.concatenate([gl[:200], near[:100], bad, _perms_fixing_0(rng, p ** n, 50)])
+    _assert_batch_matches_per_row(p, n, mixed[rng.permutation(len(mixed))])
+
+
+def test_validate_many_matches_per_row_on_members(set33):
+    batch = np.stack([s.images for s in set33.skews])
+    assert (_assert_batch_matches_per_row(3, 3, batch) == K.OK).all()
+    near = _near_misses(batch, np.random.default_rng(5), 1000)
+    assert (_assert_batch_matches_per_row(3, 3, near) != K.OK).all()
+
+
+def test_validate_many_survives_colliding_hashes(monkeypatch):
+    # every row hashes alike, so each pi(x) comes from the exact search
+    monkeypatch.setattr(K, "_hash_weights", lambda N: np.full(N, 7, dtype=np.int64))
+    rng = np.random.default_rng(7)
+    for p, n in ((3, 2), (7, 2), (3, 3)):
+        gl = _gl_perms(p, n)
+        gl = gl[rng.permutation(len(gl))[:300]]
+        batch = np.concatenate([gl, _near_misses(gl, rng, 100),
+                                _perms_fixing_0(rng, p ** n, 100), _malformed(rng, p ** n)])
+        status = _assert_batch_matches_per_row(p, n, batch)
+        assert (status[:len(gl)] == K.OK).all()
+
+
 def test_conj_batch_round_trip():
     arrs = K.brute_images(3, 2)
     M = fpalg.canonical_unipotent(2, 3)
@@ -90,7 +172,7 @@ def test_conj_batch_round_trip():
     conj = K.conj_batch(arrs, a, ainv)
     # conjugating a complete set by an automorphism permutes it
     assert {bytes(r) for r in conj} == {bytes(r) for r in arrs}
-    assert (K.validate_many(3, 2, conj) == K.OK).all()
+    assert (K.validate_many(3, 2, conj)[0] == K.OK).all()
     back = K.conj_batch(conj, ainv, a)
     assert (back == arrs).all()
 
