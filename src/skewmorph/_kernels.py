@@ -103,8 +103,9 @@ def _validate_np(images, add, sub, pi):
 def validate_images(p, n, images):
     """(status, order, pi, witness) for a candidate image array.
 
-    A single array goes through the per-row kernel: at (3,3) and (7,2) a
-    batch of one through validate_many costs 1.3-2.6 times as much.
+    A single array goes through the per-row kernel: at the sizes where
+    single arrays are validated, (7,2) and (3,3), a batch of one through
+    validate_many costs more per call.
     """
     add, sub, _ = index_tables(p, n)
     images = np.ascontiguousarray(images, dtype=IDX_DTYPE)
