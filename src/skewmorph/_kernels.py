@@ -234,20 +234,17 @@ def _prune_ok(images, add, sub, t):
 
 
 def _brute_py(p, n, add, sub):
-    # DFS over permutations fixing 0, pruned by _prune_ok; every leaf
-    # that survives is validated in full
+    # DFS over permutations fixing 0, pruned by _prune_ok; the leaves that
+    # survive are returned unvalidated
     N = p ** n
     add_l, sub_l = add.tolist(), sub.tolist()
     images = [0] + [-1] * (N - 1)
     used = [True] + [False] * (N - 1)
     found = []
-    pi = np.zeros(N, dtype=IDX_DTYPE)
 
     def rec(t):
         if t == N:
-            leaf = np.array(images, dtype=IDX_DTYPE)
-            if _validate_np(leaf, add, sub, pi)[0] == OK:
-                found.append(leaf)
+            found.append(list(images))
             return
         for c in range(1, N):
             if not used[c]:
@@ -263,14 +260,14 @@ def _brute_py(p, n, add, sub):
 
 
 def brute_images(p, n):
-    """All valid image arrays on F_p^n by exhaustive search, lex sorted."""
+    """All valid image arrays on F_p^n by exhaustive search, lex sorted;
+    the surviving leaves are validated in one validate_many call."""
     N = p ** n
     if N > 9:
         raise ValueError("exhaustive search capped at p**n <= 9, got %d" % N)
     add, sub, _ = index_tables(p, n)
-    found = _brute_py(p, n, add, sub)
-    arr = np.array(found, dtype=IDX_DTYPE).reshape(len(found), N)
-    return lex_sorted(arr)
+    leaves = np.array(_brute_py(p, n, add, sub), dtype=IDX_DTYPE).reshape(-1, N)
+    return lex_sorted(leaves[validate_many(p, n, leaves)[0] == OK])
 
 
 # ---------------------------------------------------------------------------

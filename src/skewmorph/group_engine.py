@@ -22,6 +22,11 @@ and codes multiply by
 build_extension refuses specs whose action fails to extend to an
 automorphism or whose t-th power is not conjugation by c, and checks the
 law it builds on index arrays before returning the group.
+
+The subgroup searches (normal elementary abelian subgroups, complements)
+close their candidates through close_many, one array BFS over a batch of
+generator rows of an int-coded group.  A group on other elements is first
+re-coded on 0..|X|-1 by its Cayley table, up to 1,000 elements.
 """
 
 import itertools
@@ -197,6 +202,82 @@ def _close(carrier, gens, cap):
     return elems
 
 
+# mask cells per close_many call of the subgroup searches; larger chunks
+# gain no speed on e1 and raise peak memory
+CLOSE_CELLS = 1 << 18
+# largest group the searches re-code by a Cayley table
+TABLE_MAX = 1000
+
+
+def close_many(X, gens, cap=CLOSURE_CAP):
+    """Membership masks of the subgroups generated by the rows of gens.
+
+    X is int-coded: elements 0..|X|-1, identity 0, a law that broadcasts.
+    gens is a (B, w) array of codes; a shorter row is padded with the
+    identity, which leaves its subgroup as it is.  One BFS layer is one
+    product of every row's frontier by that row's generators.  Returns
+    the (B, |X|) masks and a (B,) flag for the rows whose subgroup has
+    more than cap elements; such a row stops growing there, so its mask
+    is partial.
+    """
+    gens = np.asarray(gens, dtype=np.int64)
+    B, n = len(gens), len(X)
+    mask = np.zeros((B, n), dtype=bool)
+    mask[:, 0] = True
+    flat = mask.reshape(-1)
+    size = np.ones(B, dtype=np.int64)
+    rows = np.arange(B)
+    frontier = np.zeros(B, dtype=np.int64)
+    while rows.size:
+        codes = (rows[:, None] * n + X.mul(frontier[:, None], gens[rows])).ravel()
+        codes = np.unique(codes[~flat[codes]])
+        flat[codes] = True
+        rows, frontier = np.divmod(codes, n)
+        size += np.bincount(rows, minlength=B)
+        live = size[rows] <= cap
+        rows, frontier = rows[live], frontier[live]
+    return mask, size > cap
+
+
+def _close_chunks(X, rows, cap):
+    """(offset, masks, over) of close_many over consecutive chunks of
+    rows, each of at most CLOSE_CELLS mask cells."""
+    step = max(1, CLOSE_CELLS // len(X))
+    for a in range(0, len(rows), step):
+        yield (a,) + close_many(X, rows[a:a + step], cap)
+
+
+def _elementary_rows(X, rows, p):
+    """Per row of codes: every entry has x^p = e and the entries commute
+    pairwise, as elementary_abelian_rank asks of a group's generators."""
+    power = rows
+    for _ in range(p - 1):
+        power = X.mul(power, rows)
+    a, b = rows[:, :, None], rows[:, None, :]
+    return (power == 0).all(axis=1) & (X.mul(a, b) == X.mul(b, a)).all(axis=(1, 2))
+
+
+def _index_coded(X):
+    """(Y, elems): Y is X on the codes 0..|X|-1 and elems[c] the element
+    of X with code c.  An int-coded X is its own Y.  Any other X is
+    re-coded through a Cayley table of |X|^2 scalar products, identity
+    first and the rest in X's element order; above TABLE_MAX elements
+    that is refused."""
+    n = len(X)
+    if X.identity == 0 and X.elements == tuple(range(n)):
+        return X, X.elements
+    if n > TABLE_MAX:
+        raise ValueError("%d elements are too many to re-code by a Cayley table "
+                         "(at most %d)" % (n, TABLE_MAX))
+    elems = (X.identity,) + tuple(x for x in X.elements if x != X.identity)
+    ids = {x: i for i, x in enumerate(elems)}
+    T = np.array([[ids[X.mul(a, b)] for b in elems] for a in elems], dtype=np.int64)
+    inv = np.argmin(T, axis=1)  # the identity 0 is the row minimum
+    carrier = Carrier(lambda a, b: _code(T[a, b]), lambda a: _code(inv[a]), 0,
+                      X.carrier.name + " by table")
+    return FiniteGroup(carrier, list(range(n)), [ids[g] for g in X.generators]), elems
+
+
 def _require_subgroup(H, X):
     if H.carrier is not X.carrier:
         raise ValueError("carrier mismatch")
@@ -370,13 +451,17 @@ def normal_elem_abelian_subgroups(X, rank, p=None):
 
     Search over joins of conjugacy classes of order-p elements; complete
     because such an N is generated by the classes of its own elements.
-    A join is closed over the generators of its smaller part plus the new
-    class elements, and its closure stops once it passes p^rank.
+    A join is generated by the generators of its smaller part plus the
+    new class elements.  The first level and each node's joins are closed
+    in one close_many call, capped at p^rank, and tested elementary
+    abelian on their generator rows; they are walked in class order.
     """
     if len(X) > 5000:
         raise ValueError("group too large for the subgroup search")
     if p is None:
         p = _infer_p(X, rank)
+    Y, elems = _index_coded(X)
+    ids = {x: i for i, x in enumerate(elems)}
     target = p ** rank
     classes = []
     seen = set()
@@ -387,42 +472,38 @@ def normal_elem_abelian_subgroups(X, rank, p=None):
             continue
         cl = X.conjugacy_class(x)
         seen |= cl
-        classes.append(cl)
+        classes.append(tuple(sorted(cl, key=repr)))
+    cl_ids = [np.array([ids[x] for x in cl]) for cl in classes]
+    sizes = p ** np.arange(rank + 1)
 
-    def grow(gens, cl):
-        try:
-            return FiniteGroup.from_generators(
-                X.carrier, gens + tuple(sorted(cl, key=repr)), target)
-        except ClosureCapError:
-            return None
-
-    found = {}
-    nodes = {}
+    nodes = set()
     queue = []
-    for cl in classes:
-        H = grow((), cl)
-        if H is None or elementary_abelian_rank(H, p) is None:
-            continue
-        key = H.element_set
-        if key not in nodes:
-            nodes[key] = H
-            queue.append(H)
+
+    def visit(joins):
+        # short rows are padded with the identity 0
+        rows = np.zeros((len(joins), max(map(len, joins), default=0)), dtype=np.int64)
+        for r, gens in enumerate(joins):
+            rows[r, :len(gens)] = [ids[x] for x in gens]
+        for a, masks, over in _close_chunks(Y, rows, target):
+            size = masks.sum(axis=1)
+            ok = ~over & np.isin(size, sizes) & _elementary_rows(Y, rows[a:a + len(masks)], p)
+            for i in np.flatnonzero(ok):
+                key = masks[i].tobytes()
+                if key not in nodes:
+                    nodes.add(key)
+                    queue.append((joins[a + i], masks[i].copy(), size[i]))
+
+    found = []
+    visit(classes)
     while queue:
-        H = queue.pop()
-        if len(H) == target:
-            found[H.element_set] = H
+        gens, mask, size = queue.pop()
+        if size == target:
+            found.append(gens)
             continue
-        for cl in classes:
-            if cl <= H.element_set:
-                continue
-            J = grow(H.generators, cl - H.element_set)
-            if J is None or elementary_abelian_rank(J, p) is None:
-                continue
-            key = J.element_set
-            if key not in nodes:
-                nodes[key] = J
-                queue.append(J)
-    out = sorted(found.values(), key=lambda H: sorted(map(repr, H.elements)))
+        visit([gens + tuple(x for x, i in zip(cl, idx) if not mask[i])
+               for cl, idx in zip(classes, cl_ids) if not mask[idx].all()])
+    out = [FiniteGroup.from_generators(X.carrier, gens, target) for gens in found]
+    out.sort(key=lambda H: sorted(map(repr, H.elements)))
     for N in out:
         assert is_normal(N, X)
     return out
@@ -432,8 +513,10 @@ def find_complement(X, N, pair_cap=10 ** 5):
     """A subgroup K with K ∩ N = 1 and |K||N| = |X|, or None.
 
     Tries cyclic K over all elements, then 2-generated K over elements
-    whose orders divide |X|/|N|.  Complements of larger generating rank
-    are out of scope and trip the cap instead of silently missing.
+    whose orders divide |X|/|N|, pairs in (i < j) order.  Complements of
+    larger generating rank are out of scope and trip the cap instead of
+    silently missing.  The candidates are closed in chunks by close_many
+    and the first accepted K is rebuilt on X's own elements.
     """
     _require_subgroup(N, X)
     m = len(X) // len(N)
@@ -441,36 +524,28 @@ def find_complement(X, N, pair_cap=10 ** 5):
         raise ValueError("|N| does not divide |X|")
     if m == 1:
         return FiniteGroup(X.carrier, [X.identity], ())
-    orders = {}
-    for x in X.elements:
-        if x == X.identity:
-            continue
-        o = X.element_order(x)
-        if m % o:
-            continue
-        # any K through x needs <x> to miss N; a nontrivial intersection
-        # would contain some prime-order power of x
-        if any(X.power(x, o // q) in N.element_set for q in fpalg.prime_divisors(o)):
-            continue
-        orders[x] = o
-    for x, o in orders.items():
-        if o != m:
-            continue
-        K = X.subgroup((x,))
-        if len(K) == m and len(K.element_set & N.element_set) == 1:
-            return K
-    cands = list(orders)
+    Y, elems = _index_coded(X)
+    ids = {x: i for i, x in enumerate(elems)}
+    n_ids = np.array([ids[x] for x in N.elements])
+
+    # any K through x needs <x> to miss N and its order to divide m
+    cands = []
+    for a, masks, over in _close_chunks(Y, np.arange(1, len(Y))[:, None], m):
+        size = masks.sum(axis=1)
+        keep = ~over & (m % size == 0) & (np.count_nonzero(masks[:, n_ids], axis=1) == 1)
+        cands += (np.flatnonzero(keep) + a + 1).tolist()
+        cyclic = np.flatnonzero(keep & (size == m))
+        if cyclic.size:
+            return X.subgroup((elems[a + 1 + cyclic[0]],))
     n_pairs = len(cands) * (len(cands) - 1) // 2
     if n_pairs > pair_cap:
         raise RuntimeError("complement pair search exceeds cap (%d pairs)" % n_pairs)
-    for i, x in enumerate(cands):
-        for y in cands[i + 1:]:
-            try:
-                K = FiniteGroup.from_generators(X.carrier, (x, y), cap=m)
-            except ClosureCapError:
-                continue
-            if len(K) == m and len(K.element_set & N.element_set) == 1:
-                return K
+    rows = np.array(cands, dtype=np.int64)[np.stack(np.triu_indices(len(cands), 1), axis=1)]
+    for a, masks, over in _close_chunks(Y, rows, m):
+        hit = ~over & (masks.sum(axis=1) == m) & (np.count_nonzero(masks[:, n_ids], axis=1) == 1)
+        if hit.any():
+            x, y = rows[a + np.argmax(hit)]
+            return FiniteGroup.from_generators(X.carrier, (elems[x], elems[y]), cap=m)
     return None
 
 

@@ -223,12 +223,6 @@ class SkewProductGroup:
     def identity(self):
         return (0, 0)
 
-    def p_ids(self):
-        """Ids of P = G <sigma^k>, the Sylow-p-carrying normal piece."""
-        k = self.sk.k
-        exps = np.arange(0, self.order, k, dtype=np.int64)
-        return (np.arange(self.N, dtype=np.int64)[:, None] * self.order + exps[None, :]).ravel()
-
     def sigma_pair(self, e=1):
         return (0, e % self.order)
 

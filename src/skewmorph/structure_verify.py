@@ -149,26 +149,6 @@ def verify_theorem1(skews):
             "violations": violations, "reports": reports}
 
 
-def verify_sylow_normal(sk, deep=False):
-    """P = G<sigma^k> normal in X.  Fast pointwise test; deep rebuilds the
-    product group and asks the generic normality question."""
-    pi = np.asarray(sk.pi)
-    fast = bool(((pi % sk.k) == (1 % sk.k)).all()) if sk.order > 1 else True
-    if not deep:
-        return fast
-    sp = sc.SkewProductGroup(sk)
-    X = sp.as_finite_group()
-    o = sp.order
-    trans = tuple((sk.p ** (sk.n - 1 - j), 0) for j in range(sk.n))
-    P = X.subgroup(trans + ((0, sk.k % o),))
-    if len(P) != sk.N * (o // sk.k):
-        raise AssertionError("Sylow carrier has wrong order %d" % len(P))
-    slow = ge.is_normal(P, X)
-    if slow != fast:
-        raise AssertionError("pointwise and generic Sylow tests disagree")
-    return fast
-
-
 # ---------------------------------------------------------------------------
 # affine realization: T normal, elementary abelian, X = T<sigma>, T cap <sigma> = 1
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from skewmorph import fpalg
 from skewmorph import group_engine as ge
 from skewmorph import skew_core as sc
 
@@ -12,6 +13,11 @@ def x54(brute32):
     spg = sc.SkewProductGroup(six, check=False)
     X = spg.as_finite_group()
     return six, X
+
+
+@pytest.fixture(scope="module")
+def e1_group():
+    return ge.example_e1()["X"]
 
 
 def test_cyclic_and_elementary_abelian():
@@ -238,3 +244,180 @@ def test_reference_group_relations():
         assert prod.tolist() == [X.mul(int(x), int(y)) for x, y in zip(u, v)]
         assert X.inv(u).tolist() == [X.inv(x) for x in X.elements]
         assert all(type(X.mul(x, x)) is int for x in X.generators)
+
+
+@pytest.fixture
+def closures(monkeypatch):
+    """The generator tuples given to FiniteGroup.from_generators, in order."""
+    calls = []
+    real = ge.FiniteGroup.from_generators.__func__
+
+    def counted(cls, carrier, gens, cap=ge.CLOSURE_CAP):
+        calls.append(tuple(gens))
+        return real(cls, carrier, gens, cap)
+
+    monkeypatch.setattr(ge.FiniteGroup, "from_generators", classmethod(counted))
+    return calls
+
+
+def _seeded_rows(rng, n, B, w):
+    """B rows of w codes in 0..n-1, with identity padding and repeats."""
+    rows = rng.integers(1, n, (B, w))
+    rows[::3, -1] = 0                # padded with the identity
+    rows[1::4, 1] = rows[1::4, 0]    # a generator given twice
+    rows[2] = 0                      # the trivial subgroup
+    return rows
+
+
+@pytest.mark.parametrize("name, cap", [("e1", 27), ("e2", 9), ("C9", 3), ("x54", 9)])
+def test_close_many_matches_from_generators(x54, e1_group, name, cap):
+    X = {"e1": e1_group, "e2": ge.example_e2()["X"], "C9": ge.cyclic_group(9),
+         "x54": x54[1]}[name]
+    Y, elems = ge._index_coded(X)
+    assert (Y is X) == (name != "x54")
+    rows = _seeded_rows(np.random.default_rng(len(X)), len(X), 16, 3)
+    masks, over = ge.close_many(Y, rows, cap)
+    assert masks.shape == (16, len(X)) and over.shape == (16,)
+    assert over.any() and not over.all()
+    for row, mask, big in zip(rows, masks, over):
+        gens = [elems[g] for g in row if g != 0]
+        H = ge.FiniteGroup.from_generators(X.carrier, gens)
+        closed = {elems[i] for i in np.flatnonzero(mask)}
+        assert big == (len(H) > cap)
+        if big:
+            assert len(closed) > cap and closed <= H.element_set
+        else:
+            assert closed == H.element_set
+
+
+def _scalar_find_complement(X, N):
+    # one scalar closure per candidate: cyclic K first, then pairs in
+    # (i < j) order, the first accepted one wins
+    m = len(X) // len(N)
+    orders = {}
+    for x in X.elements:
+        if x == X.identity:
+            continue
+        o = X.element_order(x)
+        if m % o:
+            continue
+        if any(X.power(x, o // q) in N.element_set for q in fpalg.prime_divisors(o)):
+            continue
+        orders[x] = o
+    for x, o in orders.items():
+        if o == m:
+            K = X.subgroup((x,))
+            if len(K) == m and len(K.element_set & N.element_set) == 1:
+                return K
+    cands = list(orders)
+    for i, x in enumerate(cands):
+        for y in cands[i + 1:]:
+            try:
+                K = ge.FiniteGroup.from_generators(X.carrier, (x, y), cap=m)
+            except ge.ClosureCapError:
+                continue
+            if len(K) == m and len(K.element_set & N.element_set) == 1:
+                return K
+    return None
+
+
+def test_find_complement_first_pair(x54, e1_group, closures):
+    _, X = x54
+    rank2 = ge.normal_elem_abelian_subgroups(X, 2, p=3)
+    rank1 = ge.normal_elem_abelian_subgroups(X, 1, p=3)
+    assert len(rank2) == 2 and len(rank1) >= 1
+    found = []
+    for N in rank2 + rank1:
+        start = len(closures)
+        K = ge.find_complement(X, N)
+        # the candidates are closed in batches; only the K returned is
+        # built as a FiniteGroup
+        assert len(closures) - start == (K is not None)
+        ref = _scalar_find_complement(X, N)
+        found.append(K is not None)
+        if ref is None:
+            assert K is None
+            continue
+        assert (K.elements, K.generators) == (ref.elements, ref.generators)
+        assert K.carrier is X.carrier
+    assert found[:2] == [True, True]
+    rank4 = ge.normal_elem_abelian_subgroups(e1_group, 4, p=3)
+    assert len(rank4) == 1
+    start = len(closures)
+    assert ge.find_complement(e1_group, rank4[0]) is None
+    assert len(closures) == start
+    assert _scalar_find_complement(e1_group, rank4[0]) is None
+
+
+def _scalar_normal_search(X, rank, p):
+    # the join search with one scalar closure per join, as a reference
+    target = p ** rank
+    classes = []
+    seen = set()
+    for x in X.elements:
+        if x not in seen and x != X.identity and X.power(x, p) == X.identity:
+            cl = X.conjugacy_class(x)
+            seen |= cl
+            classes.append(cl)
+
+    def grow(gens, cl):
+        try:
+            H = ge.FiniteGroup.from_generators(
+                X.carrier, gens + tuple(sorted(cl, key=repr)), target)
+        except ge.ClosureCapError:
+            return None
+        return H if ge.elementary_abelian_rank(H, p) is not None else None
+
+    found, nodes, queue = {}, {}, []
+    for cl in classes:
+        H = grow((), cl)
+        if H is not None and H.element_set not in nodes:
+            nodes[H.element_set] = H
+            queue.append(H)
+    while queue:
+        H = queue.pop()
+        if len(H) == target:
+            found[H.element_set] = H
+            continue
+        for cl in classes:
+            if not cl <= H.element_set:
+                J = grow(H.generators, cl - H.element_set)
+                if J is not None and J.element_set not in nodes:
+                    nodes[J.element_set] = J
+                    queue.append(J)
+    return sorted(found.values(), key=lambda H: sorted(map(repr, H.elements)))
+
+
+@pytest.mark.parametrize("name", ["x54", "e2"])
+def test_normal_elem_abelian_subgroups_reference(x54, closures, name):
+    X = x54[1] if name == "x54" else ge.example_e2()["X"]
+    for rank in (1, 2):
+        start = len(closures)
+        subs = ge.normal_elem_abelian_subgroups(X, rank, p=3)
+        # joins are closed in batches; only the subgroups returned are
+        # built as FiniteGroups
+        assert len(closures) - start == len(subs)
+        ref = _scalar_normal_search(X, rank, 3)
+        assert len(subs) >= 1
+        assert [H.element_set for H in subs] == [H.element_set for H in ref]
+        assert [(H.elements, H.generators) for H in subs] == \
+            [(H.elements, H.generators) for H in ref]
+
+
+def test_index_coded_refuses_large_groups():
+    # Z_1024 on 1-tuples is not int-coded; its Cayley table would take
+    # 1024^2 products, so both searches refuse before making one
+    calls = []
+
+    def mul(a, b):
+        calls.append(1)
+        return ((a[0] + b[0]) % 1024,)
+
+    carrier = ge.Carrier(mul, lambda a: ((-a[0]) % 1024,), (0,))
+    X = ge.FiniteGroup(carrier, [(x,) for x in range(1024)], ((1,),))
+    N = ge.FiniteGroup(carrier, [(0,), (512,)], ((512,),))
+    with pytest.raises(ValueError, match="Cayley table"):
+        ge.find_complement(X, N)
+    with pytest.raises(ValueError, match="Cayley table"):
+        ge.normal_elem_abelian_subgroups(X, 1, p=2)
+    assert calls == []

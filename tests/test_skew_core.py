@@ -100,7 +100,8 @@ def test_skew_product_group_law(brute32):
             assert spg.pair_id(*gi) == inv[ident]
             assert spg.mult_pairs(pair, gi) == (0, 0)
         # P = G<sigma^k> ids form a subgroup of index k
-        pids = spg.p_ids()
+        exps = np.arange(0, spg.order, sk.k)
+        pids = (np.arange(sk.N)[:, None] * spg.order + exps[None, :]).ravel()
         assert len(pids) * sk.k == spg.M
         sub = T[np.ix_(pids, pids)]
         assert set(sub.ravel().tolist()) <= set(pids.tolist())

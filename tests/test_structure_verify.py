@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from skewmorph import group_engine as ge
 from skewmorph import skew_core as sc
 from skewmorph import structure_verify as sv
 
@@ -50,9 +51,15 @@ def test_core_rank_drop(brute32):
 
 
 def test_sylow_fast_deep_agreement(brute32):
+    # P = G<sigma^k> is normal in X pointwise (pi = 1 mod k) and as a
+    # subgroup of the product group built generically
     for sk in brute32.skews[::11]:
-        assert sv.verify_sylow_normal(sk)
-        assert sv.verify_sylow_normal(sk, deep=True)
+        assert sv.classify(sk).p_normal_in_x
+        X = sc.SkewProductGroup(sk).as_finite_group()
+        trans = tuple((sk.p ** (sk.n - 1 - j), 0) for j in range(sk.n))
+        P = X.subgroup(trans + ((0, sk.k % sk.order),))
+        assert len(P) == sk.N * (sk.order // sk.k)
+        assert ge.is_normal(P, X)
 
 
 def test_affine_embedding_on_nonnormal(brute32):
