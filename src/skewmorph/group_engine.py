@@ -209,7 +209,7 @@ CLOSE_CELLS = 1 << 18
 TABLE_MAX = 1000
 
 
-def close_many(X, gens, cap=CLOSURE_CAP):
+def close_many(X, gens, cap):
     """Membership masks of the subgroups generated by the rows of gens.
 
     X is int-coded: elements 0..|X|-1, identity 0, a law that broadcasts.
@@ -474,7 +474,7 @@ def normal_elem_abelian_subgroups(X, rank, p=None):
         seen |= cl
         classes.append(tuple(sorted(cl, key=repr)))
     cl_ids = [np.array([ids[x] for x in cl]) for cl in classes]
-    sizes = p ** np.arange(rank + 1)
+    powers = p ** np.arange(rank + 1)
 
     nodes = set()
     queue = []
@@ -486,7 +486,7 @@ def normal_elem_abelian_subgroups(X, rank, p=None):
             rows[r, :len(gens)] = [ids[x] for x in gens]
         for a, masks, over in _close_chunks(Y, rows, target):
             size = masks.sum(axis=1)
-            ok = ~over & np.isin(size, sizes) & _elementary_rows(Y, rows[a:a + len(masks)], p)
+            ok = ~over & np.isin(size, powers) & _elementary_rows(Y, rows[a:a + len(masks)], p)
             for i in np.flatnonzero(ok):
                 key = masks[i].tobytes()
                 if key not in nodes:
