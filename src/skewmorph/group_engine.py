@@ -27,6 +27,8 @@ The subgroup searches (normal elementary abelian subgroups, complements)
 close their candidates through close_many, one array BFS over a batch of
 generator rows of an int-coded group.  A group on other elements is first
 re-coded on 0..|X|-1 by its Cayley table, up to 1,000 elements.
+derived_is_abelian closes the derived subgroup of any int-coded group,
+the skew products of skew_core among them, through close_many as well.
 """
 
 import itertools
@@ -294,6 +296,17 @@ def is_normal(H, X):
     return True
 
 
+def _spanned(X, elems):
+    """The subgroup of X on elems, a subgroup listed in order, generated
+    by each element that lies outside the span of those before it."""
+    gens, span = [], {X.identity}
+    for x in elems:
+        if x not in span:
+            gens.append(x)
+            span = set(_close(X.carrier, gens, CLOSURE_CAP))
+    return FiniteGroup(X.carrier, elems, gens)
+
+
 def core(H, X):
     """Largest normal subgroup of X inside H, by shrinking to a fixpoint."""
     _require_subgroup(H, X)
@@ -303,15 +316,13 @@ def core(H, X):
         if K2 == K:
             break
         K = K2
-    elems = [x for x in H.elements if x in K] if len(H.elements) else []
-    return FiniteGroup(X.carrier, elems, tuple(elems))
+    return _spanned(X, [x for x in H.elements if x in K])
 
 
 def centralizer(X, S):
     S = tuple(S)
-    elems = [x for x in X.elements
-             if all(X.mul(x, s) == X.mul(s, x) for s in S)]
-    return FiniteGroup(X.carrier, elems, tuple(elems))
+    return _spanned(X, [x for x in X.elements
+                        if all(X.mul(x, s) == X.mul(s, x) for s in S)])
 
 
 def normal_closure(X, seeds, cap=CLOSURE_CAP):
@@ -332,6 +343,30 @@ def normal_closure(X, seeds, cap=CLOSURE_CAP):
             return H
         gens.extend(new)
         H = FiniteGroup.from_generators(X.carrier, gens, cap)
+
+
+def derived_is_abelian(X, gens):
+    """Whether the derived subgroup of the int-coded group <gens> is abelian.
+
+    X' is the normal closure of the commutators of the generators: their
+    conjugates by the generators are added until they all lie in the
+    subgroup, which close_many closes anew after each addition, and X' is
+    abelian exactly when its generators commute.
+    """
+    gens = np.asarray(gens, dtype=np.int64)
+    ginv = X.inv(gens)
+    comms = X.mul(X.mul(ginv[:, None], ginv[None, :]), X.mul(gens[:, None], gens[None, :]))
+    dgens = sorted(set(comms.ravel().tolist()) - {0})
+    mask = close_many(X, [dgens], len(X))[0][0]
+    i = 0
+    while i < len(dgens):
+        for c in X.mul(X.mul(ginv, dgens[i]), gens).tolist():
+            if not mask[c]:
+                dgens.append(c)
+                mask = close_many(X, [dgens], len(X))[0][0]
+        i += 1
+    d = np.array(dgens, dtype=np.int64)
+    return bool((X.mul(d[:, None], d[None, :]) == X.mul(d[None, :], d[:, None])).all())
 
 
 def derived_subgroup(X):

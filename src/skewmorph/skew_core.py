@@ -8,7 +8,13 @@ pairs (g, i) with the multiplication
 
     (a, i) * (b, j) = (a + s^i(b), sum_{t<i} pi(s^t(b)) + j)
 
-which is the one place the power function really gets exercised.
+which is the one place the power function really gets exercised.  The
+pair (g, i) has the id g * order + i, and SkewProductGroup.mul and .inv
+compute the law on ids from the addition table of G, the powers of s and
+the running sums of pi, for python ints and numpy id arrays alike, so no
+Cayley table of the whole group is ever built: the group-law self-test
+runs in chunks, and the derived subgroup is closed by
+group_engine.close_many.
 """
 
 import json
@@ -18,9 +24,14 @@ import numpy as np
 
 from . import _kernels as K
 from . import fpalg
+from . import group_engine as ge
 from .fpalg import check_prime
 
 JSON_FIELDS = ("p", "n", "order", "k", "m", "sigma", "pi", "automorphism")
+# products per chunk of the skew product's self-test: at M = 2,352 the
+# row check takes 0.08 s in chunks of 2^15 and 0.14 s in chunks of 2^18,
+# whose arrays no longer stay in cache
+CHECK_CELLS = 1 << 15
 
 
 class SkewValidationError(ValueError):
@@ -172,22 +183,30 @@ def power_coprime(sk, j):
 
 
 class SkewProductGroup:
-    """Concrete group on pairs (g, i), g an index in F_p^n, 0 <= i < order."""
+    """Concrete group on pairs (g, i), g an index in F_p^n, 0 <= i < order;
+    mul and inv act on their ids, python ints or numpy arrays."""
 
     def __init__(self, sk, check=True):
         self.sk = sk
         self.N = sk.N
         self.order = sk.order
         self.M = self.N * self.order
-        add, sub, neg = K.index_tables(sk.p, sk.n)
-        self.add, self.sub, self.neg = add, sub, neg
-        self.S = sk.power_table()
+        # int32 holds every id g * order + i of a group that fits in
+        # memory, and the law's passes over int32 arrays run faster
+        add, _, neg = K.index_tables(sk.p, sk.n)
+        self.add, self.neg = add.astype(np.int32), neg.astype(np.int32)
+        self.S = sk.power_table().astype(np.int32)
         # PS[i, g] = sum_{t<i} pi(sigma^t g), an exclusive running sum
         steps = sk.pi[self.S].astype(np.int64)
-        self.PS = ((np.cumsum(steps, axis=0) - steps) % self.order).astype(K.IDX_DTYPE)
-        self._table = None
+        self.PS = ((np.cumsum(steps, axis=0) - steps) % self.order).astype(np.int32)
+        # for mul: add times order, and a table of x mod order for x < 2 order
+        self._add_o = self.add * self.order
+        self._mod = np.arange(2 * self.order, dtype=np.int32) % self.order
         if check:
             self.self_test()
+
+    def __len__(self):
+        return self.M
 
     # pair ids: id = g * order + i
     def pair_id(self, g, i):
@@ -195,6 +214,21 @@ class SkewProductGroup:
 
     def id_pair(self, ident):
         return divmod(int(ident), self.order)
+
+    def mul(self, a, b):
+        o, N = self.order, self.N
+        ga, ia = divmod(a, o)
+        gb, ib = divmod(b, o)
+        # flat takes: gathers from 1-d views run faster than 2-d fancy indexing
+        k = ia * N + gb
+        return ge._code(self._add_o.take(ga * N + self.S.take(k))
+                        + self._mod.take(self.PS.take(k) + ib))
+
+    def inv(self, a):
+        o = self.order
+        ga, ia = divmod(a, o)
+        gb = self.S[-ia % o, self.neg[ga]]
+        return ge._code(gb * o + -self.PS[ia, gb] % o)
 
     def mult_pairs(self, a, b):
         ga, ia = a
@@ -209,16 +243,6 @@ class SkewProductGroup:
         ib = (-int(self.PS[ia, gb])) % self.order
         return (gb, ib)
 
-    def table(self):
-        """Full multiplication table on pair ids, built lazily."""
-        if self._table is None:
-            o, N = self.order, self.N
-            A1 = self.add[np.arange(N)[:, None, None], self.S[None, :, :]]
-            E1 = (self.PS[:, :, None].astype(np.int64) + np.arange(o)[None, None, :]) % o
-            T = (A1[:, :, :, None].astype(np.int64) * o + E1[None, :, :, :])
-            self._table = T.reshape(self.M, self.M).astype(np.int32)
-        return self._table
-
     @property
     def identity(self):
         return (0, 0)
@@ -227,24 +251,33 @@ class SkewProductGroup:
         return (0, e % self.order)
 
     def self_test(self):
-        """Group-law check: full associativity when small, sampled otherwise."""
-        T = self.table()
+        """Group-law check through mul: the identity on every id, every
+        row a permutation, and associativity on 10^5 seeded triples, in
+        chunks of at most CHECK_CELLS products; when M <= 200, on every
+        triple instead, through the table of mul (at most 40,000 cells)."""
         M = self.M
-        ident = np.arange(M)
-        assert (T[0] == ident).all() and (T[:, 0] == ident).all(), "identity fails"
+        ids = np.arange(M, dtype=np.int32)
+        if (self.mul(0, ids) != ids).any() or (self.mul(ids, 0) != ids).any():
+            raise AssertionError("identity fails")
+        step = max(1, CHECK_CELLS // M)
+        for a in range(0, M, step):
+            if (np.sort(self.mul(ids[a:a + step, None], ids), axis=1) != ids).any():
+                raise AssertionError("rows are not permutations")
         if M <= 200:
-            # (xy)z indexed [x,y,z] against x(yz)
-            ok = (T[T[:, :, None], ident[None, None, :]] ==
-                  T[ident[:, None, None], T[None, :, :]]).all()
-        else:
-            rng = np.random.default_rng(0)
-            x = rng.integers(0, M, 10 ** 5)
-            y = rng.integers(0, M, 10 ** 5)
-            z = rng.integers(0, M, 10 ** 5)
-            ok = (T[T[x, y], z] == T[x, T[y, z]]).all()
-        assert ok, "associativity fails"
-        perm_rows = np.sort(T, axis=1)
-        assert (perm_rows == ident[None, :]).all(), "rows are not permutations"
+            # every triple, on the table of mul: T[x, y] = mul(x, y) has
+            # M^2 <= 40,000 cells; T[T[x, y], z] against T[x, T[y, z]]
+            T = self.mul(ids[:, None], ids)
+            step = max(1, CHECK_CELLS // (M * M))
+            for a in range(0, M, step):
+                if (T[T[a:a + step]] != np.take(T[a:a + step], T, axis=1)).any():
+                    raise AssertionError("associativity fails")
+            return
+        rng = np.random.default_rng(0)
+        xyz = [rng.integers(0, M, 10 ** 5) for _ in range(3)]
+        for a in range(0, 10 ** 5, CHECK_CELLS):
+            x, y, z = (t[a:a + CHECK_CELLS] for t in xyz)
+            if (self.mul(self.mul(x, y), z) != self.mul(x, self.mul(y, z))).any():
+                raise AssertionError("associativity fails")
 
     def generator_ids(self):
         """Pair ids of the basis translations (e_j, 0), then sigma (0, 1)."""
@@ -254,55 +287,15 @@ class SkewProductGroup:
         return np.array(ids, dtype=np.int64)
 
     def derived_is_abelian(self):
-        return cayley_derived_is_abelian(self.table(), self.generator_ids())
+        return ge.derived_is_abelian(self, self.generator_ids())
 
     def as_finite_group(self):
-        from . import group_engine
-        carrier = group_engine.Carrier(
+        carrier = ge.Carrier(
             mul=self.mult_pairs, inv=self.inv_pair, identity=self.identity)
         elements = frozenset(
             (g, i) for g in range(self.N) for i in range(self.order))
         gens = tuple(self.id_pair(i) for i in self.generator_ids())
-        return group_engine.FiniteGroup(carrier, elements, gens)
-
-
-def _subgroup_mask(T, gens):
-    """Membership mask of the subgroup generated by gens in the group with
-    Cayley table T (identity id 0), by breadth-first right multiplication."""
-    mask = np.zeros(T.shape[0], dtype=bool)
-    mask[0] = True
-    frontier = np.zeros(1, dtype=np.int64)
-    gens = np.asarray(gens, dtype=np.int64)
-    while frontier.size:
-        step = np.unique(T[frontier[:, None], gens[None, :]])
-        frontier = step[~mask[step]]
-        mask[frontier] = True
-    return mask
-
-
-def cayley_derived_is_abelian(T, gens):
-    """Whether the derived subgroup of the group <gens> is abelian.
-
-    T is the Cayley table on ids with identity 0.  X' is the normal
-    closure of the commutators of the generators: conjugates of its
-    generators by the generators of X are added until they all lie in
-    the subgroup, and X' is abelian exactly when its generators commute.
-    """
-    gens = np.asarray(gens, dtype=np.int64)
-    ginv = np.argmin(T[gens], axis=1)  # the identity 0 is the row minimum
-    heads = T[ginv[:, None], ginv[None, :]]
-    comms = T[heads, T[gens[:, None], gens[None, :]]]
-    dgens = sorted(set(comms.ravel().tolist()) - {0})
-    mask = _subgroup_mask(T, dgens)
-    i = 0
-    while i < len(dgens):
-        for c in T[T[ginv, dgens[i]], gens].tolist():
-            if not mask[c]:
-                dgens.append(c)
-                mask = _subgroup_mask(T, dgens)
-        i += 1
-    sub = T[np.ix_(dgens, dgens)]
-    return bool((sub == sub.T).all())
+        return ge.FiniteGroup(carrier, elements, gens)
 
 
 def build_skew_product(sk):
@@ -320,12 +313,10 @@ def extract_skew(X, G, s, generators):
     with X = G<s>, G ∩ <s> = 1 and <s> core-free; generators fixes the
     isomorphism G -> F_p^n (listed generator order maps to basis order).
     """
-    from . import group_engine
-
     mul, inv = X.mul, X.inv
     order = X.element_order(s)
     p_pow = len(G.elements)
-    p, n = group_engine.prime_power_split(p_pow)
+    p, n = ge.prime_power_split(p_pow)
     if len(generators) != n:
         raise ValueError("need %d generators, got %d" % (n, len(generators)))
 
@@ -410,8 +401,20 @@ def skew_to_obj(sk):
     }
 
 
-def skew_to_json(sk):
-    return json.dumps(skew_to_obj(sk), separators=(", ", ": "))
+# skew_to_obj as one JSON line with ", " separators, in one format string:
+# the repr of a list of python ints is its JSON text.  Further fields go
+# in before the closing brace.
+RECORD_LINE = ('{"p": %d, "n": %d, "order": %d, "k": %d, "m": %d, '
+               '"sigma": %r, "pi": %r, "automorphism": %s%s}\n')
+
+
+def json_bool(b):
+    return "true" if b else "false"
+
+
+def record_line(sk, more=""):
+    return RECORD_LINE % (sk.p, sk.n, sk.order, sk.k, sk.m, sk.images.tolist(),
+                          sk.pi.tolist(), json_bool(sk.is_automorphism()), more)
 
 
 def parse_record(obj):
@@ -433,8 +436,7 @@ def write_jsonl(skews, path):
     skews = sorted(skews, key=lambda s: s.images.tolist())
     with open(path, "w") as fh:
         for sk in skews:
-            fh.write(skew_to_json(sk))
-            fh.write("\n")
+            fh.write(record_line(sk))
     return len(skews)
 
 

@@ -17,7 +17,6 @@ in X.  All three checks and the core are plain array reductions, so a
 full sweep never builds multiplication tables.
 """
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -540,10 +539,19 @@ def classified_record(sk, rep=None, affine=None):
     return obj
 
 
+# the fields classified_record adds, as JSON text after the skew's own
+CLASSIFIED_FIELDS = (', "case": "%s", "core_rank": %d, "g_normal_in_x": %s, '
+                     '"g_normal_in_p": %s, "affine_T_found": %s')
+
+
 def write_classified_jsonl(path, rows):
-    """rows: (skew, report-or-None, embedding-or-None) triples."""
+    """rows: (skew, report-or-None, embedding-or-None) triples, written as
+    classified_record dicts would be by json.dumps with ", " separators."""
     rows = sorted(rows, key=lambda r: r[0].images.tolist())
     with open(path, "w") as fh:
         for sk, rep, aff in rows:
-            fh.write(json.dumps(classified_record(sk, rep, aff),
-                                separators=(", ", ": ")) + "\n")
+            rep = rep if rep is not None else classify(sk)
+            found = "null" if aff is None else sc.json_bool(aff.found)
+            fh.write(sc.record_line(sk, CLASSIFIED_FIELDS % (
+                rep.case, rep.core_rank, sc.json_bool(rep.g_normal_in_x),
+                sc.json_bool(rep.g_normal_in_p), found)))

@@ -77,6 +77,18 @@ def test_centralizer(x54):
     assert all(X.mul(x, g) == X.mul(g, x) for x in cent for g in G.generators)
 
 
+def test_core_and_centralizer_generating_sets():
+    # each generator lies outside the span of the ones before it, so a
+    # group of order p^r gets at most r of them
+    d = ge.example_e1()
+    X, G = d["X"], d["G"]
+    for H, order in ((ge.core(G, X), 27), (ge.centralizer(X, d["A"].generators), 243)):
+        assert len(H) == order
+        assert 1 <= len(H.generators) <= round(np.log(order) / np.log(3))
+        assert X.subgroup(H.generators).element_set == H.element_set
+    assert ge.elementary_abelian_rank(ge.core(G, X), 3) == 3
+
+
 def test_derived_subgroup_and_metabelian(x54):
     _, X = x54
     D = ge.derived_subgroup(X)

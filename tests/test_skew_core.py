@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -87,12 +88,24 @@ def test_power_coprime(brute32):
         sc.power_coprime(six, 3)
 
 
+def _cayley_table(spg):
+    """Reference: the full M x M table of the pair law on ids, in one
+    vectorised pass over the add, S and PS tables."""
+    o, N = spg.order, spg.N
+    A1 = spg.add[np.arange(N)[:, None, None], spg.S[None, :, :]]
+    E1 = (spg.PS[:, :, None] + np.arange(o)[None, None, :]) % o
+    T = A1[:, :, :, None] * o + E1[None, :, :, :]
+    return T.reshape(spg.M, spg.M)
+
+
 def test_skew_product_group_law(brute32):
     for sk in brute32.skews[::7]:
         spg = sc.SkewProductGroup(sk)  # self_test on, full associativity
-        assert spg.M == sk.N * sk.order
+        assert spg.M == len(spg) == sk.N * sk.order
+        T = _cayley_table(spg)
+        ids = np.arange(spg.M)
+        assert (spg.mul(ids[:, None], ids) == T).all()
         # closed-form inverse agrees with the table inverse
-        T = spg.table()
         inv = np.argmin(T, axis=1)  # the identity 0 is the row minimum
         for ident in range(0, spg.M, 5):
             pair = spg.id_pair(ident)
@@ -105,6 +118,58 @@ def test_skew_product_group_law(brute32):
         assert len(pids) * sk.k == spg.M
         sub = T[np.ix_(pids, pids)]
         assert set(sub.ravel().tolist()) <= set(pids.tolist())
+
+
+def test_mul_inv_match_pair_law(brute32, set72):
+    # every id against a seeded partner, through mul/inv on python ints
+    # and on id arrays, against mult_pairs/inv_pair on the pairs
+    rng = np.random.default_rng(0)
+    big = next(sk for sk in set72.skews if sk.order == 48)
+    for sk in brute32.skews + [big]:
+        spg = sc.SkewProductGroup(sk, check=False)
+        ids = np.arange(spg.M)
+        partner = rng.permutation(spg.M)
+        prod = [spg.pair_id(*spg.mult_pairs(spg.id_pair(a), spg.id_pair(b)))
+                for a, b in zip(ids, partner)]
+        inv = [spg.pair_id(*spg.inv_pair(spg.id_pair(a))) for a in ids]
+        assert spg.mul(ids, partner).tolist() == prod
+        assert spg.inv(ids).tolist() == inv
+        for a, b in zip(ids.tolist(), partner.tolist()):
+            c, ai = spg.mul(a, b), spg.inv(a)
+            assert type(c) is int and type(ai) is int
+            assert c == prod[a] and ai == inv[a]
+
+
+@pytest.mark.parametrize("order", [3, 48])
+def test_self_test_catches_corrupt_power_sum(set72, monkeypatch, order):
+    # order 3 (M = 147) checks every triple, order 48 (M = 2,352) samples
+    sk = next(s for s in set72.skews if s.order == order)
+    spg = sc.SkewProductGroup(sk)
+    bad = spg.PS.copy()
+    bad[1, 5] = (bad[1, 5] + 1) % sk.order
+    a, b = spg.pair_id(0, 1), spg.pair_id(5, 0)
+    clean = spg.mul(a, b)
+    monkeypatch.setattr(spg, "PS", bad)
+    assert spg.mul(a, b) != clean
+    with pytest.raises(AssertionError, match="associativity"):
+        spg.self_test()
+
+
+def test_skew_product_memory_stays_small(set72):
+    # the parent's M x M table took 64 MB at M = 2,352; mul works in
+    # chunks, so neither the self-test nor X' needs an M^2 array
+    import tracemalloc
+
+    sk = next(s for s in set72.skews if s.order == 48)
+    K.index_tables(sk.p, sk.n)
+    np.random.default_rng(0)  # the self-test's generator, imported beforehand
+    tracemalloc.start()
+    try:
+        assert sc.build_skew_product(sk).derived_is_abelian()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, "peak %.1f MB" % (peak / 2 ** 20)
 
 
 def test_power_sum_zero_is_exponent(brute32):
@@ -142,16 +207,20 @@ def _all_commutators_abelian(T):
 def test_derived_is_abelian_matches_all_commutators(brute32, set52):
     for sk in brute32.skews[::3] + set52.skews[::40]:
         spg = sc.SkewProductGroup(sk, check=False)
-        assert spg.derived_is_abelian() == _all_commutators_abelian(spg.table())
+        assert spg.derived_is_abelian() == _all_commutators_abelian(_cayley_table(spg))
     # every skew product is metabelian, so a negative case comes from
-    # elsewhere: S_4, whose derived subgroup A_4 is not abelian
+    # elsewhere: S_4, whose derived subgroup A_4 is not abelian, as an
+    # int-coded group on the ids of its Cayley table
     perms = list(itertools.permutations(range(4)))
     ids = {q: i for i, q in enumerate(perms)}
     T = np.array([[ids[tuple(b[x] for x in a)] for b in perms] for a in perms])
+    inv = np.argmin(T, axis=1)
+    S4 = ge.FiniteGroup(ge.Carrier(lambda a, b: T[a, b], lambda a: inv[a], 0),
+                        list(range(len(perms))), ())
     gens = [ids[(1, 0, 2, 3)], ids[(1, 2, 3, 0)]]
     assert not _all_commutators_abelian(T)
-    assert not sc.cayley_derived_is_abelian(T, gens)
-    assert sc.cayley_derived_is_abelian(T, gens[:1])
+    assert not ge.derived_is_abelian(S4, gens)
+    assert ge.derived_is_abelian(S4, gens[:1])
 
 
 def test_build_extract_round_trip(brute32):
@@ -186,6 +255,9 @@ def test_jsonl_round_trip(tmp_path, brute32):
     assert wrote == 64
     back = sc.read_jsonl(path)
     assert back == sorted(brute32.skews, key=lambda s: tuple(s.images))
+    # each line is skew_to_obj's dict as json.dumps writes it
+    assert path.read_text().splitlines() == [
+        json.dumps(sc.skew_to_obj(sk), separators=(", ", ": ")) for sk in back]
     # byte determinism, input order irrelevant
     path2 = tmp_path / "set2.jsonl"
     sc.write_jsonl(list(reversed(brute32.skews)), path2)

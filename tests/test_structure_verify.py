@@ -109,6 +109,14 @@ def test_classified_record_and_jsonl(tmp_path, brute32):
     path2 = tmp_path / "classified2.jsonl"
     sv.write_classified_jsonl(path2, list(reversed(triples)))
     assert path.read_bytes() == path2.read_bytes()
+    # each line is classified_record's dict as json.dumps writes it, also
+    # with the report left to the writer and no affine search (null)
+    bare = [(sk, None, None) for sk in brute32.skews]
+    sv.write_classified_jsonl(path2, bare)
+    for rows, out in ((triples, path), (bare, path2)):
+        rows = sorted(rows, key=lambda r: r[0].images.tolist())
+        assert out.read_text().splitlines() == [
+            json.dumps(sv.classified_record(*r), separators=(", ", ": ")) for r in rows]
 
 
 def test_action_condition():
