@@ -138,6 +138,8 @@ def cmd_omega(args):
 
 def cmd_bench(args):
     fpalg.check_prime(args.p)
+    if args.repeat < 1:
+        raise ValueError("--repeat must be at least 1, got %d" % args.repeat)
     if args.p ** args.n <= 9:
         batch = K.brute_images(args.p, args.n)
     else:

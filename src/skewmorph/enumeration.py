@@ -152,53 +152,62 @@ def _resolve_workers(workers):
     return max(1, workers)
 
 
-def _as_perm(M, p):
-    return tuple(fpalg.matrix_to_perm(M, p).tolist())
+def _row_powers(g, count):
+    """g^0 .. g^(count-1) of the permutation row g, as a (count, N) array."""
+    pows = [np.arange(len(g), dtype=K.IDX_DTYPE)]
+    for _ in range(count - 1):
+        pows.append(g[pows[-1]])
+    return np.stack(pows)
+
+
+def _then(A, B):
+    """The permutation rows a then b, x -> b[a[x]], for every row a of A
+    and b of B, row a * len(B) + b."""
+    return B[:, A].transpose(1, 0, 2).reshape(-1, A.shape[1])
 
 
 @functools.lru_cache(maxsize=1)
 def _config_group(p, n, i):
     """G = <translations, L^-i> of the configurations with this i, as
-    (generators, G); it does not depend on sigma_2.  Configs run i-major,
-    so one cached group serves each run of them."""
-    N = p ** n
-    carrier = ge.perm_carrier(N)
-    mul = carrier.mul
+    the permutation rows g_1^e_1 ... g_n^e_n of its generators, in the
+    big-endian order of (e_1, ..., e_n).  G does not depend on sigma_2;
+    configs run i-major, so one cached group serves each run of them."""
     add = K.index_tables(p, n)[0]
-    trans = [tuple(add[:, p ** (n - 1 - j)].tolist()) for j in range(n)]
+    trans = [add[:, p ** (n - 1 - j)] for j in range(n)]
     L = fpalg.canonical_unipotent(n, p)
-    Li = _as_perm(fpalg.mat_pow(L, p - i, p), p)  # L^-i, as L has order p
-    if n == 2:
-        g_gens = (trans[0], mul(trans[1], Li))
-    else:
-        g_gens = (trans[1], trans[2], mul(trans[0], Li))
-    G = ge.FiniteGroup.from_generators(carrier, g_gens, cap=N + 1)
-    if len(G) != N:
-        raise ValueError("canonical G has order %d, expected %d" % (len(G), N))
-    return g_gens, G
+    Li = fpalg.matrix_to_perm(fpalg.mat_pow(L, p - i, p), p)  # L^-i, as L has order p
+    # translation then L^-i
+    gens = [trans[0], Li[trans[1]]] if n == 2 else [trans[1], trans[2], Li[trans[0]]]
+    rows = _row_powers(gens[0], 1)  # the identity alone
+    for g in gens:
+        rows = _then(rows, _row_powers(g, p))
+    rows.flags.writeable = False  # the cache hands the same array to every caller
+    return rows
 
 
 def _seed_for_config(p, n, i, M2):
     """The seed of one canonical configuration, read off X = G<s>.
 
-    Affine maps of F_p^n are index permutations held as tuples: the
-    translations are columns of the addition table, the linear maps come
-    from matrix_to_perm.  X is the element list G * <s>; FiniteGroup
-    rejects duplicates, so a collapsing product fails here, and
-    extract_skew checks the rest of the factorization.
+    Affine maps of F_p^n are index permutation rows: the translations are
+    columns of the addition table, the linear maps come from
+    matrix_to_perm.  X is the permutation group on the rows g then s^e,
+    coded g * o + e with o the order of s, like the pairs of a skew
+    product.  It rejects duplicate rows and any product that leaves
+    them, G is closed inside X, and extract_skew checks the rest of the
+    factorization.
     """
-    g_gens, G = _config_group(p, n, i)
-    carrier = G.carrier
-    mul = carrier.mul
+    N = p ** n
     L = fpalg.canonical_unipotent(n, p)
     k = fpalg.matrix_order(M2, p)
-    s = _as_perm(_crt_sigma(L, M2, k, p), p)
-    spows = [carrier.identity]
-    for _ in range(k * p - 1):
-        spows.append(mul(spows[-1], s))
-    X = ge.FiniteGroup(carrier, [mul(g, sp) for g in G.elements for sp in spows],
-                       g_gens + (s,))
-    return sc.extract_skew(X, G, s, g_gens)
+    s = fpalg.matrix_to_perm(_crt_sigma(L, M2, k, p), p)
+    o = k * p
+    g_codes = [p ** (n - 1 - j) * o for j in range(n)]
+    X = ge.permutation_group(_then(_config_group(p, n, i), _row_powers(s, o)),
+                             g_codes + [1])
+    G = X.subgroup(g_codes)
+    if len(G) != N:
+        raise ValueError("canonical G has order %d, expected %d" % (len(G), N))
+    return sc.extract_skew(X, G, 1, g_codes)
 
 
 def _seed_chunk(args):

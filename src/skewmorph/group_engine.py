@@ -1,16 +1,15 @@
 """Small concrete finite groups: closures, characteristic subgroups, extensions.
 
-Elements are hashable python values; a Carrier bundles the multiplication,
-inversion and identity for one representation (permutation tuples, pairs
-of a skew product, plain integers mod m).  Groups are immutable once built
-and every query here is pure, so all of this is safe to sweep in parallel
-from the callers.
+Every group here is int-coded: a Carrier holds one multiplication and
+inversion on the codes 0..size-1, with identity 0, that broadcast over
+numpy index arrays and return python ints for python ints.  A
+FiniteGroup is a subgroup of its carrier, its elements a sorted tuple of
+codes.  Groups are immutable once built and every query here is pure, so
+all of this is safe to sweep in parallel from the callers.
 
-The groups built here (elementary abelian groups and their cyclic
-extensions) are index-coded: the elements are the ints 0..|X|-1 with
-identity 0, and one multiplication serves a python int and a numpy index
-array alike, returning the same kind it was given.  F_p^n is its point
-indices under the _kernels addition table.
+The carriers built here are cyclic groups, F_p^n on its point indices
+under the _kernels addition table, cyclic extensions of those, quotients
+and permutation groups given by all of their rows.
 
 Extensions by a cyclic group are given by the conjugation action of the
 top generator on base generators, the way presentations state relations
@@ -23,12 +22,11 @@ build_extension refuses specs whose action fails to extend to an
 automorphism or whose t-th power is not conjugation by c, and checks the
 law it builds on index arrays before returning the group.
 
-The subgroup searches (normal elementary abelian subgroups, complements)
-close their candidates through close_many, one array BFS over a batch of
-generator rows of an int-coded group.  A group on other elements is first
-re-coded on 0..|X|-1 by its Cayley table, up to 1,000 elements.
-derived_is_abelian closes the derived subgroup of any int-coded group,
-the skew products of skew_core among them, through close_many as well.
+Every subgroup is closed by close_many, one array BFS over a batch of
+generator rows: FiniteGroup.from_generators closes one row, the subgroup
+searches (normal elementary abelian subgroups, complements) close their
+candidates in batches, and normal closures, the derived subgroup among
+them, re-close one row until it is closed under conjugation.
 """
 
 import itertools
@@ -49,22 +47,26 @@ class ClosureCapError(RuntimeError):
 
 
 class Carrier:
-    """Multiplication oracle shared by the elements of one representation."""
+    """Multiplication and inversion of one int-coded group, on the codes
+    0..size-1 with identity 0."""
 
-    __slots__ = ("mul", "inv", "identity", "name")
+    __slots__ = ("mul", "inv", "size", "name")
 
-    def __init__(self, mul, inv, identity, name="carrier"):
+    def __init__(self, mul, inv, size, name="carrier"):
         self.mul = mul
         self.inv = inv
-        self.identity = identity
+        self.size = size
         self.name = name
+
+    def __len__(self):
+        return self.size
 
     def __repr__(self):
         return "Carrier(%s)" % self.name
 
 
 def cyclic_carrier(m):
-    return Carrier(lambda a, b: (a + b) % m, lambda a: (-a) % m, 0, "Z_%d" % m)
+    return Carrier(lambda a, b: (a + b) % m, lambda a: (-a) % m, m, "Z_%d" % m)
 
 
 def _code(x):
@@ -72,28 +74,30 @@ def _code(x):
     return x if isinstance(x, np.ndarray) else int(x)
 
 
-def perm_carrier(degree):
-    """Permutations of range(degree) as tuples; a * b is "a then b"."""
-    def mul(a, b):
-        return tuple([b[x] for x in a])
-    def inv(a):
-        out = [0] * degree
-        for x, y in enumerate(a):
-            out[y] = x
-        return tuple(out)
-    return Carrier(mul, inv, tuple(range(degree)), "Sym(%d)" % degree)
+def powers(mul, x, count):
+    """x^0, x^1, ... as an int array, up to x^(count-1) or up to the last
+    power before the identity, whichever comes first: by doubling, one
+    product of all the powers so far per step."""
+    pows, step = np.zeros(1, dtype=np.int64), x
+    while len(pows) < count:
+        new = mul(step, pows)
+        back = np.flatnonzero(new == 0)
+        if back.size:
+            return np.concatenate([pows, new[:back[0]]])[:count]
+        pows, step = np.concatenate([pows, new]), mul(step, step)
+    return pows[:count]
 
 
 class FiniteGroup:
-    """Element list (deterministic order), hash set, generators, carrier."""
+    """A subgroup of an int-coded carrier: its elements as a sorted tuple
+    of codes and as a set, and its generators."""
 
     __slots__ = ("carrier", "elements", "element_set", "generators")
+    identity = 0
 
     def __init__(self, carrier, elements, generators):
         self.carrier = carrier
-        if not isinstance(elements, (list, tuple)):
-            elements = sorted(elements, key=repr)
-        self.elements = tuple(elements)
+        self.elements = tuple(sorted(elements))
         self.element_set = frozenset(self.elements)
         self.generators = tuple(generators)
         if len(self.element_set) != len(self.elements):
@@ -101,12 +105,11 @@ class FiniteGroup:
 
     @classmethod
     def from_generators(cls, carrier, gens, cap=CLOSURE_CAP):
-        elems = _close(carrier, gens, cap)
-        return cls(carrier, elems, tuple(gens))
-
-    @property
-    def identity(self):
-        return self.carrier.identity
+        gens = tuple(gens)
+        mask, over = close_many(carrier, [gens], cap)
+        if over[0]:
+            raise ClosureCapError("closure exceeds cap %d" % cap)
+        return cls(carrier, np.flatnonzero(mask[0]).tolist(), gens)
 
     def mul(self, a, b):
         return self.carrier.mul(a, b)
@@ -123,21 +126,21 @@ class FiniteGroup:
     def __iter__(self):
         return iter(self.elements)
 
+    def cycle(self, x):
+        """x^0 .. x^(o-1), o the order of x, as an int array."""
+        pows = powers(self.mul, x, len(self) + 1)
+        if len(pows) > len(self):
+            raise ValueError("element order exceeds group order; not closed?")
+        return pows
+
     def element_order(self, x):
-        e = self.carrier.identity
-        y = x
-        o = 1
-        while y != e:
-            y = self.mul(y, x)
-            o += 1
-            if o > len(self.elements):
-                raise ValueError("element order exceeds group order; not closed?")
-        return o
+        return len(self.cycle(x))
 
     def power(self, x, e):
+        """x^e by doubling, for a code or an array of codes."""
         if e < 0:
             x, e = self.inv(x), -e
-        out = self.carrier.identity
+        out = 0
         while e:
             if e & 1:
                 out = self.mul(out, x)
@@ -153,16 +156,10 @@ class FiniteGroup:
         return self.mul(self.mul(self.inv(a), self.inv(b)), self.mul(a, b))
 
     def conjugacy_class(self, x):
-        seen = {x}
-        queue = [x]
-        while queue:
-            y = queue.pop()
-            for g in self.generators:
-                c = self.conj(y, g)
-                if c not in seen:
-                    seen.add(c)
-                    queue.append(c)
-        return frozenset(seen)
+        """The conjugates of x, as a sorted int array: one product over
+        all of the group's elements."""
+        g = np.array(self.elements)
+        return np.unique(self.conj(x, g))
 
     def subgroup(self, gens, cap=CLOSURE_CAP):
         H = FiniteGroup.from_generators(self.carrier, gens, cap)
@@ -181,46 +178,59 @@ class FiniteGroup:
         return "FiniteGroup(|G|=%d, %s)" % (len(self.elements), self.carrier.name)
 
 
-def _close(carrier, gens, cap):
-    gens = list(gens)
-    elems = [carrier.identity]
-    seen = {carrier.identity}
-    queue = list(elems)
-    for g in gens:
-        if g not in seen:
-            seen.add(g)
-            elems.append(g)
-            queue.append(g)
-    while queue:
-        x = queue.pop(0)
-        for g in gens:
-            y = carrier.mul(x, g)
-            if y not in seen:
-                if len(seen) >= cap:
-                    raise ClosureCapError("closure exceeds cap %d" % cap)
-                seen.add(y)
-                elems.append(y)
-                queue.append(y)
-    return elems
+def permutation_group(rows, generators, name="permutations"):
+    """The group of all of the given permutation rows, coded by row number.
+
+    Rows keep the order given, the identity first, and a * b is "a then
+    b", x -> b[a[x]].  A product row is located by its _kernels row-hash
+    key and a binary search over the sorted keys, then compared with the
+    row found, so a product that leaves the rows raises ValueError, as do
+    duplicate rows.
+    """
+    rows = np.ascontiguousarray(rows)
+    M, N = rows.shape
+    if (rows[0] != np.arange(N)).any():
+        raise ValueError("the first row must be the identity")
+    w = K._hash_weights(N)
+    keys = rows @ w
+    order = np.argsort(keys)
+    keys = keys[order]
+    same = np.flatnonzero(keys[1:] == keys[:-1])
+    if same.size:
+        dup = (rows[order[same]] == rows[order[same + 1]]).all(axis=1).any()
+        raise ValueError("duplicate rows" if dup else "row keys collide")
+    flat = rows.ravel()
+
+    def locate(prod):
+        at = order[np.minimum(np.searchsorted(keys, prod @ w), M - 1)]
+        if (rows[at] != prod).any():
+            raise ValueError("a product leaves the permutation group")
+        return _code(at)
+
+    def mul(a, b):
+        return locate(flat.take(np.multiply(b, N)[..., None] + rows[a]))
+
+    def inv(a):
+        return locate(np.argsort(rows[a], axis=-1))
+
+    return FiniteGroup(Carrier(mul, inv, M, name), range(M), generators)
 
 
 # mask cells per close_many call of the subgroup searches; larger chunks
 # gain no speed on e1 and raise peak memory
 CLOSE_CELLS = 1 << 18
-# largest group the searches re-code by a Cayley table
-TABLE_MAX = 1000
 
 
 def close_many(X, gens, cap):
     """Membership masks of the subgroups generated by the rows of gens.
 
-    X is int-coded: elements 0..|X|-1, identity 0, a law that broadcasts.
-    gens is a (B, w) array of codes; a shorter row is padded with the
-    identity, which leaves its subgroup as it is.  One BFS layer is one
-    product of every row's frontier by that row's generators.  Returns
-    the (B, |X|) masks and a (B,) flag for the rows whose subgroup has
-    more than cap elements; such a row stops growing there, so its mask
-    is partial.
+    X is an int-coded law: a carrier, or any group on all of its codes,
+    with len(X) codes, identity 0 and a mul that broadcasts.  gens is a
+    (B, w) array of codes; a shorter row is padded with the identity,
+    which leaves its subgroup as it is.  One BFS layer is one product of
+    every row's frontier by that row's generators.  Returns the (B, |X|)
+    masks and a (B,) flag for the rows whose subgroup has more than cap
+    elements; such a row stops growing there, so its mask is partial.
     """
     gens = np.asarray(gens, dtype=np.int64)
     B, n = len(gens), len(X)
@@ -259,27 +269,6 @@ def _elementary_rows(X, rows, p):
     return (power == 0).all(axis=1) & (X.mul(a, b) == X.mul(b, a)).all(axis=(1, 2))
 
 
-def _index_coded(X):
-    """(Y, elems): Y is X on the codes 0..|X|-1 and elems[c] the element
-    of X with code c.  An int-coded X is its own Y.  Any other X is
-    re-coded through a Cayley table of |X|^2 scalar products, identity
-    first and the rest in X's element order; above TABLE_MAX elements
-    that is refused."""
-    n = len(X)
-    if X.identity == 0 and X.elements == tuple(range(n)):
-        return X, X.elements
-    if n > TABLE_MAX:
-        raise ValueError("%d elements are too many to re-code by a Cayley table "
-                         "(at most %d)" % (n, TABLE_MAX))
-    elems = (X.identity,) + tuple(x for x in X.elements if x != X.identity)
-    ids = {x: i for i, x in enumerate(elems)}
-    T = np.array([[ids[X.mul(a, b)] for b in elems] for a in elems], dtype=np.int64)
-    inv = np.argmin(T, axis=1)  # the identity 0 is the row minimum
-    carrier = Carrier(lambda a, b: _code(T[a, b]), lambda a: _code(inv[a]), 0,
-                      X.carrier.name + " by table")
-    return FiniteGroup(carrier, list(range(n)), [ids[g] for g in X.generators]), elems
-
-
 def _require_subgroup(H, X):
     if H.carrier is not X.carrier:
         raise ValueError("carrier mismatch")
@@ -296,76 +285,78 @@ def is_normal(H, X):
     return True
 
 
+def _greedy_span(C, elems):
+    """(generators, mask) of the subgroup of the carrier C spanned by
+    elems: each element that lies outside the span of those before it
+    joins the generators."""
+    gens, span = [], np.zeros(len(C), dtype=bool)
+    span[0] = True
+    for x in elems:
+        if not span[x]:
+            gens.append(x)
+            span = close_many(C, [gens], len(C))[0][0]
+    return gens, span
+
+
 def _spanned(X, elems):
     """The subgroup of X on elems, a subgroup listed in order, generated
-    by each element that lies outside the span of those before it."""
-    gens, span = [], {X.identity}
-    for x in elems:
-        if x not in span:
-            gens.append(x)
-            span = set(_close(X.carrier, gens, CLOSURE_CAP))
-    return FiniteGroup(X.carrier, elems, gens)
+    greedily by _greedy_span."""
+    return FiniteGroup(X.carrier, elems, _greedy_span(X.carrier, elems)[0])
 
 
 def core(H, X):
     """Largest normal subgroup of X inside H, by shrinking to a fixpoint."""
     _require_subgroup(H, X)
-    K = set(H.element_set)
+    keep = np.zeros(len(X.carrier), dtype=bool)
+    keep[list(H.elements)] = True
+    gens = np.array(X.generators, dtype=np.int64)
     while True:
-        K2 = {x for x in K if all(X.conj(x, g) in K for g in X.generators)}
-        if K2 == K:
-            break
-        K = K2
-    return _spanned(X, [x for x in H.elements if x in K])
+        ks = np.flatnonzero(keep)
+        out = ~keep[X.conj(ks[:, None], gens)].all(axis=1)
+        if not out.any():
+            return _spanned(X, ks.tolist())
+        keep[ks[out]] = False
 
 
 def centralizer(X, S):
-    S = tuple(S)
-    return _spanned(X, [x for x in X.elements
-                        if all(X.mul(x, s) == X.mul(s, x) for s in S)])
+    e = np.array(X.elements)[:, None]
+    s = np.array(tuple(S), dtype=np.int64)
+    return _spanned(X, e[(X.mul(e, s) == X.mul(s, e)).all(axis=1), 0].tolist())
 
 
-def normal_closure(X, seeds, cap=CLOSURE_CAP):
-    gens = []
-    for s in seeds:
-        if s != X.identity and s not in gens:
-            gens.append(s)
-    H = FiniteGroup.from_generators(X.carrier, gens, cap) if gens else \
-        FiniteGroup(X.carrier, [X.identity], ())
-    while True:
-        new = []
-        for s in list(gens):
-            for g in X.generators:
-                c = X.conj(s, g)
-                if c not in H.element_set:
-                    new.append(c)
-        if not new:
-            return H
-        gens.extend(new)
-        H = FiniteGroup.from_generators(X.carrier, gens, cap)
+def _normal_closure(X, gens, seeds):
+    """(generators, mask) of the normal closure of seeds in the group
+    that gens generate in the int-coded law X: the conjugates of each
+    generator by gens join the generators until they all lie in the
+    subgroup, which close_many closes anew after each addition."""
+    gens = np.asarray(gens, dtype=np.int64)
+    ginv = X.inv(gens)
+    ngens = list(dict.fromkeys(s for s in seeds if s != 0))
+    mask = close_many(X, [ngens], len(X))[0][0]
+    for x in ngens:  # the loop also visits the generators it appends
+        for c in X.mul(X.mul(ginv, x), gens).tolist():
+            if not mask[c]:
+                ngens.append(c)
+                mask = close_many(X, [ngens], len(X))[0][0]
+    return ngens, mask
+
+
+def normal_closure(X, seeds):
+    gens, mask = _normal_closure(X.carrier, X.generators, seeds)
+    return FiniteGroup(X.carrier, np.flatnonzero(mask).tolist(), gens)
 
 
 def derived_is_abelian(X, gens):
     """Whether the derived subgroup of the int-coded group <gens> is abelian.
 
-    X' is the normal closure of the commutators of the generators: their
-    conjugates by the generators are added until they all lie in the
-    subgroup, which close_many closes anew after each addition, and X' is
-    abelian exactly when its generators commute.
+    X' is the normal closure of the commutators of the generators, and it
+    is abelian exactly when its generators commute.
     """
     gens = np.asarray(gens, dtype=np.int64)
     ginv = X.inv(gens)
     comms = X.mul(X.mul(ginv[:, None], ginv[None, :]), X.mul(gens[:, None], gens[None, :]))
-    dgens = sorted(set(comms.ravel().tolist()) - {0})
-    mask = close_many(X, [dgens], len(X))[0][0]
-    i = 0
-    while i < len(dgens):
-        for c in X.mul(X.mul(ginv, dgens[i]), gens).tolist():
-            if not mask[c]:
-                dgens.append(c)
-                mask = close_many(X, [dgens], len(X))[0][0]
-        i += 1
-    d = np.array(dgens, dtype=np.int64)
+    d = np.array(_normal_closure(X, gens, sorted(set(comms.ravel().tolist())))[0],
+                 dtype=np.int64)
     return bool((X.mul(d[:, None], d[None, :]) == X.mul(d[None, :], d[:, None])).all())
 
 
@@ -392,14 +383,12 @@ def prime_power_split(m):
 
 
 def omega1_pgroup(P):
-    """The subgroup generated by the elements of order p.  An element of
-    order p joins the generators only when the span so far misses it."""
+    """The subgroup generated by the elements of order p, spanned
+    greedily in element order by _greedy_span."""
     p, _ = prime_power_split(len(P))
-    om = FiniteGroup(P.carrier, [P.identity], ())
-    for x in P.elements:
-        if x not in om.element_set and P.power(x, p) == P.identity:
-            om = FiniteGroup.from_generators(P.carrier, om.generators + (x,))
-    return om
+    e = np.array(P.elements)
+    gens, span = _greedy_span(P.carrier, e[P.power(e, p) == 0].tolist())
+    return FiniteGroup(P.carrier, np.flatnonzero(span).tolist(), gens)
 
 
 # ---------------------------------------------------------------------------
@@ -495,21 +484,18 @@ def normal_elem_abelian_subgroups(X, rank, p=None):
         raise ValueError("group too large for the subgroup search")
     if p is None:
         p = _infer_p(X, rank)
-    Y, elems = _index_coded(X)
-    ids = {x: i for i, x in enumerate(elems)}
+    C = X.carrier
     target = p ** rank
+    e = np.array(X.elements)
     classes = []
-    seen = set()
-    for x in X.elements:
-        if x in seen or x == X.identity:
-            continue
-        if X.power(x, p) != X.identity:
-            continue
-        cl = X.conjugacy_class(x)
-        seen |= cl
-        classes.append(tuple(sorted(cl, key=repr)))
-    cl_ids = [np.array([ids[x] for x in cl]) for cl in classes]
-    powers = p ** np.arange(rank + 1)
+    seen = np.zeros(len(C), dtype=bool)
+    seen[0] = True
+    for x in e[X.power(e, p) == 0].tolist():
+        if not seen[x]:
+            cl = X.conjugacy_class(x)
+            seen[cl] = True
+            classes.append(cl)
+    sizes = p ** np.arange(rank + 1)
 
     nodes = set()
     queue = []
@@ -518,10 +504,10 @@ def normal_elem_abelian_subgroups(X, rank, p=None):
         # short rows are padded with the identity 0
         rows = np.zeros((len(joins), max(map(len, joins), default=0)), dtype=np.int64)
         for r, gens in enumerate(joins):
-            rows[r, :len(gens)] = [ids[x] for x in gens]
-        for a, masks, over in _close_chunks(Y, rows, target):
+            rows[r, :len(gens)] = gens
+        for a, masks, over in _close_chunks(C, rows, target):
             size = masks.sum(axis=1)
-            ok = ~over & np.isin(size, powers) & _elementary_rows(Y, rows[a:a + len(masks)], p)
+            ok = ~over & np.isin(size, sizes) & _elementary_rows(C, rows[a:a + len(masks)], p)
             for i in np.flatnonzero(ok):
                 key = masks[i].tobytes()
                 if key not in nodes:
@@ -529,16 +515,15 @@ def normal_elem_abelian_subgroups(X, rank, p=None):
                     queue.append((joins[a + i], masks[i].copy(), size[i]))
 
     found = []
-    visit(classes)
+    visit([tuple(cl.tolist()) for cl in classes])
     while queue:
         gens, mask, size = queue.pop()
         if size == target:
             found.append(gens)
             continue
-        visit([gens + tuple(x for x, i in zip(cl, idx) if not mask[i])
-               for cl, idx in zip(classes, cl_ids) if not mask[idx].all()])
-    out = [FiniteGroup.from_generators(X.carrier, gens, target) for gens in found]
-    out.sort(key=lambda H: sorted(map(repr, H.elements)))
+        visit([gens + tuple(cl[~mask[cl]].tolist()) for cl in classes if not mask[cl].all()])
+    out = [FiniteGroup.from_generators(C, gens, target) for gens in found]
+    out.sort(key=lambda H: H.elements)
     for N in out:
         assert is_normal(N, X)
     return out
@@ -551,36 +536,35 @@ def find_complement(X, N, pair_cap=10 ** 5):
     whose orders divide |X|/|N|, pairs in (i < j) order.  Complements of
     larger generating rank are out of scope and trip the cap instead of
     silently missing.  The candidates are closed in chunks by close_many
-    and the first accepted K is rebuilt on X's own elements.
+    and only the first accepted K is built as a FiniteGroup.
     """
     _require_subgroup(N, X)
     m = len(X) // len(N)
     if len(N) * m != len(X):
         raise ValueError("|N| does not divide |X|")
     if m == 1:
-        return FiniteGroup(X.carrier, [X.identity], ())
-    Y, elems = _index_coded(X)
-    ids = {x: i for i, x in enumerate(elems)}
-    n_ids = np.array([ids[x] for x in N.elements])
+        return FiniteGroup(X.carrier, [0], ())
+    C = X.carrier
+    e = np.array(X.elements[1:])
+    n_codes = list(N.elements)
 
     # any K through x needs <x> to miss N and its order to divide m
     cands = []
-    for a, masks, over in _close_chunks(Y, np.arange(1, len(Y))[:, None], m):
+    for a, masks, over in _close_chunks(C, e[:, None], m):
         size = masks.sum(axis=1)
-        keep = ~over & (m % size == 0) & (np.count_nonzero(masks[:, n_ids], axis=1) == 1)
-        cands += (np.flatnonzero(keep) + a + 1).tolist()
+        keep = ~over & (m % size == 0) & (np.count_nonzero(masks[:, n_codes], axis=1) == 1)
+        cands += e[a + np.flatnonzero(keep)].tolist()
         cyclic = np.flatnonzero(keep & (size == m))
         if cyclic.size:
-            return X.subgroup((elems[a + 1 + cyclic[0]],))
+            return X.subgroup((int(e[a + cyclic[0]]),))
     n_pairs = len(cands) * (len(cands) - 1) // 2
     if n_pairs > pair_cap:
         raise RuntimeError("complement pair search exceeds cap (%d pairs)" % n_pairs)
     rows = np.array(cands, dtype=np.int64)[np.stack(np.triu_indices(len(cands), 1), axis=1)]
-    for a, masks, over in _close_chunks(Y, rows, m):
-        hit = ~over & (masks.sum(axis=1) == m) & (np.count_nonzero(masks[:, n_ids], axis=1) == 1)
+    for a, masks, over in _close_chunks(C, rows, m):
+        hit = ~over & (masks.sum(axis=1) == m) & (np.count_nonzero(masks[:, n_codes], axis=1) == 1)
         if hit.any():
-            x, y = rows[a + np.argmax(hit)]
-            return FiniteGroup.from_generators(X.carrier, (elems[x], elems[y]), cap=m)
+            return FiniteGroup.from_generators(C, rows[a + np.argmax(hit)].tolist(), cap=m)
     return None
 
 
@@ -589,34 +573,31 @@ def has_complement(X, N):
 
 
 def quotient_group(X, N):
-    """X/N for normal N.  Cosets are frozensets; returns (group, coset map).
+    """X/N for normal N; returns (group, cmap).
 
-    Multiplication picks an arbitrary representative, which is sound
-    exactly because N is normal.
+    The cosets are coded 0..|X/N|-1 in the order of their smallest
+    elements, and cmap is an int array over the codes of X's carrier that
+    maps each element of X to its coset (-1 outside X).  Multiplication
+    picks the smallest element of each coset, which is sound exactly
+    because N is normal.
     """
     if not is_normal(N, X):
         raise ValueError("N is not normal in X")
-    coset_of = {}
-    cosets = []
-    for x in X.elements:
-        if x in coset_of:
-            continue
-        cs = frozenset(X.mul(x, n) for n in N.elements)
-        for y in cs:
-            coset_of[y] = cs
-        cosets.append(cs)
+    e = np.array(X.elements)
+    low = X.mul(e[:, None], np.array(N.elements)).min(axis=1)
+    reps = np.unique(low)
+    cmap = np.full(len(X.carrier), -1, dtype=np.int64)
+    cmap[e] = np.searchsorted(reps, low)
 
     def mul(a, b):
-        return coset_of[X.mul(next(iter(a)), next(iter(b)))]
+        return _code(cmap[X.mul(reps[a], reps[b])])
 
     def inv(a):
-        return coset_of[X.inv(next(iter(a)))]
+        return _code(cmap[X.inv(reps[a])])
 
-    ident = coset_of[X.identity]
-    carrier = Carrier(mul, inv, ident, "%s/N%d" % (X.carrier.name, len(N)))
-    gens = tuple(dict.fromkeys(
-        coset_of[g] for g in X.generators if coset_of[g] != ident))
-    return FiniteGroup(carrier, cosets, gens), coset_of
+    carrier = Carrier(mul, inv, len(reps), "%s/N%d" % (X.carrier.name, len(N)))
+    gens = tuple(dict.fromkeys(c for c in cmap[list(X.generators)].tolist() if c))
+    return FiniteGroup(carrier, range(len(reps)), gens), cmap
 
 
 # ---------------------------------------------------------------------------
@@ -673,9 +654,9 @@ def build_extension(spec, assoc_samples=10 ** 5):
     if t < 1:
         raise ValueError("top order must be positive")
     nb = len(base)
-    if base.identity != 0 or base.elements != tuple(range(nb)):
-        raise ValueError("the base must be index-coded: elements 0..|B|-1, identity 0")
-    c = spec.twist if spec.twist is not None else base.identity
+    if base.elements != tuple(range(nb)):
+        raise ValueError("the base must be all of its carrier: elements 0..|B|-1")
+    c = spec.twist if spec.twist is not None else 0
     if c not in base.element_set:
         raise ValueError("twist element is not in the base")
     alpha = _extend_action(base, spec.action)
@@ -710,9 +691,9 @@ def build_extension(spec, assoc_samples=10 ** 5):
         b, j = divmod(u, t)
         return _code(wrap[j, base.inv(b)]) * t + (-j) % t
 
-    carrier = Carrier(mul, inv, 0, spec.name)
+    carrier = Carrier(mul, inv, nb * t, spec.name)
     gens = tuple(g * t for g in base.generators) + (1 % t,)
-    X = FiniteGroup(carrier, list(range(nb * t)), gens)
+    X = FiniteGroup(carrier, range(nb * t), gens)
     _self_test(X, assoc_samples)
     return X
 
@@ -756,7 +737,7 @@ def _self_test(X, assoc_samples):
 
 
 def cyclic_group(m):
-    return FiniteGroup(cyclic_carrier(m), list(range(m)), (1 % m,) if m > 1 else ())
+    return FiniteGroup(cyclic_carrier(m), range(m), (1 % m,) if m > 1 else ())
 
 
 def elementary_abelian_group(p, n):
@@ -764,8 +745,8 @@ def elementary_abelian_group(p, n):
     the generators are the basis vectors."""
     add, _, neg = (tab.astype(np.int64) for tab in K.index_tables(p, n))
     carrier = Carrier(lambda a, b: _code(add[a, b]), lambda a: _code(neg[a]),
-                      0, "Z_%d^%d" % (p, n))
-    return FiniteGroup(carrier, list(range(p ** n)),
+                      p ** n, "Z_%d^%d" % (p, n))
+    return FiniteGroup(carrier, range(p ** n),
                        tuple(p ** (n - 1 - j) for j in range(n)))
 
 

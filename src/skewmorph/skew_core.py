@@ -14,7 +14,13 @@ compute the law on ids from the addition table of G, the powers of s and
 the running sums of pi, for python ints and numpy id arrays alike, so no
 Cayley table of the whole group is ever built: the group-law self-test
 runs in chunks, and the derived subgroup is closed by
-group_engine.close_many.
+group_engine.close_many.  as_finite_group gives the same law as a
+group_engine group on the ids.
+
+extract_skew reads a skew-morphism back off any complementary
+factorization X = G<s> of an int-coded group, in array passes: powers by
+doubling, G labelled by broadcast products of generator powers, and every
+candidate factor looked up in one dense label array.
 """
 
 import json
@@ -27,7 +33,6 @@ from . import fpalg
 from . import group_engine as ge
 from .fpalg import check_prime
 
-JSON_FIELDS = ("p", "n", "order", "k", "m", "sigma", "pi", "automorphism")
 # products per chunk of the skew product's self-test: at M = 2,352 the
 # row check takes 0.08 s in chunks of 2^15 and 0.14 s in chunks of 2^18,
 # whose arrays no longer stay in cache
@@ -243,12 +248,9 @@ class SkewProductGroup:
         ib = (-int(self.PS[ia, gb])) % self.order
         return (gb, ib)
 
-    @property
-    def identity(self):
-        return (0, 0)
-
     def sigma_pair(self, e=1):
-        return (0, e % self.order)
+        """The id of (0, e), sigma^e."""
+        return e % self.order
 
     def self_test(self):
         """Group-law check through mul: the identity on every id, every
@@ -290,12 +292,9 @@ class SkewProductGroup:
         return ge.derived_is_abelian(self, self.generator_ids())
 
     def as_finite_group(self):
-        carrier = ge.Carrier(
-            mul=self.mult_pairs, inv=self.inv_pair, identity=self.identity)
-        elements = frozenset(
-            (g, i) for g in range(self.N) for i in range(self.order))
-        gens = tuple(self.id_pair(i) for i in self.generator_ids())
-        return ge.FiniteGroup(carrier, elements, gens)
+        """X as a group_engine group on the ids 0..M-1, with the ids law."""
+        carrier = ge.Carrier(self.mul, self.inv, self.M, "skew product")
+        return ge.FiniteGroup(carrier, range(self.M), self.generator_ids().tolist())
 
 
 def build_skew_product(sk):
@@ -312,75 +311,54 @@ def extract_skew(X, G, s, generators):
     X and G are FiniteGroup instances sharing a carrier, s an element of X
     with X = G<s>, G ∩ <s> = 1 and <s> core-free; generators fixes the
     isomorphism G -> F_p^n (listed generator order maps to basis order).
+    The label of g' is read for all g and all i at once, from a dense
+    label array over the carrier's codes.
     """
     mul, inv = X.mul, X.inv
-    order = X.element_order(s)
+    s_pows = X.cycle(s)
+    order = len(s_pows)
     p_pow = len(G.elements)
     p, n = ge.prime_power_split(p_pow)
     if len(generators) != n:
         raise ValueError("need %d generators, got %d" % (n, len(generators)))
-
-    s_pows = [X.carrier.identity]
-    for _ in range(order - 1):
-        s_pows.append(mul(s_pows[-1], s))
-    s_set = set(s_pows)
-    if len(s_set) != order:
+    if np.unique(s_pows).size != order:
         raise ValueError("element powers collapse early")
     if len(X.elements) != p_pow * order:
         raise ValueError("|X| != |G| * order(s), not a complementary factorization")
-    if any(x in s_set and x != X.carrier.identity for x in G.elements):
+    in_g = np.zeros(len(X.carrier), dtype=bool)
+    in_g[list(G.elements)] = True
+    if in_g[s_pows[1:]].any():
         raise ValueError("G meets <s> nontrivially")
     _check_corefree(X, s_pows, order)
 
-    # label G by generator exponents, big-endian like the point indices
-    label = {}
-    for idx in range(p_pow):
-        exps = []
-        r = idx
-        for j in range(n - 1, -1, -1):
-            exps.append((r // p ** j) % p)
-            r %= p ** j
-        elem = X.carrier.identity
-        for g, e in zip(generators, exps):
-            for _ in range(e):
-                elem = mul(elem, g)
-        if elem in label:
-            raise ValueError("generators do not label G freely")
-        label[elem] = idx
-    if set(label) != set(G.elements):
+    # label G by generator exponents, big-endian like the point indices:
+    # elems[idx] = g_1^e_1 ... g_n^e_n for idx = sum e_j p^(n-j)
+    elems = np.zeros(1, dtype=np.int64)
+    for g in generators:
+        elems = mul(elems[:, None], ge.powers(mul, g, p)).ravel()
+    if elems.size != p_pow or np.unique(elems).size != p_pow:
+        raise ValueError("generators do not label G freely")
+    if not in_g[elems].all():
         raise ValueError("generators do not generate G")
+    label = np.full(len(X.carrier), -1, dtype=np.int64)
+    label[elems] = np.arange(p_pow)
 
-    s_inv_pows = [inv(x) for x in s_pows]
-    images = np.zeros(p_pow, dtype=K.IDX_DTYPE)
-    elems = sorted(label.items(), key=lambda kv: kv[1])
-    for elem, idx in elems:
-        t = mul(s, elem)
-        for e in range(order):
-            cand = mul(t, s_inv_pows[e])
-            if cand in label:
-                images[idx] = label[cand]
-                break
-        else:
-            raise ValueError("no factorization g' s^e found; not complementary")
+    # s g = g' s^e: g' = s g s^-e is the one candidate in G, per g
+    cand = label[mul(mul(s, elems)[:, None], inv(s_pows))]
+    found = cand >= 0
+    if not found.any(axis=1).all():
+        raise ValueError("no factorization g' s^e found; not complementary")
+    images = cand[np.arange(p_pow), found.argmax(axis=1)].astype(K.IDX_DTYPE)
     return validate(p, n, images)
 
 
 def _check_corefree(X, s_pows, order):
     # a nontrivial normal subgroup inside <s> would contain a prime-order
     # subgroup of <s>, itself normal, so minimal subgroups suffice
+    gens = np.array(X.generators, dtype=np.int64)[:, None]
     for q in fpalg.prime_divisors(order):
-        d = order // q
-        sub = {s_pows[(d * t) % order] for t in range(q)}
-        normal = True
-        for g in X.generators:
-            gi = X.inv(g)
-            for x in sub:
-                if X.mul(X.mul(gi, x), g) not in sub:
-                    normal = False
-                    break
-            if not normal:
-                break
-        if normal:
+        sub = s_pows[::order // q]
+        if (X.conj(sub, gens)[..., None] == sub).any(axis=-1).all():
             raise ValueError("<s> is not core-free: order-%d subgroup is normal" % q)
 
 

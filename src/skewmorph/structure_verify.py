@@ -181,7 +181,7 @@ def find_affine_embedding(sk):
         return AffineEmbedding(True, "G", n, None, 0)
 
     X = sc.SkewProductGroup(sk, check=False)
-    add, S, PS = X.add, X.S.astype(np.int64), X.PS.astype(np.int64)
+    add, S, PS = X.add, X.S, X.PS
 
     idx = np.arange(N)
     kk = k % o
@@ -380,17 +380,8 @@ def build_and_verify_example(name):
     raise ValueError("unknown example %r" % name)
 
 
-def _sigma_cyclic(X, s):
-    out = [X.identity]
-    acc = s
-    while acc != X.identity:
-        out.append(acc)
-        acc = X.mul(acc, s)
-    return out
-
-
 def _product_claims(X, G, s, order):
-    spows = set(_sigma_cyclic(X, s))
+    spows = set(X.cycle(s).tolist())
     return [
         Claim("X = G<sigma> with trivial intersection", True,
               len(G) * order == len(X) and len(spows & G.element_set) == 1),
@@ -472,7 +463,7 @@ def _example_report_e2():
                         sk.key() in {t.key() for t in full.skews}))
 
     # the realizing T, found generically in X itself
-    spows = set(_sigma_cyclic(X, s))
+    spows = set(X.cycle(s).tolist())
     ts = [T for T in ge.normal_elem_abelian_subgroups(X, 2, p=3)
           if len(T.element_set & spows) == 1]
     claims.append(Claim("normal rank-2 T with T cap <sigma> = 1 exists", True, len(ts) >= 1))
@@ -511,9 +502,9 @@ def _example_report_e3():
     claims.append(Claim("direct extraction is rejected", True, raised))
 
     Q, cmap = ge.quotient_group(X, Z)
-    gens_q = tuple(cmap[g] for g in d["gens"])
+    gens_q = tuple(cmap[list(d["gens"])].tolist())
     Gq = Q.subgroup(gens_q)
-    sk = sc.extract_skew(Q, Gq, cmap[s], gens_q)
+    sk = sc.extract_skew(Q, Gq, int(cmap[s]), gens_q)
     rep = classify(sk)
     claims.append(Claim("residue skew-morphism order", 9, sk.order))
     claims.append(Claim("residue (k, m)", (1, 2), (sk.k, sk.m)))

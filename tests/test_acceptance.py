@@ -171,8 +171,7 @@ def test_criterion_8_property_suites(small_brutes, struct32, set33, set52, set72
             X = spg.as_finite_group()
             gens = X.generators[: sk.n]
             G = X.subgroup(gens)
-            s = (0, 1) if sk.order > 1 else X.identity
-            sk2 = sc.extract_skew(X, G, s, gens)
+            sk2 = sc.extract_skew(X, G, spg.sigma_pair(), gens)
             assert sk2 == sk and (np.asarray(sk2.pi) == np.asarray(sk.pi)).all()
             assert spg.derived_is_abelian()
             built += 1

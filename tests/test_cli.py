@@ -158,6 +158,16 @@ def test_bench(capsys):
         assert name in text
 
 
+@pytest.mark.parametrize("repeat", ["0", "-2"])
+def test_bench_refuses_repeat_below_one(capsys, repeat):
+    t0 = time.perf_counter()
+    assert run_cli(["bench", "--p", "3", "--n", "2", "--repeat", repeat]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--repeat" in err
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_console_script_wired():
     out = subprocess.run([sys.executable, "-m", "skewmorph.cli", "--help"],
                          capture_output=True, text=True)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -31,14 +33,45 @@ def test_cyclic_and_elementary_abelian():
     assert ge.elementary_abelian_rank(E, 3) == 2
 
 
-def test_perm_carrier_is_a_then_b():
-    c = ge.perm_carrier(4)
-    a, b = (1, 2, 3, 0), (0, 2, 1, 3)
-    # a then b: x -> b[a[x]]
-    assert c.mul(a, b) == tuple(b[a[x]] for x in range(4))
-    assert c.mul(a, c.inv(a)) == c.identity == (0, 1, 2, 3)
-    G = ge.FiniteGroup.from_generators(c, (a, b))
+def _perm_rows(perms):
+    return np.array([list(q) for q in perms])
+
+
+def test_permutation_group_is_a_then_b():
+    # S_4 on all of its rows, the identity first and the rest in order
+    rows = _perm_rows(itertools.permutations(range(4)))
+    S4 = ge.permutation_group(rows, ())
+    assert S4.elements == tuple(range(24)) and S4.identity == 0
+    assert rows[0].tolist() == [0, 1, 2, 3]
+    a, b = 5, 17
+    # a then b: x -> b[a[x]], for ints and for broadcast arrays
+    assert rows[S4.mul(a, b)].tolist() == [rows[b][rows[a][x]] for x in range(4)]
+    codes = np.arange(24)
+    prod = S4.mul(codes[:, None], codes)
+    assert (rows[prod] == rows[codes[None, :, None], rows[:, None, :]]).all()
+    assert type(S4.mul(a, b)) is int
+    assert S4.mul(a, S4.inv(a)) == S4.identity == 0
+    assert (S4.mul(codes, S4.inv(codes)) == 0).all()
+    # a transposition and a 4-cycle generate S_4
+    ids = {tuple(r): i for i, r in enumerate(rows.tolist())}
+    G = S4.subgroup((ids[(1, 0, 2, 3)], ids[(1, 2, 3, 0)]))
     assert len(G) == 24
+
+
+def test_permutation_group_refusals():
+    # rows that are no group: a 3-cycle without its square
+    rows = _perm_rows([(0, 1, 2, 3), (1, 2, 0, 3)])
+    X = ge.permutation_group(rows, (1,))
+    with pytest.raises(ValueError, match="leaves"):
+        X.mul(1, 1)
+    with pytest.raises(ValueError, match="leaves"):
+        X.inv(1)
+    with pytest.raises(ValueError, match="leaves"):
+        X.mul(np.array([0, 1]), 1)
+    with pytest.raises(ValueError, match="duplicate"):
+        ge.permutation_group(_perm_rows([(0, 1, 2), (1, 0, 2), (1, 0, 2)]), ())
+    with pytest.raises(ValueError, match="identity"):
+        ge.permutation_group(_perm_rows([(1, 0, 2), (0, 1, 2)]), ())
 
 
 def test_closure_cap():
@@ -63,8 +96,8 @@ def test_normality_and_core(x54):
     assert len(C) == 3
     assert ge.is_normal(C, X)
     # core is the largest normal subgroup inside G: every strictly larger
-    # subgroup of G through C fails normality
-    P = X.subgroup(X.generators[:2] + ((0, six.k % six.order),))
+    # subgroup of G through C fails normality; sigma^k has the id k
+    P = X.subgroup(X.generators[:2] + (six.k % six.order,))
     assert len(P) == 27
     assert ge.is_normal(P, X)
 
@@ -75,6 +108,29 @@ def test_centralizer(x54):
     cent = ge.centralizer(X, G.generators)
     assert X.identity in cent.element_set
     assert all(X.mul(x, g) == X.mul(g, x) for x in cent for g in G.generators)
+
+
+def _scalar_class(X, x):
+    # reference: a scalar BFS over conjugation by the generators
+    seen, queue = {x}, [x]
+    while queue:
+        y = queue.pop()
+        for g in X.generators:
+            c = X.conj(y, g)
+            if c not in seen:
+                seen.add(c)
+                queue.append(c)
+    return sorted(seen)
+
+
+def test_conjugacy_class_matches_scalar_bfs(x54, e1_group):
+    for X in (x54[1], e1_group, ge.example_e2()["X"]):
+        seen = set()
+        for x in X.elements[::5]:
+            cl = X.conjugacy_class(x)
+            assert cl.tolist() == _scalar_class(X, x)
+            seen.add(len(cl))
+        assert 1 in seen and len(seen) > 1
 
 
 def test_core_and_centralizer_generating_sets():
@@ -109,6 +165,26 @@ def test_quotient_group(x54):
     for a in X.elements[::7]:
         for b in X.elements[::11]:
             assert cmap[X.mul(a, b)] == Q.mul(cmap[a], cmap[b])
+
+
+def test_quotient_cmap_is_an_array_homomorphism(x54):
+    _, X = x54
+    C = ge.core(X.subgroup(X.generators[:2]), X)
+    Q, cmap = ge.quotient_group(X, C)
+    # cosets coded 0..17, in the order of their smallest elements
+    assert Q.elements == tuple(range(18)) and Q.identity == 0
+    assert cmap.dtype.kind == "i" and cmap.shape == (len(X),)
+    assert sorted(np.flatnonzero(cmap == 0).tolist()) == list(C.elements)
+    assert np.bincount(cmap).tolist() == [len(C)] * 18
+    firsts = [int(np.flatnonzero(cmap == q)[0]) for q in range(18)]
+    assert firsts == sorted(firsts)
+    # on every pair at once, and through Q's law on arrays
+    x = np.arange(len(X))
+    assert (cmap[X.mul(x[:, None], x)] == Q.mul(cmap[x][:, None], cmap[x])).all()
+    assert (cmap[X.inv(x)] == Q.inv(cmap[x])).all()
+    assert type(Q.mul(3, 5)) is int
+    assert Q.generators == tuple(dict.fromkeys(
+        int(cmap[g]) for g in X.generators if cmap[g] != 0))
 
 
 def test_omega1():
@@ -204,12 +280,12 @@ def test_extension_self_test_rejects_bad_law(n, samples):
     # every column but those of the identity and of -r: identity and
     # inverses still hold, associativity does not
     T = np.add.outer(np.arange(n), np.arange(n)) % n
-    ge._self_test(ge.FiniteGroup(ge.Carrier(lambda a, b: T[a, b], lambda a: (-a) % n, 0),
+    ge._self_test(ge.FiniteGroup(ge.Carrier(lambda a, b: T[a, b], lambda a: (-a) % n, n),
                                  list(range(n)), (1,)), samples)
     r = 5
     cols = np.array([x for x in range(1, n) if x != n - r])
     T[r, cols] = T[r, cols[::-1]]
-    X = ge.FiniteGroup(ge.Carrier(lambda a, b: T[a, b], lambda a: (-a) % n, 0),
+    X = ge.FiniteGroup(ge.Carrier(lambda a, b: T[a, b], lambda a: (-a) % n, n),
                        list(range(n)), (1,))
     with pytest.raises(AssertionError, match="associativity"):
         ge._self_test(X, samples)
@@ -281,20 +357,34 @@ def _seeded_rows(rng, n, B, w):
     return rows
 
 
+def _scalar_closure(X, gens):
+    # reference: a scalar BFS over the group law, one product at a time
+    elems, queue = {0}, [0]
+    while queue:
+        x = queue.pop()
+        for g in gens:
+            y = X.mul(x, g)
+            if y not in elems:
+                elems.add(y)
+                queue.append(y)
+    return elems
+
+
 @pytest.mark.parametrize("name, cap", [("e1", 27), ("e2", 9), ("C9", 3), ("x54", 9)])
 def test_close_many_matches_from_generators(x54, e1_group, name, cap):
     X = {"e1": e1_group, "e2": ge.example_e2()["X"], "C9": ge.cyclic_group(9),
          "x54": x54[1]}[name]
-    Y, elems = ge._index_coded(X)
-    assert (Y is X) == (name != "x54")
+    # every group here is all of its carrier, the skew product x54 too
+    assert X.elements == tuple(range(len(X.carrier)))
     rows = _seeded_rows(np.random.default_rng(len(X)), len(X), 16, 3)
-    masks, over = ge.close_many(Y, rows, cap)
+    masks, over = ge.close_many(X, rows, cap)
     assert masks.shape == (16, len(X)) and over.shape == (16,)
     assert over.any() and not over.all()
     for row, mask, big in zip(rows, masks, over):
-        gens = [elems[g] for g in row if g != 0]
+        gens = [int(g) for g in row if g != 0]
         H = ge.FiniteGroup.from_generators(X.carrier, gens)
-        closed = {elems[i] for i in np.flatnonzero(mask)}
+        assert H.element_set == _scalar_closure(X, gens)
+        closed = set(np.flatnonzero(mask).tolist())
         assert big == (len(H) > cap)
         if big:
             assert len(closed) > cap and closed <= H.element_set
@@ -368,14 +458,14 @@ def _scalar_normal_search(X, rank, p):
     seen = set()
     for x in X.elements:
         if x not in seen and x != X.identity and X.power(x, p) == X.identity:
-            cl = X.conjugacy_class(x)
+            cl = frozenset(X.conjugacy_class(x).tolist())
             seen |= cl
             classes.append(cl)
 
     def grow(gens, cl):
         try:
             H = ge.FiniteGroup.from_generators(
-                X.carrier, gens + tuple(sorted(cl, key=repr)), target)
+                X.carrier, gens + tuple(sorted(cl)), target)
         except ge.ClosureCapError:
             return None
         return H if ge.elementary_abelian_rank(H, p) is not None else None
@@ -397,7 +487,7 @@ def _scalar_normal_search(X, rank, p):
                 if J is not None and J.element_set not in nodes:
                     nodes[J.element_set] = J
                     queue.append(J)
-    return sorted(found.values(), key=lambda H: sorted(map(repr, H.elements)))
+    return sorted(found.values(), key=lambda H: H.elements)
 
 
 @pytest.mark.parametrize("name", ["x54", "e2"])
@@ -414,22 +504,3 @@ def test_normal_elem_abelian_subgroups_reference(x54, closures, name):
         assert [H.element_set for H in subs] == [H.element_set for H in ref]
         assert [(H.elements, H.generators) for H in subs] == \
             [(H.elements, H.generators) for H in ref]
-
-
-def test_index_coded_refuses_large_groups():
-    # Z_1024 on 1-tuples is not int-coded; its Cayley table would take
-    # 1024^2 products, so both searches refuse before making one
-    calls = []
-
-    def mul(a, b):
-        calls.append(1)
-        return ((a[0] + b[0]) % 1024,)
-
-    carrier = ge.Carrier(mul, lambda a: ((-a[0]) % 1024,), (0,))
-    X = ge.FiniteGroup(carrier, [(x,) for x in range(1024)], ((1,),))
-    N = ge.FiniteGroup(carrier, [(0,), (512,)], ((512,),))
-    with pytest.raises(ValueError, match="Cayley table"):
-        ge.find_complement(X, N)
-    with pytest.raises(ValueError, match="Cayley table"):
-        ge.normal_elem_abelian_subgroups(X, 1, p=2)
-    assert calls == []

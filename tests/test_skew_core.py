@@ -215,7 +215,7 @@ def test_derived_is_abelian_matches_all_commutators(brute32, set52):
     ids = {q: i for i, q in enumerate(perms)}
     T = np.array([[ids[tuple(b[x] for x in a)] for b in perms] for a in perms])
     inv = np.argmin(T, axis=1)
-    S4 = ge.FiniteGroup(ge.Carrier(lambda a, b: T[a, b], lambda a: inv[a], 0),
+    S4 = ge.FiniteGroup(ge.Carrier(lambda a, b: T[a, b], lambda a: inv[a], len(perms)),
                         list(range(len(perms))), ())
     gens = [ids[(1, 0, 2, 3)], ids[(1, 2, 3, 0)]]
     assert not _all_commutators_abelian(T)
@@ -229,10 +229,32 @@ def test_build_extract_round_trip(brute32):
         X = spg.as_finite_group()
         gens = X.generators[: sk.n]
         G = X.subgroup(gens)
-        s = (0, 1) if sk.order > 1 else X.identity
-        sk2 = sc.extract_skew(X, G, s, gens)
+        sk2 = sc.extract_skew(X, G, spg.sigma_pair(), gens)
         assert sk2 == sk
         assert (np.asarray(sk2.pi) == np.asarray(sk.pi)).all()
+
+
+def test_as_finite_group_is_the_ids_law(brute32, set72):
+    big = next(sk for sk in set72.skews if sk.order == 48)
+    for sk in brute32.skews[::4] + [big]:
+        spg = sc.SkewProductGroup(sk, check=False)
+        X = spg.as_finite_group()
+        assert X.elements == tuple(range(spg.M)) and X.identity == 0
+        assert len(X.carrier) == spg.M
+        assert X.generators == tuple(spg.generator_ids().tolist())
+        ids = np.arange(spg.M)
+        partner = (7 * ids + 3) % spg.M
+        assert (X.mul(ids, partner) == spg.mul(ids, partner)).all()
+        assert (X.inv(ids) == spg.inv(ids)).all()
+        # sigma^e is the pair (0, e), whose id is e mod the order
+        for e in (0, 1, sk.order + 1):
+            assert spg.sigma_pair(e) == spg.pair_id(0, e % sk.order) == e % sk.order
+            assert type(spg.sigma_pair(e)) is int
+        s = spg.sigma_pair()
+        assert X.element_order(s) == sk.order
+        gens = X.generators[: sk.n]
+        back = sc.extract_skew(X, X.subgroup(gens), s, gens)
+        assert back == sk and (back.pi == sk.pi).all()
 
 
 def test_extract_rejects_bad_factorizations(brute32):
@@ -241,12 +263,12 @@ def test_extract_rejects_bad_factorizations(brute32):
     X = spg.as_finite_group()
     gens = X.generators[:2]
     G = X.subgroup(gens)
-    # s inside G: <s> meets G nontrivially
+    # s inside G, the pair (1, 0): <s> meets G nontrivially
     with pytest.raises(ValueError):
-        sc.extract_skew(X, G, (1, 0), gens)
-    # s of too small an order: |G| * order(s) < |X|
+        sc.extract_skew(X, G, spg.pair_id(1, 0), gens)
+    # s of too small an order, the pair (0, 2): |G| * order(s) < |X|
     with pytest.raises(ValueError):
-        sc.extract_skew(X, G, (0, 2), gens)
+        sc.extract_skew(X, G, spg.pair_id(0, 2), gens)
 
 
 def test_jsonl_round_trip(tmp_path, brute32):

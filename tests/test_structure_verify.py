@@ -55,9 +55,10 @@ def test_sylow_fast_deep_agreement(brute32):
     # subgroup of the product group built generically
     for sk in brute32.skews[::11]:
         assert sv.classify(sk).p_normal_in_x
-        X = sc.SkewProductGroup(sk).as_finite_group()
-        trans = tuple((sk.p ** (sk.n - 1 - j), 0) for j in range(sk.n))
-        P = X.subgroup(trans + ((0, sk.k % sk.order),))
+        spg = sc.SkewProductGroup(sk)
+        X = spg.as_finite_group()
+        trans = tuple(spg.pair_id(sk.p ** (sk.n - 1 - j), 0) for j in range(sk.n))
+        P = X.subgroup(trans + (spg.sigma_pair(sk.k),))
         assert len(P) == sk.N * (sk.order // sk.k)
         assert ge.is_normal(P, X)
 
