@@ -178,7 +178,7 @@ class FiniteGroup:
         return "FiniteGroup(|G|=%d, %s)" % (len(self.elements), self.carrier.name)
 
 
-def permutation_group(rows, generators, name="permutations"):
+def permutation_group(rows, generators):
     """The group of all of the given permutation rows, coded by row number.
 
     Rows keep the order given, the identity first, and a * b is "a then
@@ -213,7 +213,8 @@ def permutation_group(rows, generators, name="permutations"):
     def inv(a):
         return locate(np.argsort(rows[a], axis=-1))
 
-    return FiniteGroup(Carrier(mul, inv, M, name), range(M), generators)
+    return FiniteGroup(Carrier(mul, inv, M, "permutations of %d points" % N), range(M),
+                       generators)
 
 
 # mask cells per close_many call of the subgroup searches; larger chunks
