@@ -50,8 +50,9 @@ def index_tables(p, n):
 
 def perm_order_capped(images, cap):
     """Order of a permutation, or -1 if it exceeds cap (lcm bail)."""
+    images = images.tolist()  # python ints walk faster than numpy scalars
     N = len(images)
-    seen = np.zeros(N, dtype=bool)
+    seen = [False] * N
     order = 1
     for start in range(N):
         if seen[start]:
@@ -60,7 +61,7 @@ def perm_order_capped(images, cap):
         x = start
         while not seen[x]:
             seen[x] = True
-            x = int(images[x])
+            x = images[x]
             length += 1
         order = order * length // math.gcd(order, length)
         if order > cap:
@@ -77,9 +78,25 @@ NO_POWER_MATCH = 2
 ORDER_TOO_BIG = 3
 
 
-def _validate_np(images, add, sub, pi):
+def power_rows(images, count):
+    """The (count, N) rows s^0 .. s^(count-1) of the permutation s, by
+    doubling: s^(m+j) = s^m . s^j for a block of j < m at a time."""
     N = images.shape[0]
-    if images.min() < 0 or images.max() >= N or len(np.unique(images)) != N:
+    S = np.empty((count, N), dtype=images.dtype)
+    S[0] = np.arange(N, dtype=images.dtype)
+    if count > 1:
+        S[1] = images
+    m = 2
+    while m < count:
+        t = min(m, count - m)
+        S[m:m + t] = S[m - 1].take(images).take(S[:t])
+        m += t
+    return S
+
+
+def _validate_np(images, add, neg, pi):
+    N = images.shape[0]
+    if (np.sort(images) != np.arange(N)).any():
         bad = int(np.argmax(np.bincount(np.clip(images, 0, N - 1), minlength=N) != 1))
         return NOT_PERMUTATION, 0, bad
     if images[0] != 0:
@@ -87,11 +104,9 @@ def _validate_np(images, add, sub, pi):
     order = perm_order_capped(images, N - 1 if N > 1 else 1)
     if order < 0:
         return ORDER_TOO_BIG, 0, 0
-    powers = np.empty((order, N), images.dtype)
-    powers[0] = np.arange(N, dtype=images.dtype)
-    for e in range(1, order):
-        powers[e] = images[powers[e - 1]]
-    F = sub[images[add], images[:, None]]
+    powers = power_rows(images, order)
+    # F[x, y] = s(x + y) - s(x), by flat takes on add
+    F = add.take(np.take(images, add) + (neg.take(images).astype(np.intp) * N)[:, None])
     match = (F[:, None, :] == powers[None, :, :]).all(axis=2)
     ok = match.any(axis=1)
     if not ok.all():
@@ -107,10 +122,10 @@ def validate_images(p, n, images):
     single arrays are validated, (7,2) and (3,3), a batch of one through
     validate_many costs more per call.
     """
-    add, sub, _ = index_tables(p, n)
+    add, _, neg = index_tables(p, n)
     images = np.ascontiguousarray(images, dtype=IDX_DTYPE)
     pi = np.zeros(len(images), dtype=IDX_DTYPE)
-    status, order, witness = _validate_np(images, add, sub, pi)
+    status, order, witness = _validate_np(images, add, neg, pi)
     return int(status), int(order), pi, int(witness)
 
 

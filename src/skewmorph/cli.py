@@ -87,6 +87,8 @@ def cmd_enum(args):
 
 
 def cmd_verify(args):
+    if not 0 <= args.sample_rate <= 1:
+        raise ValueError("--sample-rate must be in [0, 1], got %r" % args.sample_rate)
     skews = sc.read_jsonl(args.inp)
     rows = sv.sweep_classify(skews, affine=args.affine,
                              sample_rate=args.sample_rate, seed=args.seed)

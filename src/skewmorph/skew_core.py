@@ -103,11 +103,15 @@ class SkewMorphism:
         return bool((self.pi == 1).all())
 
     def power_table(self):
-        S = np.empty((self.order, self.N), dtype=K.IDX_DTYPE)
-        S[0] = np.arange(self.N, dtype=K.IDX_DTYPE)
-        for e in range(1, self.order):
-            S[e] = self.images[S[e - 1]]
-        return S
+        """S[e] = sigma^e for 0 <= e < order, built by doubling."""
+        return K.power_rows(self.images, self.order)
+
+
+def power_sums(sk, S):
+    """PS[i, g] = sum_{t<i} pi(sigma^t g) mod order, an exclusive running
+    sum over the power table S, as int32."""
+    steps = sk.pi[S].astype(np.int64)
+    return ((np.cumsum(steps, axis=0) - steps) % sk.order).astype(np.int32)
 
 
 def validate(p, n, images):
@@ -201,9 +205,7 @@ class SkewProductGroup:
         add, _, neg = K.index_tables(sk.p, sk.n)
         self.add, self.neg = add.astype(np.int32), neg.astype(np.int32)
         self.S = sk.power_table().astype(np.int32)
-        # PS[i, g] = sum_{t<i} pi(sigma^t g), an exclusive running sum
-        steps = sk.pi[self.S].astype(np.int64)
-        self.PS = ((np.cumsum(steps, axis=0) - steps) % self.order).astype(np.int32)
+        self.PS = power_sums(sk, self.S)
         # for mul: add times order, and a table of x mod order for x < 2 order
         self._add_o = self.add * self.order
         self._mod = np.arange(2 * self.order, dtype=np.int32) % self.order
@@ -397,17 +399,28 @@ def record_line(sk, more=""):
 
 def parse_record(obj):
     """Validate one JSONL record dict back into a SkewMorphism."""
+    if not isinstance(obj, dict):
+        raise SkewValidationError("record is a JSON %s, not an object" % type(obj).__name__)
     for field in ("p", "n", "sigma"):
         if field not in obj:
             raise SkewValidationError("record missing field %r" % field)
-    sk = validate(int(obj["p"]), int(obj["n"]), np.array(obj["sigma"], dtype=np.int64))
+    sk = validate(_field(obj, "p", int), _field(obj, "n", int),
+                  _field(obj, "sigma", lambda v: np.array(v, dtype=np.int64)))
     for field, got in (("order", sk.order), ("k", sk.k), ("m", sk.m)):
-        if field in obj and int(obj[field]) != got:
+        if field in obj and _field(obj, field, int) != got:
             raise SkewValidationError(
                 "record field %r = %r disagrees with recomputed %d" % (field, obj[field], got))
-    if "pi" in obj and [int(v) for v in obj["pi"]] != sk.pi.tolist():
+    if "pi" in obj and _field(obj, "pi", lambda v: [int(x) for x in v]) != sk.pi.tolist():
         raise SkewValidationError("record power function disagrees with recomputed one")
     return sk
+
+
+def _field(obj, field, convert):
+    # a null or mistyped value is bad input, not a crash
+    try:
+        return convert(obj[field])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SkewValidationError("record field %r is unusable (%s)" % (field, exc)) from None
 
 
 def write_jsonl(skews, path):
@@ -429,5 +442,9 @@ def read_jsonl(path):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise SkewValidationError("line %d: bad JSON (%s)" % (line_no, exc))
-            out.append(parse_record(obj))
+            try:
+                out.append(parse_record(obj))
+            except SkewValidationError as exc:
+                raise SkewValidationError("line %d: %s" % (line_no, exc), status=exc.status,
+                                          witness=exc.witness) from None
     return out

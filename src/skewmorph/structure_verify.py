@@ -83,7 +83,7 @@ def classify(sk):
         raise AssertionError("core size %d is not a power of %d" % (size, p))
     in_core = np.zeros(N, dtype=bool)
     in_core[core_idx] = True
-    if not in_core[add[np.ix_(core_idx, core_idx)]].all():
+    if not in_core[add[core_idx[:, None], core_idx]].all():
         raise AssertionError("core candidate is not additively closed")
     if not in_core[np.asarray(sk.images)[core_idx]].all():
         raise AssertionError("core candidate is not sigma-invariant")
@@ -172,16 +172,22 @@ def find_affine_embedding(sk):
     affine map on T).
 
     Normal G serves directly.  Otherwise T is assembled from the central
-    translations of P plus one mixed element of order p, scanned in pair
-    id order over all N*order candidates.
+    translations of P plus one mixed element x = (a, i) of order p, the
+    first in pair id order that passes every test.  The law of X is read
+    off the tables of G and sigma, without building X: array passes over
+    all candidates keep the x with i != 0 that commute with the central
+    translations, x^p = 1, distinct exponents on x^0 .. x^(p-1) and no
+    x^t (0 < t < p) in <sigma>; only the normality test is a scalar loop,
+    and tried counts the candidates that reach it.
     """
     p, n, o, k = sk.p, sk.n, sk.order, sk.k
     N = sk.N
     if o == 1 or (np.asarray(sk.pi) == 1).all():
         return AffineEmbedding(True, "G", n, None, 0)
 
-    X = sc.SkewProductGroup(sk, check=False)
-    add, S, PS = X.add, X.S, X.PS
+    add, _, neg = K.index_tables(p, n)
+    S = sk.power_table()
+    PS = sc.power_sums(sk, S)
 
     idx = np.arange(N)
     kk = k % o
@@ -208,64 +214,57 @@ def find_affine_embedding(sk):
         for _ in range(p - 1):
             mults.append(int(add[mults[-1], v]))
         span = {int(add[x, w]) for x in span for w in mults}
-    zt_set = set(map(int, zt_idx))
 
-    # vectorized candidate filter over all pairs (a, i)
-    ga = np.repeat(np.arange(N), o)
-    ia = np.tile(np.arange(o), N)
-    rg, re = np.zeros_like(ga), np.zeros_like(ia)
-    bg, be = ga, ia
-    e = p
-    while e:
-        if e & 1:
-            rg, re = _vmult(add, S, PS, o, rg, re, bg, be)
-        e >>= 1
-        if e:
-            bg, be = _vmult(add, S, PS, o, bg, be, bg, be)
-    cand = (rg == 0) & (re == 0) & (ia != 0)
+    # candidates (a, i), i != 0, in pair id order a * o + i, that commute
+    # with every basis translation (z, 0): a test on i alone
+    i_ok = np.arange(1, o)
     for z in basis:
-        cand &= (S[ia, z] == z) & (PS[ia, z] == ia)
-    cand_ids = np.nonzero(cand)[0]
+        i_ok = i_ok[(S[i_ok, z] == z) & (PS[i_ok, z] == i_ok)]
+    ga = np.repeat(np.arange(N), i_ok.size)
+    ia = np.tile(i_ok, N)
+    # G-parts and exponents of x^0 .. x^p, one array pass per power
+    xg = np.zeros((p + 1, ga.size), dtype=np.intp)
+    xe = np.zeros((p + 1, ga.size), dtype=np.intp)
+    for t in range(1, p + 1):
+        xg[t], xe[t] = _vmult(add, S, PS, o, xg[t - 1], xe[t - 1], ga, ia)
+    ok = (xg[p] == 0) & (xe[p] == 0) & ~zt_mask[xg[1:p]].any(axis=0)
+    exps = np.sort(xe[:p], axis=0)
+    ok &= (exps[1:] != exps[:-1]).all(axis=0)
 
-    gens = [X.id_pair(g) for g in X.generator_ids()]
-    zt_pairs = [(v, 0) for v in basis]
+    # normality: y^-1 t y in T for the generators y of X, the basis
+    # translations (e_j, 0) and sigma, and the generators t of T; the
+    # conjugates of T's translations are the same for every candidate
+    def conj(t, yi, y):
+        return _vmult(add, S, PS, o, *_vmult(add, S, PS, o, *yi, *t), *y)
 
+    gens = []
+    for y in [(p ** (n - 1 - j), 0) for j in range(n)] + [(0, 1)]:
+        g = int(S[-y[1] % o, neg[y[0]]])
+        gens.append(((g, -int(PS[y[1], g]) % o), y))
+    fixed = [conj((v, 0), yi, y) for yi, y in gens for v in basis]
+    zt_set = set(zt_idx.tolist())
     tried = 0
-    for cid in cand_ids:
-        a, i = divmod(int(cid), o)
+    for c in np.nonzero(ok)[0].tolist():
         tried += 1
-        x_pows = [(0, 0)]
-        for _ in range(p - 1):
-            x_pows.append(X.mult_pairs(x_pows[-1], (a, i)))
-        exp_to_t = {e_t: t for t, (_, e_t) in enumerate(x_pows)}
-        if len(exp_to_t) != p:
-            continue
-        if any(g_t in zt_set for g_t, _ in x_pows[1:]):
-            continue  # T would meet <sigma>
+        x = (int(ga[c]), int(ia[c]))
+        x_g = xg[:p, c].tolist()
+        exp_to_t = dict(zip(xe[:p, c].tolist(), range(p)))
 
-        def in_T(pair):
-            t = exp_to_t.get(pair[1])
-            if t is None:
-                return False
-            return int(add[pair[0], X.neg[x_pows[t][0]]]) in zt_set
+        def in_T(g, e):
+            t = exp_to_t.get(int(e))
+            return t is not None and int(add[g, neg[x_g[t]]]) in zt_set
 
-        ok = True
-        for y in gens:
-            yi = X.inv_pair(y)
-            for t_elem in zt_pairs + [(a, i)]:
-                if not in_T(X.mult_pairs(X.mult_pairs(yi, t_elem), y)):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return AffineEmbedding(True, "mixed", r_z, (a, i), tried)
+        if (all(in_T(*u) for u in fixed)
+                and all(in_T(*conj(x, yi, y)) for yi, y in gens)):
+            return AffineEmbedding(True, "mixed", r_z, x, tried)
     return AffineEmbedding(False, "", r_z, None, tried, note="no candidate accepted")
 
 
 def sweep_classify(skews, affine="nonnormal", sample_rate=0.05, seed=0):
     """(report, embedding-or-None) per member.  affine: 'all', 'nonnormal'
     (plus a deterministic sample of the normal ones), or 'none'."""
+    if affine not in ("all", "nonnormal", "none"):
+        raise ValueError("unknown affine mode %r" % (affine,))
     rng = np.random.default_rng(seed)
     out = []
     for sk in skews:

@@ -131,6 +131,39 @@ def test_verify_corrupt_record(tmp_path, capsys):
     assert run_cli(["verify", "--in", str(bad)]) == 2
 
 
+IDENTITY_32 = '{"p": 3, "n": 2, "sigma": [0, 1, 2, 3, 4, 5, 6, 7, 8]}'
+
+
+@pytest.mark.parametrize("line", [
+    "5",
+    "[0, 1, 2]",
+    '{"p": null, "n": 2, "sigma": [0, 1, 2, 3, 4, 5, 6, 7, 8]}',
+    '{"p": 3, "n": null, "sigma": [0, 1, 2, 3, 4, 5, 6, 7, 8]}',
+    '{"p": 3, "n": 2, "sigma": null}',
+    '{"p": 3, "n": 2, "sigma": [0, 1, 2, 3, 4, 5, 6, 7, 8], "pi": null}',
+    '{"p": 3, "n": 2, "sigma": [0, 1, 2, 3, 4, 5, 6, 7, 8], "order": null}',
+], ids=["int", "list", "null-p", "null-n", "null-sigma", "null-pi", "null-order"])
+def test_verify_malformed_record_exits_2_naming_the_line(tmp_path, capsys, line):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(IDENTITY_32 + "\n\n" + line + "\n")
+    assert run_cli(["verify", "--in", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert "error: line 3: " in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("rate", ["-3", "7", "1.5", "nan"])
+def test_verify_refuses_sample_rate_outside_unit_interval(tmp_path, capsys, rate):
+    path = tmp_path / "one.jsonl"
+    path.write_text(IDENTITY_32 + "\n")
+    assert run_cli(["verify", "--in", str(path), "--sample-rate", rate]) == 2
+    captured = capsys.readouterr()
+    assert "--sample-rate" in captured.err and captured.out == ""
+    assert not (tmp_path / "one.jsonl.classified").exists()
+    for edge in ("0", "1"):
+        assert run_cli(["verify", "--in", str(path), "--sample-rate", edge]) == 0
+
+
 def test_example_commands(capsys):
     assert run_cli(["example", "e2"]) == 0
     text = capsys.readouterr().out

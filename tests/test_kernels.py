@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -28,6 +29,34 @@ def test_perm_order_capped():
     images = np.array([0, 2, 3, 1, 5, 6, 7, 8, 4], dtype=K.IDX_DTYPE)
     assert K.perm_order_capped(images, 100) == 15
     assert K.perm_order_capped(images, 8) == -1
+
+
+def _lcm_order(images, cap):
+    # reference: lcm of the cycle lengths, -1 past the cap
+    images = [int(v) for v in images]
+    seen, order = set(), 1
+    for start in range(len(images)):
+        length, x = 0, start
+        while x not in seen:
+            seen.add(x)
+            x = images[x]
+            length += 1
+        order = math.lcm(order, max(length, 1))
+    return order if order <= cap else -1
+
+
+@pytest.mark.parametrize("N", [9, 27, 49])
+def test_perm_order_capped_matches_lcm_of_cycles(N):
+    rng = np.random.default_rng(N)
+    bails = 0
+    for _ in range(200):
+        images = np.concatenate([[0], 1 + rng.permutation(N - 1)]).astype(K.IDX_DTYPE)
+        order = _lcm_order(images, 10 ** 9)
+        for cap in (N - 1, order, order - 1, 1):
+            want = _lcm_order(images, cap)
+            assert K.perm_order_capped(images, cap) == want
+            bails += want == -1
+    assert bails > 0
 
 
 def _unpruned_brute(p, n):

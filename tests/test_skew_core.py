@@ -42,6 +42,25 @@ def test_brute_set_satisfies_law_directly(brute32):
         assert sk.order == K.perm_order_capped(sk.images, sk.N)
 
 
+def test_power_table_matches_step_by_step(set72, set33):
+    # one member of every order in the (7,2) and (3,3) sets, plus orders
+    # 1 and 2 at (3,2): the identity and x -> -x
+    members = [sc.validate(3, 2, np.arange(9)), sc.validate(3, 2, K.index_tables(3, 2)[2])]
+    for skews in (set72.skews, set33.skews):
+        by_order = {}
+        for sk in skews:
+            by_order.setdefault(sk.order, sk)
+        members += list(by_order.values())
+    assert {1, 2, 48, 26} <= {sk.order for sk in members}
+    for sk in members:
+        want = [np.arange(sk.N)]
+        for _ in range(1, sk.order):
+            want.append(sk.images[want[-1]])
+        S = sk.power_table()
+        assert S.shape == (sk.order, sk.N) and S.dtype == K.IDX_DTYPE
+        assert (S == np.array(want)).all()
+
+
 def test_validation_rejections():
     with pytest.raises(sc.SkewValidationError):
         sc.validate(3, 2, np.arange(8))

@@ -79,6 +79,150 @@ def test_affine_embedding_on_nonnormal(brute32):
             assert i != 0
 
 
+def _reference_affine_search(sk):
+    """The scalar search on SkewProductGroup's pair law: every candidate
+    of order p that commutes with the central translations, in pair id
+    order, tested one at a time."""
+    p, n, o, k = sk.p, sk.n, sk.order, sk.k
+    N = sk.N
+    if o == 1 or (np.asarray(sk.pi) == 1).all():
+        return sv.AffineEmbedding(True, "G", n, None, 0)
+
+    X = sc.SkewProductGroup(sk, check=False)
+    add, S, PS = X.add, X.S, X.PS
+
+    idx = np.arange(N)
+    kk = k % o
+    zt_idx = np.nonzero((S[kk] == idx) & (PS[kk] == kk))[0]
+    r_z = 0
+    while p ** r_z < zt_idx.size:
+        r_z += 1
+    assert p ** r_z == zt_idx.size
+    if r_z + 1 != n:
+        return sv.AffineEmbedding(False, "", r_z, None, 0,
+                                  note="central translation rank %d, need %d" % (r_z, n - 1))
+
+    basis = []
+    span = {0}
+    for v in zt_idx:
+        v = int(v)
+        if v in span:
+            continue
+        basis.append(v)
+        mults = [0]
+        for _ in range(p - 1):
+            mults.append(int(add[mults[-1], v]))
+        span = {int(add[x, w]) for x in span for w in mults}
+    zt_set = set(map(int, zt_idx))
+
+    def vmult(g1, e1, g2, e2):
+        return add[g1, S[e1, g2]], (PS[e1, g2] + e2) % o
+
+    # x^p by doubling over all pairs (a, i)
+    ga = np.repeat(np.arange(N), o)
+    ia = np.tile(np.arange(o), N)
+    rg, re = np.zeros_like(ga), np.zeros_like(ia)
+    bg, be = ga, ia
+    e = p
+    while e:
+        if e & 1:
+            rg, re = vmult(rg, re, bg, be)
+        e >>= 1
+        if e:
+            bg, be = vmult(bg, be, bg, be)
+    cand = (rg == 0) & (re == 0) & (ia != 0)
+    for z in basis:
+        cand &= (S[ia, z] == z) & (PS[ia, z] == ia)
+
+    gens = [X.id_pair(g) for g in X.generator_ids()]
+    zt_pairs = [(v, 0) for v in basis]
+    for cid in np.nonzero(cand)[0]:
+        a, i = divmod(int(cid), o)
+        x_pows = [(0, 0)]
+        for _ in range(p - 1):
+            x_pows.append(X.mult_pairs(x_pows[-1], (a, i)))
+        exp_to_t = {e_t: t for t, (_, e_t) in enumerate(x_pows)}
+        if len(exp_to_t) != p:
+            continue
+        if any(g_t in zt_set for g_t, _ in x_pows[1:]):
+            continue
+
+        def in_T(pair):
+            t = exp_to_t.get(pair[1])
+            return t is not None and int(add[pair[0], X.neg[x_pows[t][0]]]) in zt_set
+
+        if all(in_T(X.mult_pairs(X.mult_pairs(X.inv_pair(y), t), y))
+               for y in gens for t in zt_pairs + [(a, i)]):
+            return sv.AffineEmbedding(True, "mixed", r_z, (a, i), 0)
+    return sv.AffineEmbedding(False, "", r_z, None, 0, note="no candidate accepted")
+
+
+def _outcome(aff):
+    return aff.found, aff.kind, aff.zt_rank, aff.mixed_pair, aff.note
+
+
+def _nonnormal_sample(skews, per_order, seed):
+    """Up to per_order non-normal members of each order, seeded."""
+    rng = np.random.default_rng(seed)
+    by_order = {}
+    for sk in skews:
+        if not sk.is_automorphism():
+            by_order.setdefault(sk.order, []).append(sk)
+    out = []
+    for o in sorted(by_order):
+        group = by_order[o]
+        out += [group[j] for j in sorted(rng.permutation(len(group))[:per_order])]
+    return out
+
+
+def test_affine_search_matches_reference_on_every_small_member(brute32, set52):
+    for skews in (brute32.skews, set52.skews):
+        for sk in skews:
+            assert _outcome(sv.find_affine_embedding(sk)) == _outcome(_reference_affine_search(sk))
+
+
+def test_affine_search_matches_reference_on_nonnormal_samples(set72, set33):
+    for skews, seed in ((set72.skews, 72), (set33.skews, 33)):
+        sample = _nonnormal_sample(skews, 40, seed)
+        # every order of a non-normal member is represented
+        assert {sk.order for sk in sample} == {
+            sk.order for sk in skews if not sk.is_automorphism()}
+        for sk in sample:
+            aff = sv.find_affine_embedding(sk)
+            assert aff.kind == "mixed" and 1 <= aff.tried
+            assert _outcome(aff) == _outcome(_reference_affine_search(sk))
+
+
+def test_affine_t_is_normal_elementary_abelian_and_meets_sigma_trivially(
+        brute32, set52, set72, set33):
+    # the group engine's view of T = <central translations, mixed pair>
+    for skews, seed in ((brute32.skews, 1), (set52.skews, 2), (set72.skews, 3),
+                        (set33.skews, 4)):
+        for sk in _nonnormal_sample(skews, 1, seed)[:3]:
+            aff = sv.find_affine_embedding(sk)
+            assert aff.found and aff.kind == "mixed"
+            spg = sc.build_skew_product(sk)
+            X = spg.as_finite_group()
+            kk = sk.k % sk.order
+            zt = np.nonzero((spg.S[kk] == np.arange(sk.N)) & (spg.PS[kk] == kk))[0]
+            T = X.subgroup([spg.pair_id(int(v), 0) for v in zt]
+                           + [spg.pair_id(*aff.mixed_pair)])
+            elems = np.array(T.elements, dtype=np.int64)
+            assert len(T) == sk.p ** sk.n
+            assert T.is_abelian()
+            x = elems
+            for _ in range(sk.p - 1):
+                x = spg.mul(x, elems)
+            assert (x == 0).all()  # exponent p
+            assert ge.is_normal(T, X)
+            assert set(X.cycle(spg.sigma_pair()).tolist()) & T.element_set == {0}
+
+
+def test_sweep_classify_rejects_unknown_mode(brute32):
+    with pytest.raises(ValueError, match="bogus"):
+        sv.sweep_classify(brute32.skews[:2], affine="bogus")
+
+
 def test_sweep_classify_modes(brute32):
     rows = sv.sweep_classify(brute32.skews, affine="none")
     assert all(aff is None for _, aff in rows)
