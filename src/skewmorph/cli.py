@@ -31,7 +31,7 @@ def build_parser():
                         default="structured")
     p_enum.add_argument("--out", default=".", help="output directory")
     p_enum.add_argument("--workers", type=int, default=None,
-                        help="seed extraction workers (default: SKEWMORPH_WORKERS or 1)")
+                        help="seed construction workers (default: SKEWMORPH_WORKERS or 1)")
     p_enum.add_argument("--sample-rate", type=float, default=0.01,
                         help="validation sample rate for count-only runs")
     p_enum.set_defaults(func=cmd_enum)

@@ -6,8 +6,10 @@ Three independent routes produce (pieces of) the same sets:
   * the automorphism block, all of GL(n,p) read as permutations;
   * the non-normal block for odd p, built from the canonical affine
     configuration (unipotent sigma_1, scaling-type sigma_2 acting on a
-    translation group T), recombined through the CRT exponents, extracted
-    as skew-morphisms, then closed under conjugation by GL(n,p).
+    translation group T), recombined through the CRT exponents into s,
+    each seed read off by the orbit map of the regular group G (the action
+    of s carried over to G, no skew product built), then closed under
+    conjugation by GL(n,p).
 
 The closure step is the completeness argument made executable: the count
 against the closed formula is asserted, and at (3,2) the structured set
@@ -26,7 +28,6 @@ import numpy as np
 
 from . import _kernels as K
 from . import fpalg
-from . import group_engine as ge
 from . import skew_core as sc
 from .fpalg import check_prime
 
@@ -186,28 +187,21 @@ def _config_group(p, n, i):
 
 
 def _seed_for_config(p, n, i, M2):
-    """The seed of one canonical configuration, read off X = G<s>.
+    """The images of the seed of one canonical configuration, by the orbit map.
 
-    Affine maps of F_p^n are index permutation rows: the translations are
-    columns of the addition table, the linear maps come from
-    matrix_to_perm.  X is the permutation group on the rows g then s^e,
-    coded g * o + e with o the order of s, like the pairs of a skew
-    product.  It rejects duplicate rows and any product that leaves
-    them, G is closed inside X, and extract_skew checks the rest of the
-    factorization.
+    G acts regularly on F_p^n and s fixes 0, so s * g = sigma(g) * s^e
+    ("a then b") evaluated at 0 reads sigma(g)^-1(0) = s^-1(g^-1(0)).
+    With psi(g) = g^-1(0), the seed is sigma = psi^-1 s^-1 psi on the
+    rows of G, which label Z_p^n by their exponents.
     """
-    N = p ** n
     L = fpalg.canonical_unipotent(n, p)
     k = fpalg.matrix_order(M2, p)
     s = fpalg.matrix_to_perm(_crt_sigma(L, M2, k, p), p)
-    o = k * p
-    g_codes = [p ** (n - 1 - j) * o for j in range(n)]
-    X = ge.permutation_group(_then(_config_group(p, n, i), _row_powers(s, o)),
-                             g_codes + [1])
-    G = X.subgroup(g_codes)
-    if len(G) != N:
-        raise ValueError("canonical G has order %d, expected %d" % (len(G), N))
-    return sc.extract_skew(X, G, 1, g_codes)
+    psi = np.argmin(_config_group(p, n, i), axis=1)
+    psi_inv = np.argsort(psi)
+    if (psi[psi_inv] != np.arange(p ** n)).any():
+        raise ValueError("canonical G is not regular on F_%d^%d (i=%d)" % (p, n, i))
+    return psi_inv[np.argsort(s)[psi]]
 
 
 def _seed_chunk(args):
@@ -216,19 +210,22 @@ def _seed_chunk(args):
 
 
 def _canonical_config_seeds(p, n, i_values, sigma2_list, workers=1):
-    """Extract one seed skew-morphism per (i, sigma_2) canonical choice.
+    """One validated seed skew-morphism per (i, sigma_2) canonical choice.
 
-    Worker processes split the config list into contiguous chunks, so the
-    seed order (hence everything downstream) is identical for any count.
+    The seeds are validated in one batch, a failing one named by its
+    config index.  Worker processes split the config list into
+    contiguous chunks, so the seed order (hence everything downstream) is
+    identical for any count.
     """
     configs = [(i, M2) for i in i_values for M2 in sigma2_list]
     if workers <= 1 or len(configs) < 2 * workers:
-        return [_seed_for_config(p, n, i, M2) for i, M2 in configs]
-    bound = -(-len(configs) // workers)
-    chunks = [(p, n, configs[a:a + bound]) for a in range(0, len(configs), bound)]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        parts = list(ex.map(_seed_chunk, chunks))
-    return [sk for part in parts for sk in part]
+        rows = _seed_chunk((p, n, configs))
+    else:
+        bound = -(-len(configs) // workers)
+        chunks = [(p, n, configs[a:a + bound]) for a in range(0, len(configs), bound)]
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            rows = [row for part in ex.map(_seed_chunk, chunks) for row in part]
+    return _validated_rows(p, n, _stack(rows, p ** n), "seed")
 
 
 def _scalar_sigma2_list(p):

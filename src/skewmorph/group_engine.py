@@ -8,8 +8,8 @@ codes.  Groups are immutable once built and every query here is pure, so
 all of this is safe to sweep in parallel from the callers.
 
 The carriers built here are cyclic groups, F_p^n on its point indices
-under the _kernels addition table, cyclic extensions of those, quotients
-and permutation groups given by all of their rows.
+under the _kernels addition table, cyclic extensions of those and
+quotients.
 
 Extensions by a cyclic group are given by the conjugation action of the
 top generator on base generators, the way presentations state relations
@@ -176,45 +176,6 @@ class FiniteGroup:
 
     def __repr__(self):
         return "FiniteGroup(|G|=%d, %s)" % (len(self.elements), self.carrier.name)
-
-
-def permutation_group(rows, generators):
-    """The group of all of the given permutation rows, coded by row number.
-
-    Rows keep the order given, the identity first, and a * b is "a then
-    b", x -> b[a[x]].  A product row is located by its _kernels row-hash
-    key and a binary search over the sorted keys, then compared with the
-    row found, so a product that leaves the rows raises ValueError, as do
-    duplicate rows.
-    """
-    rows = np.ascontiguousarray(rows)
-    M, N = rows.shape
-    if (rows[0] != np.arange(N)).any():
-        raise ValueError("the first row must be the identity")
-    w = K._hash_weights(N)
-    keys = rows @ w
-    order = np.argsort(keys)
-    keys = keys[order]
-    same = np.flatnonzero(keys[1:] == keys[:-1])
-    if same.size:
-        dup = (rows[order[same]] == rows[order[same + 1]]).all(axis=1).any()
-        raise ValueError("duplicate rows" if dup else "row keys collide")
-    flat = rows.ravel()
-
-    def locate(prod):
-        at = order[np.minimum(np.searchsorted(keys, prod @ w), M - 1)]
-        if (rows[at] != prod).any():
-            raise ValueError("a product leaves the permutation group")
-        return _code(at)
-
-    def mul(a, b):
-        return locate(flat.take(np.multiply(b, N)[..., None] + rows[a]))
-
-    def inv(a):
-        return locate(np.argsort(rows[a], axis=-1))
-
-    return FiniteGroup(Carrier(mul, inv, M, "permutations of %d points" % N), range(M),
-                       generators)
 
 
 # mask cells per close_many call of the subgroup searches; larger chunks

@@ -60,12 +60,14 @@ def test_enum_count_mismatch_exits_1(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("argv, failing_call, failing_row, message", [
     (["--p", "3", "--n", "2"], 1, 4, "p=3 n=2: GL member 4 fails validation (status 2)"),
-    # the GL block is the first batch; the 2 seeds come first in the closure
-    (["--p", "3", "--n", "2"], 2, 0, "p=3 n=2: closure member 2 fails validation (status 2)"),
+    # the GL block is the first batch and the 2 seeds the second
+    (["--p", "3", "--n", "2"], 2, 0, "p=3 n=2: seed member 0 fails validation (status 2)"),
+    # the 2 seeds come first in the closure
+    (["--p", "3", "--n", "2"], 3, 0, "p=3 n=2: closure member 2 fails validation (status 2)"),
     # brute_images filters its search leaves in the first batch
     (["--p", "2", "--n", "2", "--method", "brute"], 2, 0,
      "p=2 n=2: brute member 0 fails validation (status 2)"),
-], ids=["GL", "closure", "brute"])
+], ids=["GL", "seed", "closure", "brute"])
 def test_enum_member_failing_validation_is_a_finding(tmp_path, monkeypatch, capsys, argv,
                                                      failing_call, failing_row, message):
     real = K.validate_many

@@ -6,6 +6,7 @@ import pytest
 from skewmorph import _kernels as K
 from skewmorph import enumeration as en
 from skewmorph import fpalg
+from skewmorph import skew_core as sc
 
 
 def test_formula_count_values():
@@ -102,12 +103,12 @@ def _omega(p):
 def test_seed_digests():
     # sha256 of the concatenated seed images, in canonical config order,
     # as extracted by the affine-map code this enumeration started from
+    sample53 = [(i, M2) for i in range(1, 5) for M2 in _omega(5)][::20]
     seeds = {
         (5, 2): en._canonical_config_seeds(5, 2, range(1, 5), en._scalar_sigma2_list(5)),
         (7, 2): en._canonical_config_seeds(7, 2, range(1, 7), en._scalar_sigma2_list(7)),
         (3, 3): en._canonical_config_seeds(3, 3, range(1, 3), _omega(3)),
-        (5, 3): [en._seed_for_config(5, 3, i, M2) for i, M2 in
-                 [(i, M2) for i in range(1, 5) for M2 in _omega(5)][::20]],
+        (5, 3): sc.validate_rows(5, 3, [en._seed_for_config(5, 3, i, M2) for i, M2 in sample53]),
     }
     assert {key: len(v) for key, v in seeds.items()} == {
         (5, 2): 12, (7, 2): 30, (3, 3): 20, (5, 3): 46}
@@ -117,6 +118,14 @@ def test_seed_digests():
         (3, 3): "2eea1b1f775e4b1140117084c84a08c09ddb8c226bee18e21d38190705fcfd38",
         (5, 3): "a807d68886379cd510e9435c79283002f7bf8dce8871708ec6e7f43470b6d798",
     }
+
+
+def test_seed_needs_a_regular_group(monkeypatch):
+    # every row the identity: all of G fixes 0, so psi is no bijection
+    monkeypatch.setattr(en, "_config_group",
+                        lambda p, n, i: np.tile(np.arange(p ** n), (p ** n, 1)))
+    with pytest.raises(ValueError, match="not regular"):
+        en._seed_for_config(3, 2, 1, en._scalar_sigma2_list(3)[0])
 
 
 def test_count_only_flag_is_honoured_or_refused():
@@ -164,8 +173,8 @@ def test_each_member_validated_once(monkeypatch):
     monkeypatch.setattr(en, "_canonical_config_seeds", counted_seeds)
     res = en.full_enum(3, 3)
     assert res.count_total == 13312 and len(seeds) == 20
-    # a seed is validated when extracted, every other member once
-    assert sum(kernel_rows) <= res.count_total + len(seeds)
+    # the seeds are distinct, so every member goes through a kernel once
+    assert sum(kernel_rows) == res.count_total
 
 
 def test_sampled_gl_validation():

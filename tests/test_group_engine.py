@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
+from skewmorph import _kernels as K
+from skewmorph import enumeration as en
 from skewmorph import fpalg
 from skewmorph import group_engine as ge
 from skewmorph import skew_core as sc
@@ -33,6 +35,46 @@ def test_cyclic_and_elementary_abelian():
     assert ge.elementary_abelian_rank(E, 3) == 2
 
 
+def permutation_group(rows, generators):
+    """The group of all of the given permutation rows, coded by row number:
+    the reference carrier for the paper's factorization X = G<s> below.
+
+    Rows keep the order given, the identity first, and a * b is "a then
+    b", x -> b[a[x]].  A product row is located by its _kernels row-hash
+    key and a binary search over the sorted keys, then compared with the
+    row found, so a product that leaves the rows raises ValueError, as do
+    duplicate rows.
+    """
+    rows = np.ascontiguousarray(rows)
+    M, N = rows.shape
+    if (rows[0] != np.arange(N)).any():
+        raise ValueError("the first row must be the identity")
+    w = K._hash_weights(N)
+    keys = rows @ w
+    order = np.argsort(keys)
+    keys = keys[order]
+    same = np.flatnonzero(keys[1:] == keys[:-1])
+    if same.size:
+        dup = (rows[order[same]] == rows[order[same + 1]]).all(axis=1).any()
+        raise ValueError("duplicate rows" if dup else "row keys collide")
+    flat = rows.ravel()
+
+    def locate(prod):
+        at = order[np.minimum(np.searchsorted(keys, prod @ w), M - 1)]
+        if (rows[at] != prod).any():
+            raise ValueError("a product leaves the permutation group")
+        return ge._code(at)
+
+    def mul(a, b):
+        return locate(flat.take(np.multiply(b, N)[..., None] + rows[a]))
+
+    def inv(a):
+        return locate(np.argsort(rows[a], axis=-1))
+
+    return ge.FiniteGroup(ge.Carrier(mul, inv, M, "permutations of %d points" % N),
+                          range(M), generators)
+
+
 def _perm_rows(perms):
     return np.array([list(q) for q in perms])
 
@@ -40,7 +82,7 @@ def _perm_rows(perms):
 def test_permutation_group_is_a_then_b():
     # S_4 on all of its rows, the identity first and the rest in order
     rows = _perm_rows(itertools.permutations(range(4)))
-    S4 = ge.permutation_group(rows, ())
+    S4 = permutation_group(rows, ())
     assert S4.elements == tuple(range(24)) and S4.identity == 0
     assert rows[0].tolist() == [0, 1, 2, 3]
     a, b = 5, 17
@@ -61,7 +103,7 @@ def test_permutation_group_is_a_then_b():
 def test_permutation_group_refusals():
     # rows that are no group: a 3-cycle without its square
     rows = _perm_rows([(0, 1, 2, 3), (1, 2, 0, 3)])
-    X = ge.permutation_group(rows, (1,))
+    X = permutation_group(rows, (1,))
     with pytest.raises(ValueError, match="leaves"):
         X.mul(1, 1)
     with pytest.raises(ValueError, match="leaves"):
@@ -69,9 +111,34 @@ def test_permutation_group_refusals():
     with pytest.raises(ValueError, match="leaves"):
         X.mul(np.array([0, 1]), 1)
     with pytest.raises(ValueError, match="duplicate"):
-        ge.permutation_group(_perm_rows([(0, 1, 2), (1, 0, 2), (1, 0, 2)]), ())
+        permutation_group(_perm_rows([(0, 1, 2), (1, 0, 2), (1, 0, 2)]), ())
     with pytest.raises(ValueError, match="identity"):
-        ge.permutation_group(_perm_rows([(1, 0, 2), (0, 1, 2)]), ())
+        permutation_group(_perm_rows([(1, 0, 2), (0, 1, 2)]), ())
+
+
+def _extracted_seed(p, n, i, M2):
+    """The seed of one canonical configuration read off X = G<s>: X on
+    the rows g then s^e, coded g * o + e with o the order of s, G closed
+    inside X and extract_skew checking the rest of the factorization."""
+    L = fpalg.canonical_unipotent(n, p)
+    k = fpalg.matrix_order(M2, p)
+    s = fpalg.matrix_to_perm(en._crt_sigma(L, M2, k, p), p)
+    o = k * p
+    g_codes = [p ** (n - 1 - j) * o for j in range(n)]
+    X = permutation_group(en._then(en._config_group(p, n, i), en._row_powers(s, o)),
+                          g_codes + [1])
+    G = X.subgroup(g_codes)
+    assert len(G) == p ** n
+    return sc.extract_skew(X, G, 1, g_codes)
+
+
+@pytest.mark.parametrize("p, n", [(5, 2), (7, 2), (3, 3)])
+def test_extracted_seeds_equal_orbit_map_seeds(p, n):
+    sigma2_list = en._scalar_sigma2_list(p) if n == 2 else fpalg.omega_set(p)
+    for i in range(1, p):
+        for M2 in sigma2_list:
+            assert np.array_equal(_extracted_seed(p, n, i, M2).images,
+                                  en._seed_for_config(p, n, i, M2))
 
 
 def test_closure_cap():
