@@ -31,7 +31,7 @@ def build_parser():
                         default="structured")
     p_enum.add_argument("--out", default=".", help="output directory")
     p_enum.add_argument("--workers", type=int, default=None,
-                        help="seed construction workers (default: SKEWMORPH_WORKERS or 1)")
+                        help="accepted and ignored: the seeds are built in one process")
     p_enum.add_argument("--sample-rate", type=float, default=0.01,
                         help="validation sample rate for count-only runs")
     p_enum.set_defaults(func=cmd_enum)
@@ -67,8 +67,7 @@ def cmd_enum(args):
     fpalg.check_prime(args.p)
     if args.sample_rate <= 0 or args.sample_rate > 1:
         raise ValueError("sample rate must be in (0, 1]")
-    res = en.full_enum(args.p, args.n, method=args.method,
-                       sample_rate=args.sample_rate, workers=args.workers)
+    res = en.full_enum(args.p, args.n, method=args.method, sample_rate=args.sample_rate)
     os.makedirs(args.out, exist_ok=True)
     stem = "p%d_n%d_%s" % (args.p, args.n, args.method)
     csv_path = os.path.join(args.out, "summary_%s.csv" % stem)

@@ -11,17 +11,17 @@ Three independent routes produce (pieces of) the same sets:
     of s carried over to G, no skew product built), then closed under
     conjugation by GL(n,p).
 
-The closure step is the completeness argument made executable: the count
-against the closed formula is asserted, and at (3,2) the structured set
-must equal the brute set elementwise.  (5,3) is count-only by default
-with sampled validation; everything else is materialized and validated
-in full.
+The seeds are built in one process.  The closure step is the
+completeness argument made executable: the count against the closed
+formula is asserted, and at (3,2) the structured set must equal the
+brute set elementwise.  One closure routine serves both outcomes:
+full_enum makes (5,3) count-only by default, validating a sample of the
+members; everything else is materialized and validated in full.
 """
 
 import csv
 import functools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,20 +147,6 @@ def _crt_sigma(L, M2, k, p):
     return fpalg.mat_pow(L, u, p) @ fpalg.mat_pow(M2, v, p) % p
 
 
-def _resolve_workers(workers):
-    if workers is None:
-        workers = int(os.environ.get("SKEWMORPH_WORKERS", "1"))
-    return max(1, workers)
-
-
-def _row_powers(g, count):
-    """g^0 .. g^(count-1) of the permutation row g, as a (count, N) array."""
-    pows = [np.arange(len(g), dtype=K.IDX_DTYPE)]
-    for _ in range(count - 1):
-        pows.append(g[pows[-1]])
-    return np.stack(pows)
-
-
 def _then(A, B):
     """The permutation rows a then b, x -> b[a[x]], for every row a of A
     and b of B, row a * len(B) + b."""
@@ -179,9 +165,9 @@ def _config_group(p, n, i):
     Li = fpalg.matrix_to_perm(fpalg.mat_pow(L, p - i, p), p)  # L^-i, as L has order p
     # translation then L^-i
     gens = [trans[0], Li[trans[1]]] if n == 2 else [trans[1], trans[2], Li[trans[0]]]
-    rows = _row_powers(gens[0], 1)  # the identity alone
+    rows = K.power_rows(gens[0], 1)  # the identity alone
     for g in gens:
-        rows = _then(rows, _row_powers(g, p))
+        rows = _then(rows, K.power_rows(g, p))
     rows.flags.writeable = False  # the cache hands the same array to every caller
     return rows
 
@@ -204,27 +190,11 @@ def _seed_for_config(p, n, i, M2):
     return psi_inv[np.argsort(s)[psi]]
 
 
-def _seed_chunk(args):
-    p, n, chunk = args
-    return [_seed_for_config(p, n, i, M2) for i, M2 in chunk]
-
-
-def _canonical_config_seeds(p, n, i_values, sigma2_list, workers=1):
-    """One validated seed skew-morphism per (i, sigma_2) canonical choice.
-
-    The seeds are validated in one batch, a failing one named by its
-    config index.  Worker processes split the config list into
-    contiguous chunks, so the seed order (hence everything downstream) is
-    identical for any count.
-    """
-    configs = [(i, M2) for i in i_values for M2 in sigma2_list]
-    if workers <= 1 or len(configs) < 2 * workers:
-        rows = _seed_chunk((p, n, configs))
-    else:
-        bound = -(-len(configs) // workers)
-        chunks = [(p, n, configs[a:a + bound]) for a in range(0, len(configs), bound)]
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            rows = [row for part in ex.map(_seed_chunk, chunks) for row in part]
+def _canonical_config_seeds(p, n, i_values, sigma2_list):
+    """One validated seed skew-morphism per (i, sigma_2) canonical choice,
+    in config order.  The seeds are validated in one batch, a failing one
+    named by its config index."""
+    rows = [_seed_for_config(p, n, i, M2) for i in i_values for M2 in sigma2_list]
     return _validated_rows(p, n, _stack(rows, p ** n), "seed")
 
 
@@ -232,38 +202,31 @@ def _scalar_sigma2_list(p):
     return np.arange(2, p)[:, None, None] * np.eye(2, dtype=np.int64)
 
 
-def enum_nonnormal_n2(p, workers=None):
+def enum_nonnormal_n2(p):
     check_prime(p)
     if p == 2:
         raise ValueError("non-normal skew-morphisms need p odd")
-    seeds = _canonical_config_seeds(p, 2, range(1, p), _scalar_sigma2_list(p),
-                                    workers=_resolve_workers(workers))
-    skews = aut_closure(p, 2, seeds)
-    _check_nonnormal(p, 2, len(skews), skews)
+    seeds = _canonical_config_seeds(p, 2, range(1, p), _scalar_sigma2_list(p))
+    count, skews = aut_closure(p, 2, seeds)
+    _check_nonnormal(p, 2, count, skews)
     return skews
 
 
-def enum_nonnormal_n3(p, count_only=None, sample_rate=0.01, workers=None):
+def enum_nonnormal_n3(p, count_only=False, sample_rate=0.01):
     """Non-normal block for n=3.  Returns (skews or None, count, validated).
 
-    p=5 defaults to count-only: members are hashed and counted during the
-    closure, a deterministic >=1% sample is validated, and only the seeds
-    stay materialized.
+    Count-only hashes and counts the members during the closure and
+    validates the seeds plus a deterministic sample at sample_rate; only
+    those stay materialized, and skews is None.
     """
     check_prime(p)
     if p == 2:
         raise ValueError("non-normal skew-morphisms need p odd")
-    if count_only is None:
-        count_only = p >= 5
-    seeds = _canonical_config_seeds(p, 3, range(1, p), fpalg.omega_set(p),
-                                    workers=_resolve_workers(workers))
-    if count_only:
-        count, checked = aut_closure_count(p, 3, seeds, sample_rate=sample_rate)
-        _check_nonnormal(p, 3, count, checked)
-        return None, count, len(checked)
-    skews = aut_closure(p, 3, seeds)
-    _check_nonnormal(p, 3, len(skews), skews)
-    return skews, len(skews), len(skews)
+    seeds = _canonical_config_seeds(p, 3, range(1, p), fpalg.omega_set(p))
+    stride = max(1, int(round(1.0 / sample_rate))) if count_only else 1
+    count, skews = aut_closure(p, 3, seeds, stride)
+    _check_nonnormal(p, 3, count, skews)
+    return None if count_only else skews, count, len(skews)
 
 
 def _check_nonnormal(p, n, count, validated):
@@ -317,37 +280,24 @@ def _closure_rows(p, n, seeds):
                     yield row, None
 
 
-def aut_closure(p, n, seeds):
-    """Orbit closure of seed skew-morphisms under all GL conjugations.
+def aut_closure(p, n, seeds, stride=1):
+    """Orbit closure of seed skew-morphisms under all GL conjugations, as
+    (member count, validated members sorted by images).
 
-    The seeds are kept as they are; the new members are validated in one
-    batch, each named by its closure position.
+    The seeds are kept as they are.  Every stride-th member by closure
+    position is validated, in one batch, each named by its closure
+    position; stride 1 validates, and returns, every member once.
     """
-    out, rows, at = [], [], []
-    for i, (row, seed) in enumerate(_closure_rows(p, n, seeds)):
-        if seed is not None:
-            out.append(seed)
-        else:
-            rows.append(row)
-            at.append(i)
-    out += _validated_rows(p, n, _stack(rows, p ** n), "closure", at)
-    return sorted(out, key=lambda s: s.images.tolist())
-
-
-def aut_closure_count(p, n, seeds, sample_rate=0.01):
-    """Count-only closure: (member count, the seeds plus every stride-th
-    member by closure position, validated)."""
-    stride = max(1, int(round(1.0 / sample_rate)))
     count = 0
-    checked, rows, at = [], [], []
+    out, rows, at = [], [], []
     for count, (row, seed) in enumerate(_closure_rows(p, n, seeds), 1):
         if seed is not None:
-            checked.append(seed)
+            out.append(seed)
         elif count % stride == 0:
             rows.append(row)
             at.append(count - 1)
-    checked += _validated_rows(p, n, _stack(rows, p ** n), "closure", at)
-    return count, checked
+    out += _validated_rows(p, n, _stack(rows, p ** n), "closure", at)
+    return count, sorted(out, key=lambda s: s.images.tolist())
 
 
 def _stack(rows, N):
@@ -360,6 +310,14 @@ def _stack(rows, N):
 
 def full_enum(p, n, method="structured", count_only=None, sample_rate=0.01,
               workers=None):
+    """The (p, n) skew-morphism set by brute force, the structured blocks
+    or both, as an EnumerationResult.
+
+    count_only=None makes (p, 3) with p >= 5 count-only: skews is None and
+    sample_validated counts the sampled members.  workers is accepted and
+    ignored, so that callers that pass it keep working: the seeds are
+    built in one process.
+    """
     check_prime(p)
     if n not in (1, 2, 3):
         raise ValueError("n must be 1, 2 or 3")
@@ -373,7 +331,7 @@ def full_enum(p, n, method="structured", count_only=None, sample_rate=0.01,
         return brute_force_enum(p, n)
     if method == "both":
         res_s = full_enum(p, n, "structured", count_only=count_only,
-                          sample_rate=sample_rate, workers=workers)
+                          sample_rate=sample_rate)
         res_b = brute_force_enum(p, n)
         report = compare_sets(res_s.skews, res_b.skews)
         if not report["equal"]:
@@ -385,8 +343,8 @@ def full_enum(p, n, method="structured", count_only=None, sample_rate=0.01,
         count_only = n == 3 and p >= 5
     if count_only:
         _check_key_set_fits(p, n)
-        nn, nn_count, validated = enum_nonnormal_n3(
-            p, count_only=True, sample_rate=sample_rate, workers=workers)
+        _, nn_count, validated = enum_nonnormal_n3(
+            p, count_only=True, sample_rate=sample_rate)
         aut_count = fpalg.gl_order(3, p)
         validated += _sampled_gl_validation(p, n, sample_rate)
         total = aut_count + nn_count
@@ -398,18 +356,17 @@ def full_enum(p, n, method="structured", count_only=None, sample_rate=0.01,
     skews = enum_automorphisms(p, n)
     if p != 2 and n >= 2:
         if n == 2:
-            skews = skews + list(enum_nonnormal_n2(p, workers=workers))
+            skews = skews + enum_nonnormal_n2(p)
         else:
-            nn, _, _ = enum_nonnormal_n3(p, count_only=False, workers=workers)
-            skews = skews + list(nn)
+            skews = skews + enum_nonnormal_n3(p)[0]
     return _result_from_skews(p, n, "structured", skews)
 
 
-def _sampled_gl_validation(p, n, rate, seed=0):
+def _sampled_gl_validation(p, n, rate):
     """Validate a deterministic random sample of GL(n,p) as skew-morphisms."""
     stride = max(1, int(round(1.0 / rate)))
     target = -(-fpalg.gl_order(n, p) // stride)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)  # a fixed seed: the same sample on every run
     picked = {}
     while len(picked) < target:
         ms = rng.integers(0, p, size=(max(64, target), n, n))

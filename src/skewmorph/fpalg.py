@@ -82,11 +82,11 @@ def mat_det(ms, p):
     raise ValueError("determinant implemented for n <= 3, got n = %d" % n)
 
 
-def matrix_order(m, p, cap=ORDER_CAP):
+def matrix_order(m, p):
     """Order of one invertible matrix by iterated multiplication."""
     eye = np.eye(m.shape[0], dtype=np.int64)
     acc = m % p
-    for k in range(1, cap + 1):
+    for k in range(1, ORDER_CAP + 1):
         if (acc == eye).all():
             return k
         acc = acc @ m % p

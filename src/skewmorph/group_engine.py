@@ -421,18 +421,7 @@ def elementary_abelian_rank(H, p=None):
     return r
 
 
-def _infer_p(X, rank):
-    sizes = set()
-    m = len(X)
-    for q in range(2, m + 1):
-        if fpalg.is_prime(q) and m % (q ** rank) == 0:
-            sizes.add(q)
-    if len(sizes) != 1:
-        raise ValueError("ambiguous prime, pass p explicitly (candidates %r)" % sorted(sizes))
-    return sizes.pop()
-
-
-def normal_elem_abelian_subgroups(X, rank, p=None):
+def normal_elem_abelian_subgroups(X, rank, p):
     """All N normal in X with N elementary abelian of order p^rank.
 
     Search over joins of conjugacy classes of order-p elements; complete
@@ -444,8 +433,6 @@ def normal_elem_abelian_subgroups(X, rank, p=None):
     """
     if len(X) > 5000:
         raise ValueError("group too large for the subgroup search")
-    if p is None:
-        p = _infer_p(X, rank)
     C = X.carrier
     target = p ** rank
     e = np.array(X.elements)
@@ -491,7 +478,10 @@ def normal_elem_abelian_subgroups(X, rank, p=None):
     return out
 
 
-def find_complement(X, N, pair_cap=10 ** 5):
+COMPLEMENT_PAIR_CAP = 10 ** 5
+
+
+def find_complement(X, N):
     """A subgroup K with K ∩ N = 1 and |K||N| = |X|, or None.
 
     Tries cyclic K over all elements, then 2-generated K over elements
@@ -520,7 +510,7 @@ def find_complement(X, N, pair_cap=10 ** 5):
         if cyclic.size:
             return X.subgroup((int(e[a + cyclic[0]]),))
     n_pairs = len(cands) * (len(cands) - 1) // 2
-    if n_pairs > pair_cap:
+    if n_pairs > COMPLEMENT_PAIR_CAP:
         raise RuntimeError("complement pair search exceeds cap (%d pairs)" % n_pairs)
     rows = np.array(cands, dtype=np.int64)[np.stack(np.triu_indices(len(cands), 1), axis=1)]
     for a, masks, over in _close_chunks(C, rows, m):

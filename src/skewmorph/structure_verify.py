@@ -176,9 +176,9 @@ def find_affine_embedding(sk):
     first in pair id order that passes every test.  The law of X is read
     off the tables of G and sigma, without building X: array passes over
     all candidates keep the x with i != 0 that commute with the central
-    translations, x^p = 1, distinct exponents on x^0 .. x^(p-1) and no
-    x^t (0 < t < p) in <sigma>; only the normality test is a scalar loop,
-    and tried counts the candidates that reach it.
+    translations, x^p = 1 and no x^t (0 < t < p) in <sigma>; only the
+    normality test is a scalar loop, and tried counts the candidates that
+    reach it.
     """
     p, n, o, k = sk.p, sk.n, sk.order, sk.k
     N = sk.N
@@ -227,9 +227,9 @@ def find_affine_embedding(sk):
     xe = np.zeros((p + 1, ga.size), dtype=np.intp)
     for t in range(1, p + 1):
         xg[t], xe[t] = _vmult(add, S, PS, o, xg[t - 1], xe[t - 1], ga, ia)
+    # x^0 .. x^(p-1) have distinct exponents, as exp_to_t below needs: equal
+    # ones would put a power of x, so x itself (p prime), in G, and i != 0
     ok = (xg[p] == 0) & (xe[p] == 0) & ~zt_mask[xg[1:p]].any(axis=0)
-    exps = np.sort(xe[:p], axis=0)
-    ok &= (exps[1:] != exps[:-1]).all(axis=0)
 
     # normality: y^-1 t y in T for the generators y of X, the basis
     # translations (e_j, 0) and sigma, and the generators t of T; the

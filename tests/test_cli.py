@@ -220,3 +220,13 @@ def test_enum_byte_determinism(tmp_path):
     assert fa.read_bytes() == fb.read_bytes()
     assert (a / "summary_p3_n2_structured.csv").read_bytes() == \
            (b / "summary_p3_n2_structured.csv").read_bytes()
+
+
+def test_enum_workers_flag_is_accepted_and_ignored(tmp_path):
+    # the seeds are built in one process; --workers stays a valid flag
+    a = tmp_path / "a"
+    b = tmp_path / "b"
+    assert run_cli(["enum", "--p", "5", "--n", "2", "--workers", "2", "--out", str(a)]) == 0
+    assert run_cli(["enum", "--p", "5", "--n", "2", "--out", str(b)]) == 0
+    for name in ("skews_p5_n2_structured.jsonl", "summary_p5_n2_structured.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()

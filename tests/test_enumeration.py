@@ -80,13 +80,13 @@ def test_compare_sets_difference_witness(brute32):
 
 def test_aut_closure_fixes_complete_set(brute32):
     nonnormal = [s for s in brute32.skews if not s.is_automorphism()]
-    closed = en.aut_closure(3, 2, nonnormal)
-    assert len(closed) == 16
+    count, closed = en.aut_closure(3, 2, nonnormal)
+    assert count == len(closed) == 16
     assert {s.key() for s in closed} == {s.key() for s in nonnormal}
     # a single seed already reaches its whole orbit inside the set
-    orbit = en.aut_closure(3, 2, nonnormal[:1])
+    count, orbit = en.aut_closure(3, 2, nonnormal[:1])
     assert {s.key() for s in orbit} <= {s.key() for s in nonnormal}
-    assert len(orbit) > 1
+    assert count == len(orbit) > 1
 
 
 def _seed_digest(seeds):
@@ -149,6 +149,16 @@ def test_count_only_path_at_33(set33):
     assert count == len(full)
 
 
+def test_count_only_samples_fixed_closure_positions():
+    # the seeds plus closure positions 20, 40, ...: the digest pins which
+    # members the stride validates, not only how many
+    seeds = en._canonical_config_seeds(3, 3, range(1, 3), _omega(3))
+    count, checked = en.aut_closure(3, 3, seeds, 20)
+    assert (count, len(checked)) == (2080, 123)
+    assert _seed_digest(checked) == \
+        "384865710e5add4e3fbd4c7743623534aedde46854a36b02017e1c2244a1268a"
+
+
 def test_each_member_validated_once(monkeypatch):
     kernel_rows = []
     seeds = []
@@ -198,13 +208,6 @@ def test_result_row_and_csv(tmp_path, struct32):
     text = path.read_text()
     assert text.splitlines()[0] == ",".join(en.CSV_COLUMNS)
     assert "3,2,structured,64,48,16,64,True" in text
-
-
-def test_workers_agree_with_serial():
-    serial = en.enum_nonnormal_n2(5, workers=1)
-    parallel = en.enum_nonnormal_n2(5, workers=2)
-    assert {s.key() for s in serial} == {s.key() for s in parallel}
-    assert len(serial) == 288
 
 
 def test_orders_divide_structure(struct32, set33):

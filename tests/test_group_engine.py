@@ -125,7 +125,7 @@ def _extracted_seed(p, n, i, M2):
     s = fpalg.matrix_to_perm(en._crt_sigma(L, M2, k, p), p)
     o = k * p
     g_codes = [p ** (n - 1 - j) * o for j in range(n)]
-    X = permutation_group(en._then(en._config_group(p, n, i), en._row_powers(s, o)),
+    X = permutation_group(en._then(en._config_group(p, n, i), K.power_rows(s, o)),
                           g_codes + [1])
     G = X.subgroup(g_codes)
     assert len(G) == p ** n
