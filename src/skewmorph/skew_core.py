@@ -12,10 +12,10 @@ which is the one place the power function really gets exercised.  The
 pair (g, i) has the id g * order + i, and SkewProductGroup.mul and .inv
 compute the law on ids from the addition table of G, the powers of s and
 the running sums of pi, for python ints and numpy id arrays alike, so no
-Cayley table of the whole group is ever built: the group-law self-test
-runs in chunks, and the derived subgroup is closed by
-group_engine.close_many.  as_finite_group gives the same law as a
-group_engine group on the ids.
+Cayley table of the whole group is ever built: group_engine.check_group_law
+checks the law as it is built, with no M^2 array above 200 ids, and the
+derived subgroup is closed by group_engine.close_many.  as_finite_group
+gives the same law as a group_engine group on the ids.
 
 extract_skew reads a skew-morphism back off any complementary
 factorization X = G<s> of an int-coded group, in array passes: powers by
@@ -32,12 +32,6 @@ from . import _kernels as K
 from . import fpalg
 from . import group_engine as ge
 from .fpalg import check_prime
-
-# products per chunk of the skew product's self-test: at M = 2,352 the
-# row check takes 0.08 s in chunks of 2^15 and 0.14 s in chunks of 2^18,
-# whose arrays no longer stay in cache
-CHECK_CELLS = 1 << 15
-
 
 class SkewValidationError(ValueError):
     def __init__(self, message, status=None, witness=None, row=None):
@@ -210,7 +204,7 @@ class SkewProductGroup:
         self._add_o = self.add * self.order
         self._mod = np.arange(2 * self.order, dtype=np.int32) % self.order
         if check:
-            self.self_test()
+            ge.check_group_law(self)
 
     def __len__(self):
         return self.M
@@ -253,35 +247,6 @@ class SkewProductGroup:
     def sigma_pair(self, e=1):
         """The id of (0, e), sigma^e."""
         return e % self.order
-
-    def self_test(self):
-        """Group-law check through mul: the identity on every id, every
-        row a permutation, and associativity on 10^5 seeded triples, in
-        chunks of at most CHECK_CELLS products; when M <= 200, on every
-        triple instead, through the table of mul (at most 40,000 cells)."""
-        M = self.M
-        ids = np.arange(M, dtype=np.int32)
-        if (self.mul(0, ids) != ids).any() or (self.mul(ids, 0) != ids).any():
-            raise AssertionError("identity fails")
-        step = max(1, CHECK_CELLS // M)
-        for a in range(0, M, step):
-            if (np.sort(self.mul(ids[a:a + step, None], ids), axis=1) != ids).any():
-                raise AssertionError("rows are not permutations")
-        if M <= 200:
-            # every triple, on the table of mul: T[x, y] = mul(x, y) has
-            # M^2 <= 40,000 cells; T[T[x, y], z] against T[x, T[y, z]]
-            T = self.mul(ids[:, None], ids)
-            step = max(1, CHECK_CELLS // (M * M))
-            for a in range(0, M, step):
-                if (T[T[a:a + step]] != np.take(T[a:a + step], T, axis=1)).any():
-                    raise AssertionError("associativity fails")
-            return
-        rng = np.random.default_rng(0)
-        xyz = [rng.integers(0, M, 10 ** 5) for _ in range(3)]
-        for a in range(0, 10 ** 5, CHECK_CELLS):
-            x, y, z = (t[a:a + CHECK_CELLS] for t in xyz)
-            if (self.mul(self.mul(x, y), z) != self.mul(x, self.mul(y, z))).any():
-                raise AssertionError("associativity fails")
 
     def generator_ids(self):
         """Pair ids of the basis translations (e_j, 0), then sigma (0, 1)."""

@@ -292,16 +292,16 @@ def omega1_report(X, G, z, p, n):
     }
 
 
-def metacyclic_omega1_control(p=3, n=2):
-    """Control case: the metacyclic p-group has Omega_1 = Z_p x Z_p even
-    though the group itself is 2-generated of exponent p^n."""
-    M = ge.metacyclic_group(p, n)
+def metacyclic_omega1_control():
+    """Control case: the metacyclic 3-group Z_9 ⋊ Z_3 has Omega_1 =
+    Z_3 x Z_3 even though the group itself is 2-generated of exponent 9."""
+    M = ge.metacyclic_group(3, 2)
     om = ge.omega1_pgroup(M)
     return {
         "group_order": len(M),
         "omega_order": len(om),
-        "omega_rank": ge.elementary_abelian_rank(om, p),
-        "ok": len(om) == p * p and ge.elementary_abelian_rank(om, p) == 2,
+        "omega_rank": ge.elementary_abelian_rank(om, 3),
+        "ok": len(om) == 9 and ge.elementary_abelian_rank(om, 3) == 2,
     }
 
 

@@ -119,7 +119,7 @@ def _cayley_table(spg):
 
 def test_skew_product_group_law(brute32):
     for sk in brute32.skews[::7]:
-        spg = sc.SkewProductGroup(sk)  # self_test on, full associativity
+        spg = sc.SkewProductGroup(sk)  # checked on build, every triple
         assert spg.M == len(spg) == sk.N * sk.order
         T = _cayley_table(spg)
         ids = np.arange(spg.M)
@@ -171,17 +171,54 @@ def test_self_test_catches_corrupt_power_sum(set72, monkeypatch, order):
     monkeypatch.setattr(spg, "PS", bad)
     assert spg.mul(a, b) != clean
     with pytest.raises(AssertionError, match="associativity"):
-        spg.self_test()
+        ge.check_group_law(spg)
+
+
+@pytest.mark.parametrize("order", [3, 48])
+def test_group_law_check_catches_power_row_no_permutation(set72, monkeypatch, order):
+    # one entry of a power table row copied onto another: sigma^1 is no
+    # longer a permutation of G, while PS still holds the clean sums
+    sk = next(s for s in set72.skews if s.order == order)
+    spg = sc.SkewProductGroup(sk, check=False)
+    bad = spg.S.copy()
+    bad[1, 2] = bad[1, 3]
+    assert np.unique(bad[1]).size < sk.N
+    monkeypatch.setattr(spg, "S", bad)
+    with pytest.raises(AssertionError, match="associativity|inverse"):
+        ge.check_group_law(spg)
+
+
+@pytest.mark.parametrize("order", [3, 48])
+def test_build_checks_the_inverse(set72, monkeypatch, order):
+    # inv off by one at a single id, mul untouched: building the group
+    # must call inv on every id to see it
+    sk = next(s for s in set72.skews if s.order == order)
+    clean = sc.SkewProductGroup.inv
+    wrong = 5
+
+    def inv(self, a):
+        out = clean(self, a)
+        return np.where(np.asarray(a) == wrong, (out + 1) % self.M, out)
+
+    spg = sc.SkewProductGroup(sk)
+    monkeypatch.setattr(spg, "inv", inv.__get__(spg))
+    assert spg.inv(wrong) != clean(spg, wrong)
+    with pytest.raises(AssertionError, match="inverse fails at %d" % wrong):
+        ge.check_group_law(spg)
+    monkeypatch.setattr(sc.SkewProductGroup, "inv", inv)
+    with pytest.raises(AssertionError, match="inverse fails at %d" % wrong):
+        sc.SkewProductGroup(sk)
 
 
 def test_skew_product_memory_stays_small(set72):
     # the parent's M x M table took 64 MB at M = 2,352; mul works in
-    # chunks, so neither the self-test nor X' needs an M^2 array
+    # chunks, so neither the group-law check nor X' needs an M^2 array
     import tracemalloc
 
     sk = next(s for s in set72.skews if s.order == 48)
     K.index_tables(sk.p, sk.n)
-    np.random.default_rng(0)  # the self-test's generator, imported beforehand
+    # the group-law check draws its triples from the standard random
+    # module, so nothing is imported while the peak is traced
     tracemalloc.start()
     try:
         assert sc.build_skew_product(sk).derived_is_abelian()
