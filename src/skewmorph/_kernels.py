@@ -104,9 +104,13 @@ def _validate_np(images, add, neg, pi):
     order = perm_order_capped(images, N - 1 if N > 1 else 1)
     if order < 0:
         return ORDER_TOO_BIG, 0, 0
-    powers = power_rows(images, order)
     # F[x, y] = s(x + y) - s(x), by flat takes on add
     F = add.take(np.take(images, add) + (neg.take(images).astype(np.intp) * N)[:, None])
+    if order > 1 and (F == images).all():
+        # s is additive, an automorphism: s^1 is the one power equal to s
+        pi[:] = 1
+        return OK, order, -1
+    powers = power_rows(images, order)
     match = (F[:, None, :] == powers[None, :, :]).all(axis=2)
     ok = match.any(axis=1)
     if not ok.all():
@@ -132,19 +136,22 @@ def validate_images(p, n, images):
 # elements in one (rows, N, N) work array of the batch kernel; larger
 # chunks gain little speed and raise peak memory
 _CHUNK = 1 << 16
-_M64 = (1 << 64) - 1
+
+
+def splitmix64(start, count):
+    """Outputs start .. start+count-1 of splitmix64 seeded at 0, as uint64:
+    the finalizer of 0x9E3779B97F4A7C15 * c for each counter c >= 1, with
+    the uint64 products wrapping mod 2^64."""
+    z = np.arange(start, start + count, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 @functools.lru_cache(maxsize=8)
 def _hash_weights(N):
     """Fixed int64 weights of the row hash, splitmix64 of 1..N."""
-    out = []
-    for y in range(1, N + 1):
-        z = y * 0x9E3779B97F4A7C15 & _M64
-        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _M64
-        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _M64
-        out.append(z ^ (z >> 31))
-    return np.array(out, dtype=np.uint64).view(np.int64)
+    return splitmix64(1, N).view(np.int64)
 
 
 def _validate_rows(im, add, neg, status, order, pi, witness):

@@ -24,7 +24,7 @@ law it builds to check_group_law before returning the group.
 check_group_law is the one group-law check for any int-coded law, the
 skew products of skew_core among them: identity and two-sided inverses
 on every code, and associativity on every triple up to 200 codes, on
-10^5 seeded triples above.
+10^5 triples drawn from splitmix64 counters above.
 
 Every subgroup is closed by close_many, one array BFS over a batch of
 generator rows: FiniteGroup.from_generators closes one row, the subgroup
@@ -34,7 +34,6 @@ them, re-close one row until it is closed under conjugation.
 """
 
 import math
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -663,11 +662,12 @@ def check_group_law(X):
     X has len(X) codes with identity 0 and a mul and inv that broadcast,
     the contract of close_many.  The check runs in this order: the
     identity on every code, both sides; associativity on every triple
-    when len(X) <= 200, through the table T of mul, else on 10^5 seeded
-    uniform triples in chunks, so no len(X)^2 array is built; two-sided
-    inverses on every code.  Up to 200 codes these imply that every row
-    of the law is a permutation.  Above 200 that is not checked row by
-    row, which would take len(X)^2 products.
+    when len(X) <= 200, through the table T of mul, else on 10^5
+    near-uniform triples from splitmix64 seeded at 0 (_kernels.splitmix64)
+    in chunks, so no len(X)^2 array is built; two-sided inverses on every
+    code.  Up to 200 codes these imply that every row of the law is a
+    permutation.  Above 200 that is not checked row by row, which would
+    take len(X)^2 products.
     """
     n = len(X)
     ids = np.arange(n, dtype=np.int64)
@@ -683,10 +683,11 @@ def check_group_law(X):
                 x, y, z = np.unravel_index(np.argmax(bad), bad.shape)
                 raise AssertionError("associativity fails at (%d, %d, %d)" % (a + x, y, z))
     else:
-        # not numpy.random: importing it adds about 5 MB of resident memory
-        rng = random.Random(0)
-        for _ in range(10 ** 5 // ASSOC_CHUNK):
-            pos = np.frombuffer(rng.randbytes(24 * ASSOC_CHUNK), dtype=np.uint64) % n
+        # the triples are outputs 1, 2, ... of splitmix64 seeded at 0, three
+        # per triple, drawn in numpy without numpy.random (importing it adds
+        # about 5 MB of resident memory); uint64 mod n is near-uniform
+        for c in range(1, 3 * 10 ** 5, 3 * ASSOC_CHUNK):
+            pos = K.splitmix64(c, 3 * ASSOC_CHUNK) % np.uint64(n)
             x, y, z = pos.astype(np.int64).reshape(3, ASSOC_CHUNK)
             bad = X.mul(X.mul(x, y), z) != X.mul(x, X.mul(y, z))
             if bad.any():

@@ -14,7 +14,8 @@ ker pi = {g : pi(g) = 1}; ker pi is a subgroup automatically (the
 defining identity forces pi(g+h) = pi(h) when pi(g) = 1), and the
 orbit-restricted subset is again a subgroup, the largest one normal
 in X.  All three checks and the core are plain array reductions, so a
-full sweep never builds multiplication tables.
+full sweep never builds multiplication tables.  An automorphism (order 1
+or pi == 1) needs none of them: classify reports it in closed form.
 """
 
 from collections import Counter
@@ -60,15 +61,31 @@ def _power_sum_row(sk, S, j):
     return np.asarray(sk.pi)[S[:j]].sum(axis=0) % sk.order
 
 
+def _case(p, m, k, g_normal_x, g_normal_p):
+    if p == 2 or m == 0:
+        return CASE_1
+    if k == 1:
+        return CASE_2_NORMAL if g_normal_x else CASE_2_SPLIT
+    if g_normal_x:
+        return CASE_3_NORMAL
+    return CASE_3_GP if g_normal_p else CASE_3_GNP
+
+
 def classify(sk):
     p, n, o, k, m = sk.p, sk.n, sk.order, sk.k, sk.m
+    if sk.is_automorphism():
+        # order < 2 or pi == 1: G is normal in X and is its own core, and
+        # PS_k == k, so G is normal in P and P in X; no table is needed
+        return ClassificationReport(
+            p=p, n=n, order=o, k=k, m=m, case=_case(p, m, k, True, True),
+            automorphism=True, g_normal_in_x=True, g_normal_in_p=True,
+            p_normal_in_x=True, core_rank=n, core_size=sk.N)
     N = sk.N
     pi = np.asarray(sk.pi)
     add, _, _ = K.index_tables(p, n)
     S = sk.power_table()
 
-    mask = (pi == 1) if o >= 2 else np.ones(N, dtype=bool)
-    g_normal_x = bool(mask.all())
+    mask = pi == 1
     PSk = _power_sum_row(sk, S, k)
     g_normal_p = bool((PSk == k % o).all())
     p_normal_x = bool(((pi % k) == (1 % k)).all())
@@ -88,25 +105,13 @@ def classify(sk):
     if not in_core[np.asarray(sk.images)[core_idx]].all():
         raise AssertionError("core candidate is not sigma-invariant")
 
-    if p == 2 or m == 0:
-        case = CASE_1
-    elif k == 1:
-        case = CASE_2_NORMAL if g_normal_x else CASE_2_SPLIT
-    elif g_normal_x:
-        case = CASE_3_NORMAL
-    else:
-        case = CASE_3_GP if g_normal_p else CASE_3_GNP
-
-    witness = {}
-    if not g_normal_x and o >= 2:
-        witness["b_index"] = int(np.argmax(pi != 1))
+    witness = {"b_index": int(np.argmax(~mask))}
     if not g_normal_p:
         witness["gp_index"] = int(np.argmax(PSk != k % o))
 
     return ClassificationReport(
-        p=p, n=n, order=o, k=k, m=m, case=case,
-        automorphism=sk.is_automorphism(),
-        g_normal_in_x=g_normal_x, g_normal_in_p=g_normal_p,
+        p=p, n=n, order=o, k=k, m=m, case=_case(p, m, k, False, g_normal_p),
+        automorphism=False, g_normal_in_x=False, g_normal_in_p=g_normal_p,
         p_normal_in_x=p_normal_x,
         core_rank=rank, core_size=size, witness=witness)
 

@@ -172,11 +172,39 @@ def test_validate_many_matches_per_row_on_gl(p, n):
     _assert_batch_matches_per_row(p, n, mixed[rng.permutation(len(mixed))])
 
 
-def test_validate_many_matches_per_row_on_members(set33):
-    batch = np.stack([s.images for s in set33.skews])
-    assert (_assert_batch_matches_per_row(3, 3, batch) == K.OK).all()
+@pytest.mark.parametrize("members", ["set33", "set72"])
+def test_validate_many_matches_per_row_on_members(request, members):
+    res = request.getfixturevalue(members)
+    batch = np.stack([s.images for s in res.skews])
+    assert (_assert_batch_matches_per_row(res.p, res.n, batch) == K.OK).all()
     near = _near_misses(batch, np.random.default_rng(5), 1000)
-    assert (_assert_batch_matches_per_row(3, 3, near) != K.OK).all()
+    assert (_assert_batch_matches_per_row(res.p, res.n, near) != K.OK).all()
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (7, 2), (3, 3)])
+def test_per_row_kernel_settles_every_gl_row(p, n):
+    # every GL(n,p) row is an automorphism: OK, pi == 1 and the order of
+    # its matrix, by the per-row kernel's one-compare path
+    ms = fpalg.gl_matrices_array(n, p)
+    for M, row in zip(ms, fpalg.matrix_to_perm(ms, p)):
+        status, order, pi, witness = K.validate_images(p, n, row)
+        assert (status, order, witness) == (K.OK, fpalg.matrix_order(M, p), -1)
+        assert (pi == (1 if order > 1 else 0)).all()
+
+
+def test_hash_weights_are_splitmix64():
+    # the scalar splitmix64 formula, outputs 1..4 of the stream seeded at 0
+    mask = (1 << 64) - 1
+    want = []
+    for y in range(1, 5):
+        z = y * 0x9E3779B97F4A7C15 & mask
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
+        want.append(z ^ (z >> 31))
+    assert want[0] == 0xE220A8397B1DCDAF
+    assert K._hash_weights(4).dtype == np.int64
+    assert K._hash_weights(4).view(np.uint64).tolist() == want
+    assert K.splitmix64(3, 2).tolist() == want[2:]
 
 
 def test_validate_many_survives_colliding_hashes(monkeypatch):

@@ -188,6 +188,28 @@ def test_group_law_check_catches_power_row_no_permutation(set72, monkeypatch, or
         ge.check_group_law(spg)
 
 
+def test_group_law_check_catches_seeded_corruptions(set72):
+    # 40 single-entry corruptions each of S (an entry of a row i >= 1 copied
+    # from another column) and of PS (an entry shifted by r != 0) at
+    # M = 2,352, where associativity is checked on sampled triples: an
+    # entry at i = 0 or g = 0 breaks the identity, every other one must be
+    # caught by the sampled triples, before the inverse check runs
+    sk = next(s for s in set72.skews if s.order == 48)
+    spg = sc.SkewProductGroup(sk, check=False)
+    ge.check_group_law(spg)
+    S, PS = spg.S, spg.PS
+    rng = np.random.default_rng(48)
+    for table in ("S", "PS") * 40:
+        i, g = int(rng.integers(1 if table == "S" else 0, sk.order)), int(rng.integers(sk.N))
+        spg.S, spg.PS = S.copy(), PS.copy()
+        if table == "S":
+            spg.S[i, g] = S[i, (g + int(rng.integers(1, sk.N))) % sk.N]
+        else:
+            spg.PS[i, g] = (PS[i, g] + int(rng.integers(1, sk.order))) % sk.order
+        with pytest.raises(AssertionError, match="identity" if 0 in (i, g) else "associativity"):
+            ge.check_group_law(spg)
+
+
 @pytest.mark.parametrize("order", [3, 48])
 def test_build_checks_the_inverse(set72, monkeypatch, order):
     # inv off by one at a single id, mul untouched: building the group
@@ -217,8 +239,8 @@ def test_skew_product_memory_stays_small(set72):
 
     sk = next(s for s in set72.skews if s.order == 48)
     K.index_tables(sk.p, sk.n)
-    # the group-law check draws its triples from the standard random
-    # module, so nothing is imported while the peak is traced
+    # the group-law check draws its triples from _kernels.splitmix64, so
+    # nothing is imported while the peak is traced
     tracemalloc.start()
     try:
         assert sc.build_skew_product(sk).derived_is_abelian()

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from skewmorph import _kernels as K
 from skewmorph import group_engine as ge
 from skewmorph import skew_core as sc
 from skewmorph import structure_verify as sv
@@ -77,6 +78,67 @@ def test_affine_embedding_on_nonnormal(brute32):
             assert aff.mixed_pair is not None
             g, i = aff.mixed_pair
             assert i != 0
+
+
+def _reference_classify(sk):
+    """classify's general body for every member, automorphisms included:
+    the power table, the power sums and the orbit mask of the core."""
+    p, n, o, k, m = sk.p, sk.n, sk.order, sk.k, sk.m
+    N = sk.N
+    pi = np.asarray(sk.pi)
+    add, _, _ = K.index_tables(p, n)
+    S = sk.power_table()
+
+    mask = (pi == 1) if o >= 2 else np.ones(N, dtype=bool)
+    g_normal_x = bool(mask.all())
+    PSk = np.asarray(sk.pi)[S[:k]].sum(axis=0) % o
+    g_normal_p = bool((PSk == k % o).all())
+    p_normal_x = bool(((pi % k) == (1 % k)).all())
+
+    core_idx = np.nonzero(mask[S].all(axis=0))[0]
+    size = int(core_idx.size)
+    rank = 0
+    while p ** rank < size:
+        rank += 1
+    assert p ** rank == size
+    in_core = np.zeros(N, dtype=bool)
+    in_core[core_idx] = True
+    assert in_core[add[core_idx[:, None], core_idx]].all()
+    assert in_core[np.asarray(sk.images)[core_idx]].all()
+
+    if p == 2 or m == 0:
+        case = sv.CASE_1
+    elif k == 1:
+        case = sv.CASE_2_NORMAL if g_normal_x else sv.CASE_2_SPLIT
+    elif g_normal_x:
+        case = sv.CASE_3_NORMAL
+    else:
+        case = sv.CASE_3_GP if g_normal_p else sv.CASE_3_GNP
+
+    witness = {}
+    if not g_normal_x and o >= 2:
+        witness["b_index"] = int(np.argmax(pi != 1))
+    if not g_normal_p:
+        witness["gp_index"] = int(np.argmax(PSk != k % o))
+
+    return sv.ClassificationReport(
+        p=p, n=n, order=o, k=k, m=m, case=case,
+        automorphism=sk.is_automorphism(),
+        g_normal_in_x=g_normal_x, g_normal_in_p=g_normal_p,
+        p_normal_in_x=p_normal_x,
+        core_rank=rank, core_size=size, witness=witness)
+
+
+def test_classify_matches_reference_on_every_member(set52, set33, set72):
+    # the closed form for automorphisms and the general body for the rest
+    for res in (set52, set33, set72):
+        autos = 0
+        for sk in res.skews:
+            got, want = sv.classify(sk), _reference_classify(sk)
+            assert got == want
+            assert type(got.core_rank) is type(got.core_size) is int
+            autos += got.automorphism
+        assert 0 < autos < len(res.skews)
 
 
 def _reference_affine_search(sk):
