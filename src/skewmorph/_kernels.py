@@ -4,6 +4,13 @@ Index convention: the vector (v_1, ..., v_n) over F_p is encoded as
 i = sum v_j * p**(n-j), so index 0 is the identity and basis vectors come
 first in each block.  All kernels work on these integer indices through
 precomputed addition/subtraction tables.
+
+Validation has a per-row kernel (validate_images) and a batch kernel
+(validate_many) with the same results.  The batch kernel first settles
+the automorphisms: a permutation fixing 0 that is additive along every
+basis point is F_p-linear, so pi is 1 (0 for the identity) and its order
+is read off the orbits of the basis.  Only the other rows pay for the
+power table that the general law needs.
 """
 
 import math
@@ -133,8 +140,10 @@ def validate_images(p, n, images):
     return int(status), int(order), pi, int(witness)
 
 
-# elements in one (rows, N, N) work array of the batch kernel; larger
-# chunks gain little speed and raise peak memory
+# elements in one chunk of the batch kernel: rows * N * n in the
+# automorphism pass, which takes the n basis points one after the other,
+# and rows * N * N for the other rows; larger chunks gain little speed
+# and raise peak memory
 _CHUNK = 1 << 16
 
 
@@ -154,8 +163,48 @@ def _hash_weights(N):
     return splitmix64(1, N).view(np.int64)
 
 
+def _additive_permutations(im, add, basis):
+    """Mask of the rows of a (b, N) chunk that are permutations fixing 0
+    with s(x + e) = s(x) + s(e) for every x and every basis point e.
+
+    Every point is a sum of basis points, so such a row is additive,
+    hence F_p-linear: an automorphism of F_p^n.
+    """
+    N = im.shape[1]
+    ok = (im[:, 0] == 0) & (im.min(axis=1) >= 0) & (im.max(axis=1) < N)
+    live = np.nonzero(ok)[0]
+    for e in basis:
+        # s(x + e) against s(x) + s(e); most other rows fail at the first e
+        s = im[live]
+        shifted = np.take(s, add[:, e] + (np.arange(len(live)) * N)[:, None])
+        sums = add.take(s.astype(np.intp) * N + s[:, e, None])
+        live = live[(shifted == sums).all(axis=1)]
+    ok[:] = False
+    ok[live] = (np.sort(im[live], axis=1) == np.arange(N)).all(axis=1)
+    return ok
+
+
+def _basis_orders(batch, rows, basis):
+    """For each listed row s of batch, the first e < N at which s^e fixes
+    every basis point, or 0 if there is none.  For an automorphism this
+    is its order, which is at most N - 1."""
+    N = batch.shape[1]
+    found = np.zeros(len(rows), dtype=np.int64)
+    off = rows * N
+    # (n, rows) images of the basis, so each test reduces over the short axis 0
+    home = basis.astype(batch.dtype)[:, None]
+    cur = batch[rows, home]
+    for e in range(1, N):
+        found[(cur == home).all(axis=0) & (found == 0)] = e
+        if found.all():
+            break
+        cur = np.take(batch, cur + off)
+    return found
+
+
 def _validate_rows(im, add, neg, status, order, pi, witness):
-    # the law of _validate_np on a (b, N) chunk, results written in place
+    # the law of _validate_np on a (b, N) chunk of the rows that are no
+    # automorphism (the rest of validate_many), results written in place
     N = im.shape[1]
     ident = np.arange(N, dtype=IDX_DTYPE)
     perm = (np.sort(im, axis=1) == ident).all(axis=1)
@@ -225,9 +274,26 @@ def validate_many(p, n, batch):
     B, N = batch.shape
     out = (np.zeros(B, dtype=np.int64), np.zeros(B, dtype=np.int64),
            np.zeros((B, N), dtype=IDX_DTYPE), np.zeros(B, dtype=np.int64))
-    step = max(1, _CHUNK // (N * N))
+    order, pi, witness = out[1:]
+    # the automorphisms first; only the rows they leave build power tables
+    basis = N // p ** np.arange(1, n + 1)
+    aut = np.zeros(B, dtype=bool)
+    step = max(1, _CHUNK // (N * n))
     for a in range(0, B, step):
-        _validate_rows(batch[a:a + step], add, neg, *(o[a:a + step] for o in out))
+        aut[a:a + step] = _additive_permutations(batch[a:a + step], add, basis)
+    rows = np.nonzero(aut)[0]
+    order[rows] = _basis_orders(batch, rows, basis)
+    aut = order > 0
+    pi[aut] = (order[aut] > 1)[:, None]
+    witness[aut] = -1
+    rest = np.nonzero(~aut)[0]
+    step = max(1, _CHUNK // (N * N))
+    for a in range(0, len(rest), step):
+        r = rest[a:a + step]
+        part = tuple(o[r] for o in out)
+        _validate_rows(batch[r], add, neg, *part)
+        for o, q in zip(out, part):
+            o[r] = q
     return out
 
 

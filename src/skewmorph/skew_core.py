@@ -53,7 +53,7 @@ def _split_order(order, p):
 class SkewMorphism:
     """Validated skew-morphism: images array, power function, order = k * p**m."""
 
-    __slots__ = ("p", "n", "images", "pi", "order", "k", "m")
+    __slots__ = ("p", "n", "images", "pi", "order", "k", "m", "_aut")
 
     def __init__(self, p, n, images, pi, order):
         self.p = p
@@ -64,6 +64,7 @@ class SkewMorphism:
         self.pi.flags.writeable = False
         self.order = int(order)
         self.k, self.m = _split_order(self.order, p)
+        self._aut = None  # is_automorphism, worked out on the first call
 
     @property
     def N(self):
@@ -92,9 +93,10 @@ class SkewMorphism:
             self.p, self.n, self.order, self.k, self.m)
 
     def is_automorphism(self):
-        if self.order == 1:
-            return True
-        return bool((self.pi == 1).all())
+        # the arrays are read-only, so the verdict never goes stale
+        if self._aut is None:
+            self._aut = self.order == 1 or bool((self.pi == 1).all())
+        return self._aut
 
     def power_table(self):
         """S[e] = sigma^e for 0 <= e < order, built by doubling."""

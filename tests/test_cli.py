@@ -191,6 +191,12 @@ def test_bench(capsys):
     text = capsys.readouterr().out
     for name in ("numpy", "validate_many", "validate_images"):
         assert name in text
+    # each kernel timed on the 48 automorphisms and on the 16 other rows
+    assert "48 automorphism rows" in text and "16 other rows" in text
+    for name in ("validate_many", "validate_images"):
+        assert text.count(name) == 2
+    assert run_cli(["bench", "--p", "2", "--n", "2", "--repeat", "1"]) == 0
+    assert "no other rows" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("repeat", ["0", "-2"])

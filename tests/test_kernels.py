@@ -192,6 +192,56 @@ def test_per_row_kernel_settles_every_gl_row(p, n):
         assert (pi == (1 if order > 1 else 0)).all()
 
 
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (7, 2), (3, 3), (5, 3)])
+def test_batch_kernel_settles_every_gl_row(p, n):
+    # every GL(n,p) row (500 sampled ones at (5,3)) is an automorphism:
+    # OK, pi == 1 and the order of its matrix, by the automorphism pass
+    if (p, n) == (5, 3):
+        ms = np.random.default_rng(0).integers(0, p, size=(1000, n, n))
+        ms = ms[fpalg.mat_det(ms, p) != 0][:500]
+    else:
+        ms = fpalg.gl_matrices_array(n, p)
+    status, order, pi, witness = K.validate_many(p, n, fpalg.matrix_to_perm(ms, p))
+    assert (status == K.OK).all() and (witness == -1).all()
+    assert order.tolist() == [fpalg.matrix_order(M, p) for M in ms]
+    assert (pi == np.where(order > 1, 1, 0)[:, None]).all()
+
+
+def _additive_but_along(p, n, i, j):
+    # s(x) = x + x_j^2 e_i: a bijection fixing 0, additive along every
+    # basis point but e_j, where s(x + e_j) - s(x) = e_j + (2 x_j + 1) e_i
+    V = K.index_vectors(p, n)
+    W = V.copy()
+    W[:, i] = (W[:, i] + V[:, j] ** 2) % p
+    return (W @ p ** np.arange(n - 1, -1, -1)).astype(K.IDX_DTYPE)
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3)])
+def test_batch_kernel_checks_every_basis_point(p, n):
+    # a pass that skipped one basis point would call these automorphisms
+    rows = np.stack([_additive_but_along(p, n, i, j)
+                     for j in range(n) for i in range(n) if i != j])
+    assert (np.sort(rows, axis=1) == np.arange(p ** n)).all() and (rows[:, 0] == 0).all()
+    status = _assert_batch_matches_per_row(p, n, rows)
+    assert (status == K.NO_POWER_MATCH).all()
+
+
+@pytest.mark.parametrize("members", ["set33", "set72"])
+def test_validate_many_matches_per_row_across_chunks(request, members):
+    # longer than one chunk of the automorphism pass (rows of N * n) and
+    # of the general pass (rows of N * N), every kind of row mixed in
+    res = request.getfixturevalue(members)
+    p, n, N = res.p, res.n, res.p ** res.n
+    rng = np.random.default_rng(11)
+    skews = np.stack([s.images for s in res.skews])
+    batch = np.concatenate([skews[rng.permutation(len(skews))[:2500]], _gl_perms(p, n)[:300],
+                            _near_misses(skews, rng, 300), _malformed(rng, N),
+                            _perms_fixing_0(rng, N, 50), np.arange(N, dtype=K.IDX_DTYPE)[None]])
+    assert len(batch) > K._CHUNK // (N * n) > K._CHUNK // (N * N)
+    status = _assert_batch_matches_per_row(p, n, batch[rng.permutation(len(batch))])
+    assert {K.OK, K.NOT_PERMUTATION, K.NO_POWER_MATCH} <= set(status.tolist())
+
+
 def test_hash_weights_are_splitmix64():
     # the scalar splitmix64 formula, outputs 1..4 of the stream seeded at 0
     mask = (1 << 64) - 1

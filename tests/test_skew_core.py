@@ -1,5 +1,6 @@
 import itertools
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -33,6 +34,16 @@ def test_from_matrix_is_automorphism():
     assert sk.is_automorphism()
     assert (sk.pi == 1).all()
     assert _law_holds(sk)
+
+
+def test_cached_automorphism_verdict(struct32, set52, set72, set33):
+    # the verdict is worked out once and kept; a pickled member gets it afresh
+    for res in (struct32, set52, set72, set33):
+        for sk in res.skews:
+            want = sk.order == 1 or bool((sk.pi == 1).all())
+            assert sk.is_automorphism() is want
+            assert sk._aut is want and sk.is_automorphism() is want
+            assert pickle.loads(pickle.dumps(sk)).is_automorphism() is want
 
 
 def test_brute_set_satisfies_law_directly(brute32):
