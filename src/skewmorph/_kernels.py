@@ -321,10 +321,13 @@ def _prune_ok(images, add, sub, t):
     return True
 
 
-def _brute_py(p, n, add, sub):
-    # DFS over permutations fixing 0, pruned by _prune_ok; the leaves that
-    # survive are returned unvalidated
+def brute_images(p, n):
+    """The leaves of a DFS over the permutations of F_p^n fixing 0, pruned
+    by _prune_ok, as a (leaves, p**n) array in lex order; unvalidated."""
     N = p ** n
+    if N > 9:
+        raise ValueError("exhaustive search capped at p**n <= 9, got %d" % N)
+    add, sub, _ = index_tables(p, n)
     add_l, sub_l = add.tolist(), sub.tolist()
     images = [0] + [-1] * (N - 1)
     used = [True] + [False] * (N - 1)
@@ -344,18 +347,7 @@ def _brute_py(p, n, add, sub):
         images[t] = -1
 
     rec(1)
-    return found
-
-
-def brute_images(p, n):
-    """All valid image arrays on F_p^n by exhaustive search, lex sorted;
-    the surviving leaves are validated in one validate_many call."""
-    N = p ** n
-    if N > 9:
-        raise ValueError("exhaustive search capped at p**n <= 9, got %d" % N)
-    add, sub, _ = index_tables(p, n)
-    leaves = np.array(_brute_py(p, n, add, sub), dtype=IDX_DTYPE).reshape(-1, N)
-    return lex_sorted(leaves[validate_many(p, n, leaves)[0] == OK])
+    return np.array(found, dtype=IDX_DTYPE).reshape(-1, N)
 
 
 # ---------------------------------------------------------------------------
@@ -368,11 +360,3 @@ def conj_batch(batch, a, ainv):
     a = np.ascontiguousarray(a, dtype=IDX_DTYPE)
     ainv = np.ascontiguousarray(ainv, dtype=IDX_DTYPE)
     return ainv[batch[:, a]]
-
-
-def lex_sorted(arr):
-    """Rows sorted lexicographically (first column most significant)."""
-    if arr.shape[0] <= 1:
-        return arr
-    order = np.lexsort(arr.T[::-1])
-    return arr[order]

@@ -148,11 +148,12 @@ def cmd_bench(args):
     # automorphisms take the kernels' short paths and the other rows the
     # power table, so each part is timed on its own
     if p ** n <= 9:
-        batch = K.brute_images(p, n)
-        _, order, pi, _ = K.validate_many(p, n, batch)
-        aut = (order == 1) | (pi == 1).all(axis=1)
-        parts = [("automorphism rows, brute force", batch[aut]),
-                 ("other rows, brute force", batch[~aut])]
+        # the members of the brute route's one validate_many call, split
+        skews = en.brute_force_enum(p, n).skews
+        parts = [("automorphism rows, brute force",
+                  _rows([s for s in skews if s.is_automorphism()], p ** n)),
+                 ("other rows, brute force",
+                  _rows([s for s in skews if not s.is_automorphism()], p ** n))]
     else:
         others = []
         if n == 2:
@@ -161,8 +162,7 @@ def cmd_bench(args):
             others = en.enum_nonnormal_n3(3)[0]
         parts = [("automorphism rows, GL(%d,%d)" % (n, p),
                   fpalg.matrix_to_perm(fpalg.gl_matrices_array(n, p), p)),
-                 ("other rows, the non-normal block",
-                  np.array([s.images for s in others], dtype=K.IDX_DTYPE).reshape(-1, p ** n))]
+                 ("other rows, the non-normal block", _rows(others, p ** n))]
     print("benchmark: %s validation, p=%d n=%d, best of %d"
           % (K.current_backend(), p, n, args.repeat))
     for label, rows in parts:
@@ -179,6 +179,10 @@ def cmd_bench(args):
             best = min(_time_once(run, p, n, rows) for _ in range(args.repeat))
             print("    %-26s %8.2f ms" % (name, best * 1e3))
     return 0
+
+
+def _rows(skews, N):
+    return np.array([s.images for s in skews], dtype=K.IDX_DTYPE).reshape(-1, N)
 
 
 def _per_row(p, n, batch):

@@ -2,7 +2,8 @@
 
 Three independent routes produce (pieces of) the same sets:
 
-  * brute force, a pruned DFS over partial permutations (p^n <= 9);
+  * brute force, a pruned DFS over partial permutations (p^n <= 9), its
+    leaves validated in one kernel call, the members those that pass;
   * the automorphism block, all of GL(n,p) read as permutations;
   * the non-normal block for odd p, built from the canonical affine
     configuration (unipotent sigma_1, scaling-type sigma_2 acting on a
@@ -16,7 +17,9 @@ completeness argument made executable: the count against the closed
 formula is asserted, and at (3,2) the structured set must equal the
 brute set elementwise.  One closure routine serves both outcomes:
 full_enum makes (5,3) count-only by default, validating a sample of the
-members; everything else is materialized and validated in full.
+members; everything else is materialized and validated in full, each
+member once, in the order of skew_core.lex_order.  Nothing merges
+duplicates: a repeated member shows as a count mismatch.
 """
 
 import csv
@@ -97,8 +100,11 @@ def write_summary_csv(results, path):
 
 
 def brute_force_enum(p, n):
-    skews = _validated_rows(p, n, K.brute_images(p, n), "brute")
-    return _result_from_skews(p, n, "brute", skews)
+    """The search leaves, validated in one kernel call; the members are those that pass."""
+    leaves = K.brute_images(p, n)
+    status, order, pi, _ = K.validate_many(p, n, leaves)
+    ok = status == K.OK
+    return _result_from_skews(p, n, "brute", sc.members(p, n, leaves[ok], order[ok], pi[ok]))
 
 
 def _validated_rows(p, n, rows, block, index=None):
@@ -117,7 +123,8 @@ def _validated_rows(p, n, rows, block, index=None):
 
 
 def _result_from_skews(p, n, method, skews):
-    skews = sorted(set(skews), key=lambda s: s.images.tolist())
+    # a repeated member is counted twice, so it shows as a count mismatch
+    skews = [skews[i] for i in sc.lex_order(skews)]
     aut = sum(1 for s in skews if s.is_automorphism())
     return EnumerationResult(
         p=p, n=n, method=method, skews=skews, count_total=len(skews),
@@ -297,7 +304,7 @@ def aut_closure(p, n, seeds, stride=1):
             rows.append(row)
             at.append(count - 1)
     out += _validated_rows(p, n, _stack(rows, p ** n), "closure", at)
-    return count, sorted(out, key=lambda s: s.images.tolist())
+    return count, [out[i] for i in sc.lex_order(out)]
 
 
 def _stack(rows, N):
@@ -314,9 +321,11 @@ def full_enum(p, n, method="structured", count_only=None, sample_rate=0.01,
     or both, as an EnumerationResult.
 
     count_only=None makes (p, 3) with p >= 5 count-only: skews is None and
-    sample_validated counts the sampled members.  workers is accepted and
-    ignored, so that callers that pass it keep working: the seeds are
-    built in one process.
+    sample_validated counts the sampled members.  A structured run whose
+    memory model exceeds physical memory raises ValueError before anything
+    large is built (_check_fits).  workers is accepted and ignored, so
+    that callers that pass it keep working: the seeds are built in one
+    process.
     """
     check_prime(p)
     if n not in (1, 2, 3):
@@ -341,8 +350,8 @@ def full_enum(p, n, method="structured", count_only=None, sample_rate=0.01,
 
     if count_only is None:
         count_only = n == 3 and p >= 5
+    _check_fits(p, n, count_only)
     if count_only:
-        _check_key_set_fits(p, n)
         _, nn_count, validated = enum_nonnormal_n3(
             p, count_only=True, sample_rate=sample_rate)
         aut_count = fpalg.gl_order(3, p)
@@ -367,21 +376,20 @@ def _sampled_gl_validation(p, n, rate):
     stride = max(1, int(round(1.0 / rate)))
     target = -(-fpalg.gl_order(n, p) // stride)
     rng = np.random.default_rng(0)  # a fixed seed: the same sample on every run
-    picked = {}
-    while len(picked) < target:
+    drawn, first = np.zeros((0, n, n), dtype=np.int64), []
+    while len(first) < target:
         ms = rng.integers(0, p, size=(max(64, target), n, n))
-        ms = ms[fpalg.mat_det(ms, p) != 0]
-        for m in ms:
-            picked.setdefault(m.tobytes(), m)
-            if len(picked) >= target:
-                break
-    perms = fpalg.matrix_to_perm(np.stack(list(picked.values())), p)
+        drawn = np.concatenate([drawn, ms[fpalg.mat_det(ms, p) != 0]])
+        # the first draw of each matrix, in draw order, found by its base-p code
+        codes = drawn.reshape(-1, n * n) @ p ** np.arange(n * n)
+        first = np.sort(np.unique(codes, return_index=True)[1])
+    perms = fpalg.matrix_to_perm(drawn[first[:target]], p)
     status = K.validate_many(p, n, perms)[0]
     if (status != K.OK).any():
         bad = int(np.nonzero(status != K.OK)[0][0])
         raise AssertionError("p=%d n=%d: sampled GL member %d fails validation (status %d)"
                              % (p, n, bad, int(status[bad])))
-    return len(picked)
+    return len(perms)
 
 
 def physical_memory_bytes():
@@ -389,24 +397,41 @@ def physical_memory_bytes():
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _check_key_set_fits(p, n):
-    """Reject a count-only run whose closure key set cannot fit in memory.
+# bytes a materialized member holds at the peak of its stage, a + b * p**n:
+# a fit to tracemalloc peaks of 800, 1,233 and 1,562 bytes a member after
+# the GL step of full_enum at (7,2), (11,2) and (13,2)
+MEMBER_BYTES = (490, 6.35)
 
-    Each non-normal member is hashed as its images bytes; the payload
-    alone is a lower bound on what the set holds.
+
+def _check_fits(p, n, count_only):
+    """Reject a structured run whose memory model exceeds physical memory,
+    before anything large is built.
+
+    Count-only hashes each non-normal member as its images bytes, a lower
+    bound on the key set.  A materialized run peaks at the larger of its
+    GL step, where matrix_to_perm holds V @ M and its remainder mod p, two
+    int64 arrays of |GL| x p**n x n, and its members at MEMBER_BYTES each.
     """
-    keys = nonnormal_count(p, n)
-    need = keys * p ** n * np.dtype(K.IDX_DTYPE).itemsize
+    N = p ** n
+    if count_only:
+        keys, key = nonnormal_count(p, n), N * np.dtype(K.IDX_DTYPE).itemsize
+        need, what = keys * key, "hash %d member keys of %d bytes" % (keys, key)
+    else:
+        gl, members = fpalg.gl_order(n, p), formula_count(p, n)
+        per = int(MEMBER_BYTES[0] + MEMBER_BYTES[1] * N)
+        need, what = max(
+            (2 * gl * N * n * 8, "build GL through two int64 arrays of %d x %d x %d" % (gl, N, n)),
+            (members * per, "hold %d members of about %d bytes" % (members, per)))
     have = physical_memory_bytes()
     if need > have:
-        raise ValueError(
-            "count-only (%d,%d) would hash %d member keys of %d bytes, %.1f GB, "
-            "more than the %.1f GB of physical memory"
-            % (p, n, keys, need // keys, need / 1e9, have / 1e9))
+        raise ValueError("%s (%d,%d) would %s, %.1f GB, more than the %.1f GB of physical memory"
+                         % ("count-only" if count_only else "materialized", p, n, what,
+                            need / 1e9, have / 1e9))
 
 
 def compare_sets(A, B):
-    """Symmetric-difference report for two skew-morphism collections."""
+    """Symmetric-difference report for two skew-morphism lists; they are
+    equal only when neither repeats a member."""
     da = {s.key(): s for s in A}
     db = {s.key(): s for s in B}
     only_a = [list(map(int, da[k].images)) for k in da.keys() - db.keys()]
@@ -414,9 +439,9 @@ def compare_sets(A, B):
     only_a.sort()
     only_b.sort()
     return {
-        "equal": not only_a and not only_b,
-        "count_a": len(da),
-        "count_b": len(db),
+        "equal": not only_a and not only_b and len(da) == len(A) and len(db) == len(B),
+        "count_a": len(A),
+        "count_b": len(B),
         "only_a": only_a[:5],
         "only_b": only_b[:5],
     }

@@ -18,7 +18,7 @@ and codes multiply by
 
     (b1, j1)(b2, j2) = (b1 . alpha^(-j1)(b2) . c^q, r),  j1+j2 = q t + r.
 
-build_extension refuses specs whose action fails to extend to an
+build_extension refuses data whose action fails to extend to an
 automorphism or whose t-th power is not conjugation by c, and passes the
 law it builds to check_group_law before returning the group.
 check_group_law is the one group-law check for any int-coded law, the
@@ -34,7 +34,6 @@ them, re-close one row until it is closed under conjugation.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -554,15 +553,6 @@ def quotient_group(X, N):
 # cyclic extensions from presentation-style data
 
 
-@dataclass
-class ExtensionSpec:
-    base: FiniteGroup
-    top_order: int
-    action: dict = field(default_factory=dict)
-    twist: object = None
-    name: str = "extension"
-
-
 def _extend_action(base, action):
     """Grow the generator action to all of the base, as an index array,
     layer by layer along the generators."""
@@ -598,20 +588,21 @@ def _extend_action(base, action):
     return alpha
 
 
-def build_extension(spec):
-    """The cyclic extension of spec.base that spec states, checked by
-    check_group_law before it is returned."""
-    base = spec.base
-    t = spec.top_order
+def build_extension(base, top_order, action, twist=None, name="extension"):
+    """The cyclic extension of base by x of order top_order with
+    x^-1 b x = action[b] on the base generators and x^top_order = twist
+    (default the identity), checked by check_group_law before it is
+    returned."""
+    t = top_order
     if t < 1:
         raise ValueError("top order must be positive")
     nb = len(base)
     if base.elements != tuple(range(nb)):
         raise ValueError("the base must be all of its carrier: elements 0..|B|-1")
-    c = spec.twist if spec.twist is not None else 0
+    c = twist if twist is not None else 0
     if c not in base.element_set:
         raise ValueError("twist element is not in the base")
-    alpha = _extend_action(base, spec.action)
+    alpha = _extend_action(base, action)
     if alpha[c] != c:
         raise ValueError("action must fix the twist element")
 
@@ -643,7 +634,7 @@ def build_extension(spec):
         b, j = divmod(u, t)
         return _code(wrap[j, base.inv(b)]) * t + (-j) % t
 
-    carrier = Carrier(mul, inv, nb * t, spec.name)
+    carrier = Carrier(mul, inv, nb * t, name)
     gens = tuple(g * t for g in base.generators) + (1 % t,)
     X = FiniteGroup(carrier, range(nb * t), gens)
     check_group_law(X)
@@ -716,9 +707,8 @@ def elementary_abelian_group(p, n):
 def metacyclic_group(p, n):
     """Z_{p^n} ⋊ Z_p with a^b = a^(1+p^(n-1)), the standard metacyclic p-group."""
     base = cyclic_group(p ** n)
-    spec = ExtensionSpec(base, p, {1: (1 + p ** (n - 1)) % p ** n},
-                         name="Z_%d:Z_%d" % (p ** n, p))
-    return build_extension(spec)
+    return build_extension(base, p, {1: (1 + p ** (n - 1)) % p ** n},
+                           name="Z_%d:Z_%d" % (p ** n, p))
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +721,7 @@ def example_e2():
     base = elementary_abelian_group(3, 2)
     a, b = base.generators
     action = {a: base.mul(base.mul(a, a), b), b: base.mul(b, b)}
-    X = build_extension(ExtensionSpec(base, 6, action, name="Z_3^2:Z_6"))
+    X = build_extension(base, 6, action, name="Z_3^2:Z_6")
     a_, b_, s = X.generators
     s2 = X.mul(s, s)
     g1 = X.mul(a_, s2)
@@ -746,14 +736,13 @@ def example_e1():
     a_1 -> a_1, a_2 -> a_1 a_2, a_3 -> a_2 a_3, and s^b = s^4 a_3."""
     A = elementary_abelian_group(3, 3)
     a1, a2, a3 = A.generators
-    inner_spec = ExtensionSpec(A, 9, {a1: a1, a2: A.mul(a1, a2), a3: A.mul(a2, a3)},
-                               name="Z_3^3:Z_9")
-    AC = build_extension(inner_spec)
+    AC = build_extension(A, 9, {a1: a1, a2: A.mul(a1, a2), a3: A.mul(a2, a3)},
+                         name="Z_3^3:Z_9")
     *a_in, s_in = AC.generators
     # b fixes A pointwise and sends s to s^4 a_3
     action = {a: a for a in a_in}
     action[s_in] = AC.mul(AC.power(s_in, 4), a_in[2])
-    X = build_extension(ExtensionSpec(AC, 3, action, name="(Z_3^3:Z_9):Z_3"))
+    X = build_extension(AC, 3, action, name="(Z_3^3:Z_9):Z_3")
     a1_, a2_, a3_, s, b_ = X.generators
     G = X.subgroup((a1_, a2_, a3_, b_))
     z = X.power(s, 3)
@@ -769,15 +758,13 @@ def example_e3():
     """
     A = elementary_abelian_group(3, 4)
     a1, a2, a3, a4 = A.generators
-    inner_spec = ExtensionSpec(
-        A, 18, {a1: A.mul(a1, a2), a2: A.mul(a2, a3), a3: a3, a4: a4},
-        name="Z_3^4:Z_18")
-    AC = build_extension(inner_spec)
+    AC = build_extension(A, 18, {a1: A.mul(a1, a2), a2: A.mul(a2, a3), a3: a3, a4: a4},
+                         name="Z_3^4:Z_18")
     *a_in, s_in = AC.generators
     action = {a: a for a in a_in}
     a123 = AC.mul(AC.mul(a_in[0], a_in[1]), a_in[2])
     action[s_in] = AC.mul(AC.power(s_in, 13), a123)
-    X = build_extension(ExtensionSpec(AC, 3, action, name="(Z_3^4:Z_18):Z_3"))
+    X = build_extension(AC, 3, action, name="(Z_3^4:Z_18):Z_3")
     *a_gens, s, a5_ = X.generators
     a_gens = tuple(a_gens)
     G = X.subgroup(a_gens + (a5_,))

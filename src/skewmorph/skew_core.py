@@ -150,10 +150,23 @@ def validate_rows(p, n, batch):
     if bad.size:
         r = int(bad[0])
         _raise_status(int(status[r]), int(witness[r]), row=r)
+    return members(p, n, batch, order, pi)
+
+
+def members(p, n, rows, order, pi):
+    """SkewMorphisms of rows that validate_many passed, with its order and pi."""
     assert (pi[order > 1, 0] == 1).all(), "pi(0) must be 1 for order >= 2"
     # each member owns copies of its rows: views would keep the batch alive
     return [SkewMorphism(p, n, row.copy(), row_pi.copy(), o)
-            for row, row_pi, o in zip(batch, pi, order.tolist())]
+            for row, row_pi, o in zip(rows, pi, order.tolist())]
+
+
+def lex_order(skews):
+    """The member order: positions that sort skews by image row, first point
+    most significant, ties kept in place, from one stacked int16 array."""
+    if len(skews) < 2:
+        return np.arange(len(skews))
+    return np.lexsort(np.stack([s.images for s in skews]).T[::-1])
 
 
 def _raise_status(status, witness, row=None):
@@ -215,9 +228,6 @@ class SkewProductGroup:
     def pair_id(self, g, i):
         return g * self.order + i
 
-    def id_pair(self, ident):
-        return divmod(int(ident), self.order)
-
     def mul(self, a, b):
         o, N = self.order, self.N
         ga, ia = divmod(a, o)
@@ -232,19 +242,6 @@ class SkewProductGroup:
         ga, ia = divmod(a, o)
         gb = self.S[-ia % o, self.neg[ga]]
         return ge._code(gb * o + -self.PS[ia, gb] % o)
-
-    def mult_pairs(self, a, b):
-        ga, ia = a
-        gb, ib = b
-        g = int(self.add[ga, self.S[ia, gb]])
-        i = (int(self.PS[ia, gb]) + ib) % self.order
-        return (g, i)
-
-    def inv_pair(self, a):
-        ga, ia = a
-        gb = int(self.S[(self.order - ia) % self.order, self.neg[ga]])
-        ib = (-int(self.PS[ia, gb])) % self.order
-        return (gb, ib)
 
     def sigma_pair(self, e=1):
         """The id of (0, e), sigma^e."""
@@ -391,10 +388,11 @@ def _field(obj, field, convert):
 
 
 def write_jsonl(skews, path):
-    skews = sorted(skews, key=lambda s: s.images.tolist())
+    """One record line per member, in lex_order; returns the record count."""
+    skews = list(skews)
     with open(path, "w") as fh:
-        for sk in skews:
-            fh.write(record_line(sk))
+        for i in lex_order(skews):
+            fh.write(record_line(skews[i]))
     return len(skews)
 
 

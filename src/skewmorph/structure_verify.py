@@ -540,11 +540,12 @@ CLASSIFIED_FIELDS = (', "case": "%s", "core_rank": %d, "g_normal_in_x": %s, '
 
 
 def write_classified_jsonl(path, rows):
-    """rows: (skew, report-or-None, embedding-or-None) triples, written as
-    classified_record dicts would be by json.dumps with ", " separators."""
-    rows = sorted(rows, key=lambda r: r[0].images.tolist())
+    """rows: (skew, report-or-None, embedding-or-None) triples, written in
+    the member order of skew_core.lex_order, as classified_record dicts
+    would be by json.dumps with ", " separators."""
+    rows = list(rows)
     with open(path, "w") as fh:
-        for sk, rep, aff in rows:
+        for sk, rep, aff in (rows[i] for i in sc.lex_order([r[0] for r in rows])):
             rep = rep if rep is not None else classify(sk)
             found = "null" if aff is None else sc.json_bool(aff.found)
             fh.write(sc.record_line(sk, CLASSIFIED_FIELDS % (

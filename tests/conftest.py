@@ -39,3 +39,27 @@ def small_brutes():
 @pytest.fixture(scope="session")
 def example_reports():
     return {tag: sv.build_and_verify_example(tag) for tag in ("e1", "e2", "e3")}
+
+
+# the law of skew_core.SkewProductGroup on pairs (g, i), one pair at a
+# time: the scalar reference that its id-array mul and inv are checked
+# against
+
+
+def id_pair(X, ident):
+    return divmod(int(ident), X.order)
+
+
+def mult_pairs(X, a, b):
+    ga, ia = a
+    gb, ib = b
+    g = int(X.add[ga, X.S[ia, gb]])
+    i = (int(X.PS[ia, gb]) + ib) % X.order
+    return (g, i)
+
+
+def inv_pair(X, a):
+    ga, ia = a
+    gb = int(X.S[(X.order - ia) % X.order, X.neg[ga]])
+    ib = (-int(X.PS[ia, gb])) % X.order
+    return (gb, ib)

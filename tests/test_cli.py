@@ -58,18 +58,21 @@ def test_enum_count_mismatch_exits_1(tmp_path, monkeypatch):
     assert run_cli(["enum", "--p", "3", "--n", "2", "--out", str(tmp_path)]) == 1
 
 
-@pytest.mark.parametrize("argv, failing_call, failing_row, message", [
-    (["--p", "3", "--n", "2"], 1, 4, "p=3 n=2: GL member 4 fails validation (status 2)"),
+@pytest.mark.parametrize("argv, failing_call, failing_row, stream, message", [
+    (["--p", "3", "--n", "2"], 1, 4, "err", "p=3 n=2: GL member 4 fails validation (status 2)"),
     # the GL block is the first batch and the 2 seeds the second
-    (["--p", "3", "--n", "2"], 2, 0, "p=3 n=2: seed member 0 fails validation (status 2)"),
+    (["--p", "3", "--n", "2"], 2, 0, "err",
+     "p=3 n=2: seed member 0 fails validation (status 2)"),
     # the 2 seeds come first in the closure
-    (["--p", "3", "--n", "2"], 3, 0, "p=3 n=2: closure member 2 fails validation (status 2)"),
-    # brute_images filters its search leaves in the first batch
-    (["--p", "2", "--n", "2", "--method", "brute"], 2, 0,
-     "p=2 n=2: brute member 0 fails validation (status 2)"),
+    (["--p", "3", "--n", "2"], 3, 0, "err",
+     "p=3 n=2: closure member 2 fails validation (status 2)"),
+    # the brute route validates its search leaves in one batch: a rejected
+    # leaf is no member, so the count falls short of the formula
+    (["--p", "2", "--n", "2", "--method", "brute"], 1, 0, "out",
+     "total 5 = 5 automorphisms + 0 non-normal; formula 6"),
 ], ids=["GL", "seed", "closure", "brute"])
 def test_enum_member_failing_validation_is_a_finding(tmp_path, monkeypatch, capsys, argv,
-                                                     failing_call, failing_row, message):
+                                                     failing_call, failing_row, stream, message):
     real = K.validate_many
     calls = []
 
@@ -82,7 +85,7 @@ def test_enum_member_failing_validation_is_a_finding(tmp_path, monkeypatch, caps
 
     monkeypatch.setattr(K, "validate_many", flaky)
     assert run_cli(["enum"] + argv + ["--out", str(tmp_path)]) == 1
-    assert message in capsys.readouterr().err
+    assert message in getattr(capsys.readouterr(), stream)
 
 
 def test_enum_unfinishable_config_exits_2_at_once(tmp_path, monkeypatch, capsys):
@@ -95,7 +98,22 @@ def test_enum_unfinishable_config_exits_2_at_once(tmp_path, monkeypatch, capsys)
     assert run_cli(["enum", "--p", "37", "--n", "3", "--out", str(tmp_path)]) == 2
     assert "index range" in capsys.readouterr().err
     assert time.monotonic() - t0 < 5
-    en._check_key_set_fits(5, 3)  # (5,3) needs 170 MB and still runs
+    en._check_fits(5, 3, True)  # (5,3) needs 170 MB and still runs
+    # materialized runs: the GL step of (29,2) and (5,3) would not fit
+    with pytest.raises(ValueError, match=r"\(29,2\) would build GL through two int64 arrays "
+                                         r"of 682080 x 841 x 2, 18.4 GB"):
+        en._check_fits(29, 2, False)
+    with pytest.raises(ValueError, match="1488000 x 125 x 3, 8.9 GB"):
+        en._check_fits(5, 3, False)
+    en._check_fits(23, 2, False)
+
+
+def test_enum_materialized_run_that_cannot_fit_exits_2(tmp_path, monkeypatch, capsys):
+    # a host of 1 MB: without the check this small run would pass
+    monkeypatch.setattr(en, "physical_memory_bytes", lambda: 10 ** 6)
+    assert run_cli(["enum", "--p", "7", "--n", "2", "--out", str(tmp_path)]) == 2
+    assert "materialized (7,2) would build GL" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_verify_round(tmp_path, capsys):

@@ -78,6 +78,34 @@ def test_compare_sets_difference_witness(brute32):
     assert report["only_b"] == []
 
 
+def test_compare_sets_repeated_member_is_not_equal(brute32):
+    once, twice = brute32.skews, brute32.skews + brute32.skews[:1]
+    assert not en.compare_sets(once, twice)["equal"]
+    assert not en.compare_sets(twice, once)["equal"]
+    assert en.compare_sets(once, list(reversed(once)))["equal"]
+
+
+@pytest.mark.parametrize("block", ["GL", "closure"])
+def test_repeated_member_is_a_count_mismatch(monkeypatch, block):
+    # nothing merges duplicates: a block that repeats one member overcounts
+    enum_automorphisms, aut_closure = en.enum_automorphisms, en.aut_closure
+
+    def gl(p, n):
+        skews = enum_automorphisms(p, n)
+        return skews + skews[:1]
+
+    def closure(*args):
+        count, skews = aut_closure(*args)
+        return count, skews + skews[:1]
+
+    if block == "GL":
+        monkeypatch.setattr(en, "enum_automorphisms", gl)
+    else:
+        monkeypatch.setattr(en, "aut_closure", closure)
+    res = en.full_enum(3, 2)
+    assert not res.match and res.count_total == 65
+
+
 def test_aut_closure_fixes_complete_set(brute32):
     nonnormal = [s for s in brute32.skews if not s.is_automorphism()]
     count, closed = en.aut_closure(3, 2, nonnormal)
@@ -159,27 +187,34 @@ def test_count_only_samples_fixed_closure_positions():
         "384865710e5add4e3fbd4c7743623534aedde46854a36b02017e1c2244a1268a"
 
 
-def test_each_member_validated_once(monkeypatch):
-    kernel_rows = []
-    seeds = []
+@pytest.fixture
+def kernel_rows(monkeypatch):
+    """The rows of every validation kernel call, one count per call."""
+    rows = []
     validate_images, validate_many = K.validate_images, K.validate_many
-    config_seeds = en._canonical_config_seeds
 
     def one(p, n, images):
-        kernel_rows.append(1)
+        rows.append(1)
         return validate_images(p, n, images)
 
     def many(p, n, batch):
-        kernel_rows.append(len(batch))
+        rows.append(len(batch))
         return validate_many(p, n, batch)
+
+    monkeypatch.setattr(K, "validate_images", one)
+    monkeypatch.setattr(K, "validate_many", many)
+    return rows
+
+
+def test_each_member_validated_once(monkeypatch, kernel_rows):
+    seeds = []
+    config_seeds = en._canonical_config_seeds
 
     def counted_seeds(*args, **kwargs):
         out = config_seeds(*args, **kwargs)
         seeds.extend(out)
         return out
 
-    monkeypatch.setattr(K, "validate_images", one)
-    monkeypatch.setattr(K, "validate_many", many)
     monkeypatch.setattr(en, "_canonical_config_seeds", counted_seeds)
     res = en.full_enum(3, 3)
     assert res.count_total == 13312 and len(seeds) == 20
@@ -187,8 +222,49 @@ def test_each_member_validated_once(monkeypatch):
     assert sum(kernel_rows) == res.count_total
 
 
+@pytest.mark.parametrize("p,n,leaves", [(3, 2, 100), (2, 3, 210)])
+@pytest.mark.parametrize("method", ["brute", "both"])
+def test_brute_routes_validate_each_leaf_once(kernel_rows, p, n, leaves, method):
+    res = en.full_enum(p, n, method=method)
+    assert res.match
+    # the search leaves in one call, plus each structured member once
+    assert sum(kernel_rows) == leaves + (res.count_total if method == "both" else 0)
+    assert len(K.brute_images(p, n)) == leaves
+
+
 def test_sampled_gl_validation():
     assert en._sampled_gl_validation(3, 2, 0.1) >= 4
+
+
+def _sampled_gl_by_loop(p, n, rate):
+    # the draw as a loop over the matrices, one dict entry each
+    stride = max(1, int(round(1.0 / rate)))
+    target = -(-fpalg.gl_order(n, p) // stride)
+    rng = np.random.default_rng(0)
+    picked = {}
+    while len(picked) < target:
+        ms = rng.integers(0, p, size=(max(64, target), n, n))
+        ms = ms[fpalg.mat_det(ms, p) != 0]
+        for m in ms:
+            picked.setdefault(m.tobytes(), m)
+            if len(picked) >= target:
+                break
+    return fpalg.matrix_to_perm(np.stack(list(picked.values())), p)
+
+
+@pytest.mark.parametrize("p,n,rate", [(3, 2, 0.1), (5, 3, 0.01)])
+def test_sampled_gl_matches_the_loop(monkeypatch, p, n, rate):
+    # the same matrices in the same order as the draw one matrix at a time
+    batches = []
+    validate_many = K.validate_many
+
+    def many(p, n, batch):
+        batches.append(batch)
+        return validate_many(p, n, batch)
+
+    monkeypatch.setattr(K, "validate_many", many)
+    assert en._sampled_gl_validation(p, n, rate) == len(batches[0])
+    assert (batches[0] == _sampled_gl_by_loop(p, n, rate)).all()
 
 
 def test_full_enum_rejects_bad_config():

@@ -324,16 +324,16 @@ def test_build_extension_refusals():
     # 3 = 1 + 1 + 1 in the base, so 3 must go to 3 * alpha(1) = 6, not 3
     two_gens = ge.FiniteGroup(C9.carrier, C9.elements, (1, 3))
     with pytest.raises(ValueError, match="not a homomorphism"):
-        ge.build_extension(ge.ExtensionSpec(two_gens, 2, {1: 2, 3: 3}))
+        ge.build_extension(two_gens, 2, {1: 2, 3: 3})
     # alpha(x) = 2x has order 6 mod 9, so alpha^2 is not trivial conjugation
     with pytest.raises(ValueError, match="t-th power"):
-        ge.build_extension(ge.ExtensionSpec(C9, 2, {1: 2}))
+        ge.build_extension(C9, 2, {1: 2})
     with pytest.raises(ValueError, match="fix the twist"):
-        ge.build_extension(ge.ExtensionSpec(C9, 6, {1: 2}, twist=3))
+        ge.build_extension(C9, 6, {1: 2}, twist=3)
     # the same action with the fixed twist 0 and t = 6 is accepted
-    assert len(ge.build_extension(ge.ExtensionSpec(C9, 6, {1: 2}))) == 54
+    assert len(ge.build_extension(C9, 6, {1: 2})) == 54
     # a twisted one: x^-1 b x = b^4 and x^3 = b^3, which 4x fixes
-    X = ge.build_extension(ge.ExtensionSpec(C9, 3, {1: 4}, twist=3))
+    X = ge.build_extension(C9, 3, {1: 4}, twist=3)
     b, x = X.generators
     assert len(X) == 27 and X.element_order(x) == 9
     assert X.power(x, 3) == X.power(b, 3) == 3 * 3

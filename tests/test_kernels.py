@@ -67,16 +67,21 @@ def _unpruned_brute(p, n):
         images = np.array((0,) + tail, dtype=K.IDX_DTYPE)
         if K.validate_images(p, n, images)[0] == K.OK:
             found.append(images)
-    return K.lex_sorted(np.array(found, dtype=K.IDX_DTYPE))
+    # permutations come in lex order, the member order
+    return np.array(found, dtype=K.IDX_DTYPE)
+
+
+def _images(skews):
+    return np.array([s.images for s in skews], dtype=K.IDX_DTYPE)
 
 
 @pytest.mark.parametrize("p,n", [(2, 3), (3, 2)])
-def test_pruned_brute_equals_unpruned(p, n):
-    assert (K.brute_images(p, n) == _unpruned_brute(p, n)).all()
+def test_pruned_brute_equals_unpruned(small_brutes, p, n):
+    assert (_images(small_brutes[(p, n)].skews) == _unpruned_brute(p, n)).all()
 
 
-def test_validate_images_ok():
-    arrs = K.brute_images(3, 2)
+def test_validate_images_ok(brute32):
+    arrs = _images(brute32.skews)
     for row in arrs:
         status, order, pi, witness = K.validate_images(3, 2, row)
         assert status == K.OK
@@ -270,8 +275,8 @@ def test_validate_many_survives_colliding_hashes(monkeypatch):
         assert (status[:len(gl)] == K.OK).all()
 
 
-def test_conj_batch_round_trip():
-    arrs = K.brute_images(3, 2)
+def test_conj_batch_round_trip(brute32):
+    arrs = _images(brute32.skews)
     M = fpalg.canonical_unipotent(2, 3)
     Minv = fpalg.mat_pow(M, fpalg.matrix_order(M, 3) - 1, 3)
     a = fpalg.matrix_to_perm(M, 3)
@@ -283,8 +288,3 @@ def test_conj_batch_round_trip():
     back = K.conj_batch(conj, ainv, a)
     assert (back == arrs).all()
 
-
-def test_lex_sorted():
-    a = np.array([[0, 2, 1], [0, 1, 2]], dtype=K.IDX_DTYPE)
-    s = K.lex_sorted(a)
-    assert (s[0] == [0, 1, 2]).all() and (s[1] == [0, 2, 1]).all()

@@ -10,6 +10,8 @@ from skewmorph import fpalg
 from skewmorph import group_engine as ge
 from skewmorph import skew_core as sc
 
+from conftest import id_pair, inv_pair, mult_pairs
+
 
 def _law_holds(sk):
     """Direct recheck of s(x+y) = s(x) + s^pi(x)(y), all pairs, via tables."""
@@ -138,10 +140,10 @@ def test_skew_product_group_law(brute32):
         # closed-form inverse agrees with the table inverse
         inv = np.argmin(T, axis=1)  # the identity 0 is the row minimum
         for ident in range(0, spg.M, 5):
-            pair = spg.id_pair(ident)
-            gi = spg.inv_pair(pair)
+            pair = id_pair(spg, ident)
+            gi = inv_pair(spg, pair)
             assert spg.pair_id(*gi) == inv[ident]
-            assert spg.mult_pairs(pair, gi) == (0, 0)
+            assert mult_pairs(spg, pair, gi) == (0, 0)
         # P = G<sigma^k> ids form a subgroup of index k
         exps = np.arange(0, spg.order, sk.k)
         pids = (np.arange(sk.N)[:, None] * spg.order + exps[None, :]).ravel()
@@ -159,9 +161,9 @@ def test_mul_inv_match_pair_law(brute32, set72):
         spg = sc.SkewProductGroup(sk, check=False)
         ids = np.arange(spg.M)
         partner = rng.permutation(spg.M)
-        prod = [spg.pair_id(*spg.mult_pairs(spg.id_pair(a), spg.id_pair(b)))
+        prod = [spg.pair_id(*mult_pairs(spg, id_pair(spg, a), id_pair(spg, b)))
                 for a, b in zip(ids, partner)]
-        inv = [spg.pair_id(*spg.inv_pair(spg.id_pair(a))) for a in ids]
+        inv = [spg.pair_id(*inv_pair(spg, id_pair(spg, a))) for a in ids]
         assert spg.mul(ids, partner).tolist() == prod
         assert spg.inv(ids).tolist() == inv
         for a, b in zip(ids.tolist(), partner.tolist()):
@@ -373,6 +375,18 @@ def test_jsonl_round_trip(tmp_path, brute32):
     path2 = tmp_path / "set2.jsonl"
     sc.write_jsonl(list(reversed(brute32.skews)), path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_lex_order(brute32, set52, set72, set33):
+    # every member of (3,2), (5,2), (7,2) and (3,3), from a shuffled list
+    rng = np.random.default_rng(0)
+    for res in (brute32, set52, set72, set33):
+        shuffled = [res.skews[i] for i in rng.permutation(len(res.skews))]
+        want = sorted(shuffled, key=lambda s: s.images.tolist())
+        got = [shuffled[i] for i in sc.lex_order(shuffled)]
+        assert [s.key() for s in got] == [s.key() for s in want]
+    assert sc.lex_order([]).tolist() == []
+    assert sc.lex_order(brute32.skews[:1]).tolist() == [0]
 
 
 def test_parse_record_rejections(brute32):

@@ -8,6 +8,8 @@ from skewmorph import group_engine as ge
 from skewmorph import skew_core as sc
 from skewmorph import structure_verify as sv
 
+from conftest import id_pair, inv_pair, mult_pairs
+
 EXPECTED_CASES_32 = {
     "thm1-1": 32,
     "thm1-2-normal": 8,
@@ -196,13 +198,13 @@ def _reference_affine_search(sk):
     for z in basis:
         cand &= (S[ia, z] == z) & (PS[ia, z] == ia)
 
-    gens = [X.id_pair(g) for g in X.generator_ids()]
+    gens = [id_pair(X, g) for g in X.generator_ids()]
     zt_pairs = [(v, 0) for v in basis]
     for cid in np.nonzero(cand)[0]:
         a, i = divmod(int(cid), o)
         x_pows = [(0, 0)]
         for _ in range(p - 1):
-            x_pows.append(X.mult_pairs(x_pows[-1], (a, i)))
+            x_pows.append(mult_pairs(X, x_pows[-1], (a, i)))
         exp_to_t = {e_t: t for t, (_, e_t) in enumerate(x_pows)}
         if len(exp_to_t) != p:
             continue
@@ -213,7 +215,7 @@ def _reference_affine_search(sk):
             t = exp_to_t.get(pair[1])
             return t is not None and int(add[pair[0], X.neg[x_pows[t][0]]]) in zt_set
 
-        if all(in_T(X.mult_pairs(X.mult_pairs(X.inv_pair(y), t), y))
+        if all(in_T(mult_pairs(X, mult_pairs(X, inv_pair(X, y), t), y))
                for y in gens for t in zt_pairs + [(a, i)]):
             return sv.AffineEmbedding(True, "mixed", r_z, (a, i), 0)
     return sv.AffineEmbedding(False, "", r_z, None, 0, note="no candidate accepted")
