@@ -67,8 +67,6 @@ def build_parser():
 
 def cmd_enum(args):
     fpalg.check_prime(args.p)
-    if args.sample_rate <= 0 or args.sample_rate > 1:
-        raise ValueError("sample rate must be in (0, 1]")
     res = en.full_enum(args.p, args.n, method=args.method, sample_rate=args.sample_rate)
     os.makedirs(args.out, exist_ok=True)
     stem = "p%d_n%d_%s" % (args.p, args.n, args.method)

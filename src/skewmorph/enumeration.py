@@ -230,7 +230,7 @@ def enum_nonnormal_n3(p, count_only=False, sample_rate=0.01):
     if p == 2:
         raise ValueError("non-normal skew-morphisms need p odd")
     seeds = _canonical_config_seeds(p, 3, range(1, p), fpalg.omega_set(p))
-    stride = max(1, int(round(1.0 / sample_rate))) if count_only else 1
+    stride = _sample_stride(sample_rate) if count_only else 1
     count, skews = aut_closure(p, 3, seeds, stride)
     _check_nonnormal(p, 3, count, skews)
     return None if count_only else skews, count, len(skews)
@@ -321,13 +321,15 @@ def full_enum(p, n, method="structured", count_only=None, sample_rate=0.01,
     or both, as an EnumerationResult.
 
     count_only=None makes (p, 3) with p >= 5 count-only: skews is None and
-    sample_validated counts the sampled members.  A structured run whose
-    memory model exceeds physical memory raises ValueError before anything
-    large is built (_check_fits).  workers is accepted and ignored, so
-    that callers that pass it keep working: the seeds are built in one
-    process.
+    sample_validated counts the sampled members, one in 1/sample_rate; a
+    sample_rate outside (0, 1] raises ValueError on every run.  A
+    structured run whose memory model exceeds physical memory raises
+    ValueError before anything large is built (_check_fits).  workers is
+    accepted and ignored, so that callers that pass it keep working: the
+    seeds are built in one process.
     """
     check_prime(p)
+    _sample_stride(sample_rate)
     if n not in (1, 2, 3):
         raise ValueError("n must be 1, 2 or 3")
     if method not in ("brute", "structured", "both"):
@@ -371,9 +373,17 @@ def full_enum(p, n, method="structured", count_only=None, sample_rate=0.01,
     return _result_from_skews(p, n, "structured", skews)
 
 
+def _sample_stride(rate):
+    """The stride that samples one member in 1/rate; refuses a rate
+    outside (0, 1], NaN among them."""
+    if not 0 < rate <= 1:
+        raise ValueError("sample rate must be in (0, 1]")
+    return max(1, int(round(1.0 / rate)))
+
+
 def _sampled_gl_validation(p, n, rate):
     """Validate a deterministic random sample of GL(n,p) as skew-morphisms."""
-    stride = max(1, int(round(1.0 / rate)))
+    stride = _sample_stride(rate)
     target = -(-fpalg.gl_order(n, p) // stride)
     rng = np.random.default_rng(0)  # a fixed seed: the same sample on every run
     drawn, first = np.zeros((0, n, n), dtype=np.int64), []

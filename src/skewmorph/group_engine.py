@@ -3,9 +3,10 @@
 Every group here is int-coded: a Carrier holds one multiplication and
 inversion on the codes 0..size-1, with identity 0, that broadcast over
 numpy index arrays and return python ints for python ints.  A
-FiniteGroup is a subgroup of its carrier, its elements a sorted tuple of
-codes.  Groups are immutable once built and every query here is pure, so
-all of this is safe to sweep in parallel from the callers.
+FiniteGroup is a subgroup of its carrier, held as its membership mask,
+one read-only bool per carrier code, with its elements the sorted code
+array read off that mask.  Groups are immutable once built and every
+query here is pure.
 
 The carriers built here are cyclic groups, F_p^n on its point indices
 under the _kernels addition table, cyclic extensions of those and
@@ -27,10 +28,12 @@ on every code, and associativity on every triple up to 200 codes, on
 10^5 triples drawn from splitmix64 counters above.
 
 Every subgroup is closed by close_many, one array BFS over a batch of
-generator rows: FiniteGroup.from_generators closes one row, the subgroup
-searches (normal elementary abelian subgroups, complements) close their
-candidates in batches, and normal closures, the derived subgroup among
-them, re-close one row until it is closed under conjugation.
+generator rows, and is the mask it returns: FiniteGroup.from_generators
+closes one row, the subgroup searches (normal elementary abelian
+subgroups, complements) close their candidates in batches, normal
+closures re-close one row until it is closed under conjugation, and the
+action of an extension is extended from the generators by closing its
+graph in base x base.
 """
 
 import math
@@ -90,19 +93,29 @@ def powers(mul, x, count):
 
 
 class FiniteGroup:
-    """A subgroup of an int-coded carrier: its elements as a sorted tuple
-    of codes and as a set, and its generators."""
+    """A subgroup of an int-coded carrier: its read-only membership mask,
+    one bool per carrier code, its elements as the sorted code array read
+    off the mask, and its generators."""
 
-    __slots__ = ("carrier", "elements", "element_set", "generators")
+    __slots__ = ("carrier", "mask", "elements", "generators")
     identity = 0
 
-    def __init__(self, carrier, elements, generators):
+    def __init__(self, carrier, mask, generators):
+        # a list of codes would be read as a mask, code 0 as False
+        if not (isinstance(mask, np.ndarray) and mask.dtype == bool
+                and mask.shape == (len(carrier),)):
+            raise ValueError("a subgroup is a bool mask of length %d" % len(carrier))
         self.carrier = carrier
-        self.elements = tuple(sorted(elements))
-        self.element_set = frozenset(self.elements)
+        self.mask = mask.view()
+        self.mask.flags.writeable = False
+        self.elements = np.flatnonzero(mask)
+        self.elements.flags.writeable = False
         self.generators = tuple(generators)
-        if len(self.element_set) != len(self.elements):
-            raise ValueError("duplicate elements")
+
+    @classmethod
+    def whole(cls, carrier, generators):
+        """The group of all of the carrier's codes."""
+        return cls(carrier, np.ones(len(carrier), dtype=bool), generators)
 
     @classmethod
     def from_generators(cls, carrier, gens, cap=CLOSURE_CAP):
@@ -110,7 +123,7 @@ class FiniteGroup:
         mask, over = close_many(carrier, [gens], cap)
         if over[0]:
             raise ClosureCapError("closure exceeds cap %d" % cap)
-        return cls(carrier, np.flatnonzero(mask[0]).tolist(), gens)
+        return cls(carrier, mask[0], gens)
 
     def mul(self, a, b):
         return self.carrier.mul(a, b)
@@ -121,11 +134,9 @@ class FiniteGroup:
     def __len__(self):
         return len(self.elements)
 
-    def __contains__(self, x):
-        return x in self.element_set
-
-    def __iter__(self):
-        return iter(self.elements)
+    def __le__(self, other):
+        """Whether every element lies in other, a group on the same carrier."""
+        return not (self.mask > other.mask).any()
 
     def cycle(self, x):
         """x^0 .. x^(o-1), o the order of x, as an int array."""
@@ -159,24 +170,20 @@ class FiniteGroup:
     def conjugacy_class(self, x):
         """The conjugates of x, as a sorted int array: one product over
         all of the group's elements."""
-        g = np.array(self.elements)
-        return np.unique(self.conj(x, g))
+        return np.unique(self.conj(x, self.elements))
 
     def subgroup(self, gens):
         H = FiniteGroup.from_generators(self.carrier, gens)
-        if not H.element_set <= self.element_set:
+        if not H <= self:
             raise ValueError("generators leave the group")
         return H
 
     def is_abelian(self):
-        for a in self.generators:
-            for b in self.generators:
-                if self.mul(a, b) != self.mul(b, a):
-                    return False
-        return True
+        g = np.array(self.generators, dtype=np.int64)
+        return bool((self.mul(g[:, None], g) == self.mul(g, g[:, None])).all())
 
     def __repr__(self):
-        return "FiniteGroup(|G|=%d, %s)" % (len(self.elements), self.carrier.name)
+        return "FiniteGroup(|G|=%d, %s)" % (len(self), self.carrier.name)
 
 
 # mask cells per close_many call of the subgroup searches; larger chunks
@@ -235,101 +242,73 @@ def _elementary_rows(X, rows, p):
 def _require_subgroup(H, X):
     if H.carrier is not X.carrier:
         raise ValueError("carrier mismatch")
-    if not H.element_set <= X.element_set:
+    if not H <= X:
         raise ValueError("H is not contained in X")
 
 
 def is_normal(H, X):
+    """Whether the conjugates of H's generators by X's all lie in H: one
+    product over every pair."""
     _require_subgroup(H, X)
-    for h in H.generators:
-        for g in X.generators:
-            if X.conj(h, g) not in H.element_set:
-                return False
-    return True
+    h = np.array(H.generators, dtype=np.int64)
+    return bool(H.mask[X.conj(h[:, None], np.array(X.generators, dtype=np.int64))].all())
 
 
-def _greedy_span(C, elems):
-    """(generators, mask) of the subgroup of the carrier C spanned by
-    elems: each element that lies outside the span of those before it
-    joins the generators."""
+def _spanned(C, elems):
+    """The subgroup of the carrier C spanned by the codes elems: each one
+    that lies outside the span of those before it joins the generators."""
     gens, span = [], np.zeros(len(C), dtype=bool)
     span[0] = True
     for x in elems:
         if not span[x]:
-            gens.append(x)
+            gens.append(int(x))
             span = close_many(C, [gens], len(C))[0][0]
-    return gens, span
-
-
-def _spanned(X, elems):
-    """The subgroup of X on elems, a subgroup listed in order, generated
-    greedily by _greedy_span."""
-    return FiniteGroup(X.carrier, elems, _greedy_span(X.carrier, elems)[0])
+    return FiniteGroup(C, span, gens)
 
 
 def core(H, X):
     """Largest normal subgroup of X inside H, by shrinking to a fixpoint."""
     _require_subgroup(H, X)
-    keep = np.zeros(len(X.carrier), dtype=bool)
-    keep[list(H.elements)] = True
+    keep = H.mask.copy()
     gens = np.array(X.generators, dtype=np.int64)
     while True:
         ks = np.flatnonzero(keep)
         out = ~keep[X.conj(ks[:, None], gens)].all(axis=1)
         if not out.any():
-            return _spanned(X, ks.tolist())
+            return _spanned(X.carrier, ks)
         keep[ks[out]] = False
 
 
 def centralizer(X, S):
-    e = np.array(X.elements)[:, None]
+    e = X.elements
     s = np.array(tuple(S), dtype=np.int64)
-    return _spanned(X, e[(X.mul(e, s) == X.mul(s, e)).all(axis=1), 0].tolist())
-
-
-def _normal_closure(X, gens, seeds):
-    """(generators, mask) of the normal closure of seeds in the group
-    that gens generate in the int-coded law X: the conjugates of each
-    generator by gens join the generators until they all lie in the
-    subgroup, which close_many closes anew after each addition."""
-    gens = np.asarray(gens, dtype=np.int64)
-    ginv = X.inv(gens)
-    ngens = list(dict.fromkeys(s for s in seeds if s != 0))
-    mask = close_many(X, [ngens], len(X))[0][0]
-    for x in ngens:  # the loop also visits the generators it appends
-        for c in X.mul(X.mul(ginv, x), gens).tolist():
-            if not mask[c]:
-                ngens.append(c)
-                mask = close_many(X, [ngens], len(X))[0][0]
-    return ngens, mask
-
-
-def normal_closure(X, seeds):
-    gens, mask = _normal_closure(X.carrier, X.generators, seeds)
-    return FiniteGroup(X.carrier, np.flatnonzero(mask).tolist(), gens)
+    return _spanned(X.carrier, e[(X.mul(e[:, None], s) == X.mul(s, e[:, None])).all(axis=1)])
 
 
 def derived_is_abelian(X, gens):
     """Whether the derived subgroup of the int-coded group <gens> is abelian.
 
-    X' is the normal closure of the commutators of the generators, and it
-    is abelian exactly when its generators commute.
+    X' is the normal closure of the commutators of the generators: the
+    conjugates of each of its generators by gens join them until they all
+    lie in the subgroup, which close_many closes anew after each addition.
+    It is abelian exactly when its generators commute.
     """
     gens = np.asarray(gens, dtype=np.int64)
     ginv = X.inv(gens)
     comms = X.mul(X.mul(ginv[:, None], ginv[None, :]), X.mul(gens[:, None], gens[None, :]))
-    d = np.array(_normal_closure(X, gens, sorted(set(comms.ravel().tolist())))[0],
-                 dtype=np.int64)
+    d = [c for c in sorted(set(comms.ravel().tolist())) if c != 0]
+    mask = close_many(X, [d], len(X))[0][0]
+    for x in d:  # the loop also visits the generators it appends
+        for c in X.mul(X.mul(ginv, x), gens).tolist():
+            if not mask[c]:
+                d.append(c)
+                mask = close_many(X, [d], len(X))[0][0]
+    d = np.array(d, dtype=np.int64)
     return bool((X.mul(d[:, None], d[None, :]) == X.mul(d[None, :], d[:, None])).all())
 
 
-def derived_subgroup(X):
-    seeds = [X.commutator(a, b) for a in X.generators for b in X.generators]
-    return normal_closure(X, seeds)
-
-
 def is_metabelian(X):
-    return derived_subgroup(X).is_abelian()
+    return derived_is_abelian(X.carrier, X.generators)
 
 
 def prime_power_split(m):
@@ -347,11 +326,10 @@ def prime_power_split(m):
 
 def omega1_pgroup(P):
     """The subgroup generated by the elements of order p, spanned
-    greedily in element order by _greedy_span."""
+    greedily in element order by _spanned."""
     p, _ = prime_power_split(len(P))
-    e = np.array(P.elements)
-    gens, span = _greedy_span(P.carrier, e[P.power(e, p) == 0].tolist())
-    return FiniteGroup(P.carrier, np.flatnonzero(span).tolist(), gens)
+    e = P.elements
+    return _spanned(P.carrier, e[P.power(e, p) == 0])
 
 
 # ---------------------------------------------------------------------------
@@ -426,13 +404,14 @@ def normal_elem_abelian_subgroups(X, rank, p):
     A join is generated by the generators of its smaller part plus the
     new class elements.  The first level and each node's joins are closed
     in one close_many call, capped at p^rank, and tested elementary
-    abelian on their generator rows; they are walked in class order.
+    abelian on their generator rows; they are walked in class order, and
+    each N found is returned as the mask it was closed to.
     """
     if len(X) > 5000:
         raise ValueError("group too large for the subgroup search")
     C = X.carrier
     target = p ** rank
-    e = np.array(X.elements)
+    e = X.elements
     classes = []
     seen = np.zeros(len(C), dtype=bool)
     seen[0] = True
@@ -465,14 +444,13 @@ def normal_elem_abelian_subgroups(X, rank, p):
     while queue:
         gens, mask, size = queue.pop()
         if size == target:
-            found.append(gens)
+            found.append(FiniteGroup(C, mask, gens))
             continue
         visit([gens + tuple(cl[~mask[cl]].tolist()) for cl in classes if not mask[cl].all()])
-    out = [FiniteGroup.from_generators(C, gens, target) for gens in found]
-    out.sort(key=lambda H: H.elements)
-    for N in out:
+    found.sort(key=lambda N: N.elements.tolist())
+    for N in found:
         assert is_normal(N, X)
-    return out
+    return found
 
 
 COMPLEMENT_PAIR_CAP = 10 ** 5
@@ -492,10 +470,10 @@ def find_complement(X, N):
     if len(N) * m != len(X):
         raise ValueError("|N| does not divide |X|")
     if m == 1:
-        return FiniteGroup(X.carrier, [0], ())
+        return FiniteGroup.from_generators(X.carrier, ())
     C = X.carrier
-    e = np.array(X.elements[1:])
-    n_codes = list(N.elements)
+    e = X.elements[1:]
+    n_codes = N.elements
 
     # any K through x needs <x> to miss N and its order to divide m
     cands = []
@@ -532,8 +510,8 @@ def quotient_group(X, N):
     """
     if not is_normal(N, X):
         raise ValueError("N is not normal in X")
-    e = np.array(X.elements)
-    low = X.mul(e[:, None], np.array(N.elements)).min(axis=1)
+    e = X.elements
+    low = X.mul(e[:, None], N.elements).min(axis=1)
     reps = np.unique(low)
     cmap = np.full(len(X.carrier), -1, dtype=np.int64)
     cmap[e] = np.searchsorted(reps, low)
@@ -546,7 +524,7 @@ def quotient_group(X, N):
 
     carrier = Carrier(mul, inv, len(reps), "%s/N%d" % (X.carrier.name, len(N)))
     gens = tuple(dict.fromkeys(c for c in cmap[list(X.generators)].tolist() if c))
-    return FiniteGroup(carrier, range(len(reps)), gens), cmap
+    return FiniteGroup.whole(carrier, gens), cmap
 
 
 # ---------------------------------------------------------------------------
@@ -554,35 +532,33 @@ def quotient_group(X, N):
 
 
 def _extend_action(base, action):
-    """Grow the generator action to all of the base, as an index array,
-    layer by layer along the generators."""
+    """The generator action on all of the base, as an index array alpha.
+
+    The graph of the action on the generators is closed in base x base,
+    coded b1 |B| + b2, by one close_many call capped at |B|.  It is the
+    graph of a homomorphism exactly when no point has two images (over
+    the cap some point has), and its pairs are then (b, alpha(b)) in
+    order of b.
+    """
     n = len(base)
-    gens = base.generators
-    for g in gens:
+    for g in base.generators:
         if g not in action:
             raise ValueError("action missing generator %r" % (g,))
-        if action[g] not in base.element_set:
+        if not 0 <= action[g] < n:
             raise ValueError("action sends %r outside the base" % (g,))
-    alpha = np.full(n, -1, dtype=np.int64)
-    alpha[0] = 0
-    layer = np.zeros(1, dtype=np.int64)
-    while layer.size:
-        fresh = []
-        for g in gens:
-            y, first = np.unique(base.mul(layer, g), return_index=True)
-            new = alpha[y] < 0
-            alpha[y[new]] = base.mul(alpha[layer[first[new]]], action[g])
-            fresh.append(y[new])
-        layer = np.concatenate([layer[:0]] + fresh)
-    if (alpha < 0).any():
+
+    def mul(u, v):
+        (u1, u2), (v1, v2) = divmod(u, n), divmod(v, n)
+        return base.mul(u1, v1) * n + base.mul(u2, v2)
+
+    graph = [[g * n + action[g] for g in base.generators]]
+    pairs = close_many(Carrier(mul, None, n * n, "graph"), graph, n)[0][0]
+    first, alpha = divmod(np.flatnonzero(pairs), n)
+    twice = first[1:] == first[:-1]
+    if twice.any():
+        raise ValueError("action is not a homomorphism at %d" % first[np.argmax(twice)])
+    if first.size < n:
         raise ValueError("generators do not reach the whole base")
-    # hom check on (element, generator) pairs proves the full property
-    elems = np.arange(n)
-    for g in gens:
-        bad = alpha[base.mul(elems, g)] != base.mul(alpha, action[g])
-        if bad.any():
-            raise ValueError("action is not a homomorphism at (%d, %r)"
-                             % (np.argmax(bad), g))
     if np.unique(alpha).size != n:
         raise ValueError("action is not injective")
     return alpha
@@ -597,10 +573,10 @@ def build_extension(base, top_order, action, twist=None, name="extension"):
     if t < 1:
         raise ValueError("top order must be positive")
     nb = len(base)
-    if base.elements != tuple(range(nb)):
+    if not base.mask.all():
         raise ValueError("the base must be all of its carrier: elements 0..|B|-1")
     c = twist if twist is not None else 0
-    if c not in base.element_set:
+    if not 0 <= c < nb:
         raise ValueError("twist element is not in the base")
     alpha = _extend_action(base, action)
     if alpha[c] != c:
@@ -636,7 +612,7 @@ def build_extension(base, top_order, action, twist=None, name="extension"):
 
     carrier = Carrier(mul, inv, nb * t, name)
     gens = tuple(g * t for g in base.generators) + (1 % t,)
-    X = FiniteGroup(carrier, range(nb * t), gens)
+    X = FiniteGroup.whole(carrier, gens)
     check_group_law(X)
     return X
 
@@ -691,7 +667,7 @@ def check_group_law(X):
 
 
 def cyclic_group(m):
-    return FiniteGroup(cyclic_carrier(m), range(m), (1 % m,) if m > 1 else ())
+    return FiniteGroup.whole(cyclic_carrier(m), (1 % m,) if m > 1 else ())
 
 
 def elementary_abelian_group(p, n):
@@ -700,8 +676,7 @@ def elementary_abelian_group(p, n):
     add, _, neg = (tab.astype(np.int64) for tab in K.index_tables(p, n))
     carrier = Carrier(lambda a, b: _code(add[a, b]), lambda a: _code(neg[a]),
                       p ** n, "Z_%d^%d" % (p, n))
-    return FiniteGroup(carrier, range(p ** n),
-                       tuple(p ** (n - 1 - j) for j in range(n)))
+    return FiniteGroup.whole(carrier, tuple(p ** (n - 1 - j) for j in range(n)))
 
 
 def metacyclic_group(p, n):

@@ -260,7 +260,7 @@ class SkewProductGroup:
     def as_finite_group(self):
         """X as a group_engine group on the ids 0..M-1, with the ids law."""
         carrier = ge.Carrier(self.mul, self.inv, self.M, "skew product")
-        return ge.FiniteGroup(carrier, range(self.M), self.generator_ids().tolist())
+        return ge.FiniteGroup.whole(carrier, self.generator_ids().tolist())
 
 
 def build_skew_product(sk):
@@ -283,17 +283,15 @@ def extract_skew(X, G, s, generators):
     mul, inv = X.mul, X.inv
     s_pows = X.cycle(s)
     order = len(s_pows)
-    p_pow = len(G.elements)
+    p_pow = len(G)
     p, n = ge.prime_power_split(p_pow)
     if len(generators) != n:
         raise ValueError("need %d generators, got %d" % (n, len(generators)))
     if np.unique(s_pows).size != order:
         raise ValueError("element powers collapse early")
-    if len(X.elements) != p_pow * order:
+    if len(X) != p_pow * order:
         raise ValueError("|X| != |G| * order(s), not a complementary factorization")
-    in_g = np.zeros(len(X.carrier), dtype=bool)
-    in_g[list(G.elements)] = True
-    if in_g[s_pows[1:]].any():
+    if G.mask[s_pows[1:]].any():
         raise ValueError("G meets <s> nontrivially")
     _check_corefree(X, s_pows, order)
 
@@ -304,7 +302,7 @@ def extract_skew(X, G, s, generators):
         elems = mul(elems[:, None], ge.powers(mul, g, p)).ravel()
     if elems.size != p_pow or np.unique(elems).size != p_pow:
         raise ValueError("generators do not label G freely")
-    if not in_g[elems].all():
+    if not G.mask[elems].all():
         raise ValueError("generators do not generate G")
     label = np.full(len(X.carrier), -1, dtype=np.int64)
     label[elems] = np.arange(p_pow)

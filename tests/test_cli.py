@@ -47,8 +47,9 @@ def test_enum_composite_p(capsys):
 
 
 def test_enum_bad_sample_rate(tmp_path):
-    assert run_cli(["enum", "--p", "3", "--n", "2", "--out", str(tmp_path),
-                    "--sample-rate", "0"]) == 2
+    for rate in ("0", "nan"):
+        assert run_cli(["enum", "--p", "3", "--n", "2", "--out", str(tmp_path),
+                        "--sample-rate", rate]) == 2
 
 
 def test_enum_count_mismatch_exits_1(tmp_path, monkeypatch):

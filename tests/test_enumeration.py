@@ -274,6 +274,11 @@ def test_full_enum_rejects_bad_config():
         en.full_enum(9, 2)
     with pytest.raises(ValueError):
         en.full_enum(3, 2, method="magic")
+    # a rate outside (0, 1] is refused up front, before the count-only run
+    # that would divide by it
+    for rate in (0, -0.5, 7, float("nan")):
+        with pytest.raises(ValueError, match=r"sample rate must be in \(0, 1\]"):
+            en.full_enum(3, 3, count_only=True, sample_rate=rate)
 
 
 def test_result_row_and_csv(tmp_path, struct32):

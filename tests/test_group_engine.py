@@ -71,8 +71,8 @@ def permutation_group(rows, generators):
     def inv(a):
         return locate(np.argsort(rows[a], axis=-1))
 
-    return ge.FiniteGroup(ge.Carrier(mul, inv, M, "permutations of %d points" % N),
-                          range(M), generators)
+    return ge.FiniteGroup.whole(ge.Carrier(mul, inv, M, "permutations of %d points" % N),
+                                generators)
 
 
 def _perm_rows(perms):
@@ -83,7 +83,7 @@ def test_permutation_group_is_a_then_b():
     # S_4 on all of its rows, the identity first and the rest in order
     rows = _perm_rows(itertools.permutations(range(4)))
     S4 = permutation_group(rows, ())
-    assert S4.elements == tuple(range(24)) and S4.identity == 0
+    assert np.array_equal(S4.elements, np.arange(24)) and S4.identity == 0
     assert rows[0].tolist() == [0, 1, 2, 3]
     a, b = 5, 17
     # a then b: x -> b[a[x]], for ints and for broadcast arrays
@@ -173,8 +173,8 @@ def test_centralizer(x54):
     _, X = x54
     G = X.subgroup(X.generators[:2])
     cent = ge.centralizer(X, G.generators)
-    assert X.identity in cent.element_set
-    assert all(X.mul(x, g) == X.mul(g, x) for x in cent for g in G.generators)
+    assert cent.mask[X.identity]
+    assert all(X.mul(x, g) == X.mul(g, x) for x in cent.elements.tolist() for g in G.generators)
 
 
 def _scalar_class(X, x):
@@ -208,13 +208,15 @@ def test_core_and_centralizer_generating_sets():
     for H, order in ((ge.core(G, X), 27), (ge.centralizer(X, d["A"].generators), 243)):
         assert len(H) == order
         assert 1 <= len(H.generators) <= round(np.log(order) / np.log(3))
-        assert X.subgroup(H.generators).element_set == H.element_set
+        assert np.array_equal(X.subgroup(H.generators).mask, H.mask)
     assert ge.elementary_abelian_rank(ge.core(G, X), 3) == 3
 
 
 def test_derived_subgroup_and_metabelian(x54):
     _, X = x54
-    D = ge.derived_subgroup(X)
+    # X' is generated by the commutators of all pairs of elements
+    e = X.elements
+    D = X.subgroup(np.unique(X.commutator(e[:, None], e)).tolist())
     assert len(D) == 9
     assert ge.is_normal(D, X)
     assert D.is_abelian()
@@ -239,9 +241,9 @@ def test_quotient_cmap_is_an_array_homomorphism(x54):
     C = ge.core(X.subgroup(X.generators[:2]), X)
     Q, cmap = ge.quotient_group(X, C)
     # cosets coded 0..17, in the order of their smallest elements
-    assert Q.elements == tuple(range(18)) and Q.identity == 0
+    assert np.array_equal(Q.elements, np.arange(18)) and Q.identity == 0
     assert cmap.dtype.kind == "i" and cmap.shape == (len(X),)
-    assert sorted(np.flatnonzero(cmap == 0).tolist()) == list(C.elements)
+    assert np.array_equal(np.flatnonzero(cmap == 0), C.elements)
     assert np.bincount(cmap).tolist() == [len(C)] * 18
     firsts = [int(np.flatnonzero(cmap == q)[0]) for q in range(18)]
     assert firsts == sorted(firsts)
@@ -316,15 +318,27 @@ def test_complement_found_is_one(x54):
     K = ge.find_complement(X, subs[0])
     assert K is not None
     assert len(K) * len(subs[0]) == len(X)
-    assert len(K.element_set & subs[0].element_set) == 1
+    assert np.count_nonzero(K.mask & subs[0].mask) == 1
 
 
 def test_build_extension_refusals():
     C9 = ge.cyclic_group(9)
     # 3 = 1 + 1 + 1 in the base, so 3 must go to 3 * alpha(1) = 6, not 3
-    two_gens = ge.FiniteGroup(C9.carrier, C9.elements, (1, 3))
+    two_gens = ge.FiniteGroup.whole(C9.carrier, (1, 3))
     with pytest.raises(ValueError, match="not a homomorphism"):
         ge.build_extension(two_gens, 2, {1: 2, 3: 3})
+    with pytest.raises(ValueError, match="action missing generator 3"):
+        ge.build_extension(two_gens, 2, {1: 2})
+    # an image outside the base is refused before any mask is indexed
+    for image in (9, -1):
+        with pytest.raises(ValueError, match="outside the base"):
+            ge.build_extension(C9, 2, {1: image})
+    # <3> is the subgroup of order 3, where 3 -> 6 is an automorphism
+    with pytest.raises(ValueError, match="do not reach the whole base"):
+        ge.build_extension(ge.FiniteGroup.whole(C9.carrier, (3,)), 2, {3: 6})
+    # x -> 3x is a homomorphism of C9 with kernel <3>
+    with pytest.raises(ValueError, match="not injective"):
+        ge.build_extension(C9, 2, {1: 3})
     # alpha(x) = 2x has order 6 mod 9, so alpha^2 is not trivial conjugation
     with pytest.raises(ValueError, match="t-th power"):
         ge.build_extension(C9, 2, {1: 2})
@@ -347,13 +361,12 @@ def test_extension_self_test_rejects_bad_law(n):
     # every column but those of the identity and of -r: identity and
     # inverses still hold, associativity does not
     T = np.add.outer(np.arange(n), np.arange(n)) % n
-    ge.check_group_law(ge.FiniteGroup(ge.Carrier(lambda a, b: T[a, b], lambda a: (-a) % n, n),
-                                      list(range(n)), (1,)))
+    ge.check_group_law(ge.FiniteGroup.whole(
+        ge.Carrier(lambda a, b: T[a, b], lambda a: (-a) % n, n), (1,)))
     r = 5
     cols = np.array([x for x in range(1, n) if x != n - r])
     T[r, cols] = T[r, cols[::-1]]
-    X = ge.FiniteGroup(ge.Carrier(lambda a, b: T[a, b], lambda a: (-a) % n, n),
-                       list(range(n)), (1,))
+    X = ge.FiniteGroup.whole(ge.Carrier(lambda a, b: T[a, b], lambda a: (-a) % n, n), (1,))
     with pytest.raises(AssertionError, match="associativity"):
         ge.check_group_law(X)
 
@@ -397,7 +410,7 @@ def test_reference_group_relations():
         v = (7 * u + 3) % len(X)
         prod = X.mul(u, v)
         assert prod.tolist() == [X.mul(int(x), int(y)) for x, y in zip(u, v)]
-        assert X.inv(u).tolist() == [X.inv(x) for x in X.elements]
+        assert X.inv(u).tolist() == [X.inv(x) for x in X.elements.tolist()]
         assert all(type(X.mul(x, x)) is int for x in X.generators)
 
 
@@ -442,7 +455,7 @@ def test_close_many_matches_from_generators(x54, e1_group, name, cap):
     X = {"e1": e1_group, "e2": ge.example_e2()["X"], "C9": ge.cyclic_group(9),
          "x54": x54[1]}[name]
     # every group here is all of its carrier, the skew product x54 too
-    assert X.elements == tuple(range(len(X.carrier)))
+    assert X.mask.all()
     rows = _seeded_rows(np.random.default_rng(len(X)), len(X), 16, 3)
     masks, over = ge.close_many(X, rows, cap)
     assert masks.shape == (16, len(X)) and over.shape == (16,)
@@ -450,13 +463,12 @@ def test_close_many_matches_from_generators(x54, e1_group, name, cap):
     for row, mask, big in zip(rows, masks, over):
         gens = [int(g) for g in row if g != 0]
         H = ge.FiniteGroup.from_generators(X.carrier, gens)
-        assert H.element_set == _scalar_closure(X, gens)
-        closed = set(np.flatnonzero(mask).tolist())
+        assert set(H.elements.tolist()) == _scalar_closure(X, gens)
         assert big == (len(H) > cap)
         if big:
-            assert len(closed) > cap and closed <= H.element_set
+            assert mask.sum() > cap and not (mask > H.mask).any()
         else:
-            assert closed == H.element_set
+            assert np.array_equal(mask, H.mask)
 
 
 def _scalar_find_complement(X, N):
@@ -464,19 +476,19 @@ def _scalar_find_complement(X, N):
     # (i < j) order, the first accepted one wins
     m = len(X) // len(N)
     orders = {}
-    for x in X.elements:
+    for x in X.elements.tolist():
         if x == X.identity:
             continue
         o = X.element_order(x)
         if m % o:
             continue
-        if any(X.power(x, o // q) in N.element_set for q in fpalg.prime_divisors(o)):
+        if any(N.mask[X.power(x, o // q)] for q in fpalg.prime_divisors(o)):
             continue
         orders[x] = o
     for x, o in orders.items():
         if o == m:
             K = X.subgroup((x,))
-            if len(K) == m and len(K.element_set & N.element_set) == 1:
+            if len(K) == m and np.count_nonzero(K.mask & N.mask) == 1:
                 return K
     cands = list(orders)
     for i, x in enumerate(cands):
@@ -485,7 +497,7 @@ def _scalar_find_complement(X, N):
                 K = ge.FiniteGroup.from_generators(X.carrier, (x, y), cap=m)
             except ge.ClosureCapError:
                 continue
-            if len(K) == m and len(K.element_set & N.element_set) == 1:
+            if len(K) == m and np.count_nonzero(K.mask & N.mask) == 1:
                 return K
     return None
 
@@ -507,7 +519,7 @@ def test_find_complement_first_pair(x54, e1_group, closures):
         if ref is None:
             assert K is None
             continue
-        assert (K.elements, K.generators) == (ref.elements, ref.generators)
+        assert np.array_equal(K.elements, ref.elements) and K.generators == ref.generators
         assert K.carrier is X.carrier
     assert found[:2] == [True, True]
     rank4 = ge.normal_elem_abelian_subgroups(e1_group, 4, p=3)
@@ -523,7 +535,7 @@ def _scalar_normal_search(X, rank, p):
     target = p ** rank
     classes = []
     seen = set()
-    for x in X.elements:
+    for x in X.elements.tolist():
         if x not in seen and x != X.identity and X.power(x, p) == X.identity:
             cl = frozenset(X.conjugacy_class(x).tolist())
             seen |= cl
@@ -537,24 +549,27 @@ def _scalar_normal_search(X, rank, p):
             return None
         return H if ge.elementary_abelian_rank(H, p) is not None else None
 
+    def elems(H):
+        return frozenset(H.elements.tolist())
+
     found, nodes, queue = {}, {}, []
     for cl in classes:
         H = grow((), cl)
-        if H is not None and H.element_set not in nodes:
-            nodes[H.element_set] = H
+        if H is not None and elems(H) not in nodes:
+            nodes[elems(H)] = H
             queue.append(H)
     while queue:
         H = queue.pop()
         if len(H) == target:
-            found[H.element_set] = H
+            found[elems(H)] = H
             continue
         for cl in classes:
-            if not cl <= H.element_set:
-                J = grow(H.generators, cl - H.element_set)
-                if J is not None and J.element_set not in nodes:
-                    nodes[J.element_set] = J
+            if not cl <= elems(H):
+                J = grow(H.generators, cl - elems(H))
+                if J is not None and elems(J) not in nodes:
+                    nodes[elems(J)] = J
                     queue.append(J)
-    return sorted(found.values(), key=lambda H: H.elements)
+    return sorted(found.values(), key=lambda H: H.elements.tolist())
 
 
 @pytest.mark.parametrize("name", ["x54", "e2"])
@@ -563,11 +578,32 @@ def test_normal_elem_abelian_subgroups_reference(x54, closures, name):
     for rank in (1, 2):
         start = len(closures)
         subs = ge.normal_elem_abelian_subgroups(X, rank, p=3)
-        # joins are closed in batches; only the subgroups returned are
-        # built as FiniteGroups
-        assert len(closures) - start == len(subs)
+        # joins are closed in batches, and the subgroups returned are the
+        # masks closed there: none is closed again
+        assert len(closures) == start
         ref = _scalar_normal_search(X, rank, 3)
         assert len(subs) >= 1
-        assert [H.element_set for H in subs] == [H.element_set for H in ref]
-        assert [(H.elements, H.generators) for H in subs] == \
-            [(H.elements, H.generators) for H in ref]
+        assert [(H.elements.tolist(), H.generators) for H in subs] == \
+            [(H.elements.tolist(), H.generators) for H in ref]
+
+
+def test_finite_group_is_its_close_many_mask(x54):
+    _, X = x54
+    gens = X.generators[:2]
+    H = ge.FiniteGroup.from_generators(X.carrier, gens)
+    masks, _ = ge.close_many(X.carrier, [gens], ge.CLOSURE_CAP)
+    assert np.array_equal(H.mask, masks[0])
+    assert np.array_equal(H.elements, np.flatnonzero(masks[0]))
+    # neither the mask nor the elements can be written
+    for arr in (H.mask, H.elements):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[1]
+    assert H.mask[0] and len(H) == 9
+    # code lists, int arrays and masks of the wrong length are refused:
+    # range(24) read as a mask would drop the code 0
+    C = ge.cyclic_carrier(24)
+    for bad in (range(24), list(range(24)), np.arange(24), np.ones(23, dtype=bool),
+                np.ones((1, 24), dtype=bool), [True] * 24):
+        with pytest.raises(ValueError, match="bool mask of length 24"):
+            ge.FiniteGroup(C, bad, (1,))
+    assert len(ge.FiniteGroup(C, np.ones(24, dtype=bool), (1,))) == 24
