@@ -147,20 +147,18 @@ def cmd_bench(args):
     # power table, so each part is timed on its own
     if p ** n <= 9:
         # the members of the brute route's one validate_many call, split
-        skews = en.brute_force_enum(p, n).skews
-        parts = [("automorphism rows, brute force",
-                  _rows([s for s in skews if s.is_automorphism()], p ** n)),
-                 ("other rows, brute force",
-                  _rows([s for s in skews if not s.is_automorphism()], p ** n))]
+        block = en.brute_force_enum(p, n).skews
+        parts = [("automorphism rows, brute force", block.images[block.aut]),
+                 ("other rows, brute force", block.images[~block.aut])]
     else:
-        others = []
+        others = np.zeros((0, p ** n), dtype=K.IDX_DTYPE)
         if n == 2:
-            others = en.enum_nonnormal_n2(p)
+            others = en.enum_nonnormal_n2(p).images
         elif (p, n) == (3, 3):
-            others = en.enum_nonnormal_n3(3)[0]
+            others = en.enum_nonnormal_n3(3)[0].images
         parts = [("automorphism rows, GL(%d,%d)" % (n, p),
                   fpalg.matrix_to_perm(fpalg.gl_matrices_array(n, p), p)),
-                 ("other rows, the non-normal block", _rows(others, p ** n))]
+                 ("other rows, the non-normal block", others)]
     print("benchmark: %s validation, p=%d n=%d, best of %d"
           % (K.current_backend(), p, n, args.repeat))
     for label, rows in parts:
@@ -177,10 +175,6 @@ def cmd_bench(args):
             best = min(_time_once(run, p, n, rows) for _ in range(args.repeat))
             print("    %-26s %8.2f ms" % (name, best * 1e3))
     return 0
-
-
-def _rows(skews, N):
-    return np.array([s.images for s in skews], dtype=K.IDX_DTYPE).reshape(-1, N)
 
 
 def _per_row(p, n, batch):

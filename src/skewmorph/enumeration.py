@@ -18,8 +18,10 @@ formula is asserted, and at (3,2) the structured set must equal the
 brute set elementwise.  One closure routine serves both outcomes:
 full_enum makes (5,3) count-only by default, validating a sample of the
 members; everything else is materialized and validated in full, each
-member once, in the order of skew_core.lex_order.  Nothing merges
-duplicates: a repeated member shows as a count mismatch.
+member once.  A set travels as one skew_core.SkewBlock of validated
+image rows, from the kernel to the JSONL file, put in the order of
+skew_core.lex_order once per result.  Nothing merges duplicates: a
+repeated member shows as a count mismatch.
 """
 
 import csv
@@ -67,7 +69,7 @@ class EnumerationResult:
     p: int
     n: int
     method: str
-    skews: list  # None when count-only
+    skews: object  # a skew_core.SkewBlock in member order, None when count-only
     count_total: int
     count_aut: int
     count_nonaut: int
@@ -104,11 +106,11 @@ def brute_force_enum(p, n):
     leaves = K.brute_images(p, n)
     status, order, pi, _ = K.validate_many(p, n, leaves)
     ok = status == K.OK
-    return _result_from_skews(p, n, "brute", sc.members(p, n, leaves[ok], order[ok], pi[ok]))
+    return _result(p, n, "brute", [sc.SkewBlock(p, n, leaves[ok], pi[ok], order[ok])])
 
 
 def _validated_rows(p, n, rows, block, index=None):
-    """Computed members as validated SkewMorphisms, in one kernel call.
+    """Computed members as one validated SkewBlock, in one kernel call.
 
     The rows come from this module, not from the user, so a member that
     breaks the skew law is a finding (AssertionError), not bad input.
@@ -122,13 +124,13 @@ def _validated_rows(p, n, rows, block, index=None):
                              % (p, n, block, at, exc.status, exc)) from None
 
 
-def _result_from_skews(p, n, method, skews):
+def _result(p, n, method, parts):
     # a repeated member is counted twice, so it shows as a count mismatch
-    skews = [skews[i] for i in sc.lex_order(skews)]
-    aut = sum(1 for s in skews if s.is_automorphism())
+    block = sc.member_block(p, n, parts)
+    aut = int(block.aut.sum())
     return EnumerationResult(
-        p=p, n=n, method=method, skews=skews, count_total=len(skews),
-        count_aut=aut, count_nonaut=len(skews) - aut,
+        p=p, n=n, method=method, skews=block, count_total=len(block),
+        count_aut=aut, count_nonaut=len(block) - aut,
         formula_value=formula_count(p, n))
 
 
@@ -199,8 +201,8 @@ def _seed_for_config(p, n, i, M2):
 
 def _canonical_config_seeds(p, n, i_values, sigma2_list):
     """One validated seed skew-morphism per (i, sigma_2) canonical choice,
-    in config order.  The seeds are validated in one batch, a failing one
-    named by its config index."""
+    as a block in config order.  The seeds are validated in one batch, a
+    failing one named by its config index."""
     rows = [_seed_for_config(p, n, i, M2) for i in i_values for M2 in sigma2_list]
     return _validated_rows(p, n, _stack(rows, p ** n), "seed")
 
@@ -243,9 +245,8 @@ def _check_nonnormal(p, n, count, validated):
     if count != expected:
         raise AssertionError(
             "non-normal closure gives %d instances, formula says %d" % (count, expected))
-    for s in validated:
-        if s.is_automorphism():
-            raise AssertionError("automorphism leaked into the non-normal set")
+    if sc.as_block(validated, p, n).aut.any():
+        raise AssertionError("automorphism leaked into the non-normal set")
 
 
 # ---------------------------------------------------------------------------
@@ -258,22 +259,23 @@ def _gl_generator_perms(p, n):
 
 
 def _closure_rows(p, n, seeds):
-    """Breadth-first GL-conjugation closure of seeds, as (row, seed) pairs.
+    """Breadth-first GL-conjugation closure of the seed block, as (row,
+    seed) pairs.
 
-    The distinct seeds come first, each paired with its validated object;
-    every later row is a new conjugate, paired with None.  The order
-    depends only on the seed order and the generator list, so a sample
-    taken by position is the same on every run.
+    The distinct seeds come first, each paired with its position in the
+    block; every later row is a new conjugate, paired with None.  The
+    order depends only on the seed order and the generator list, so a
+    sample taken by position is the same on every run.
     """
     gens = _gl_generator_perms(p, n)
     seen = set()
     frontier = []
-    for s in seeds:
-        key = s.key()
+    for i, row in enumerate(seeds.images):
+        key = row.tobytes()
         if key not in seen:
             seen.add(key)
-            frontier.append(s.images)
-            yield s.images, s
+            frontier.append(row)
+            yield row, i
     while frontier:
         batch = np.stack(frontier)
         frontier = []
@@ -288,23 +290,25 @@ def _closure_rows(p, n, seeds):
 
 
 def aut_closure(p, n, seeds, stride=1):
-    """Orbit closure of seed skew-morphisms under all GL conjugations, as
-    (member count, validated members sorted by images).
+    """Orbit closure of seed skew-morphisms (a block or a member list)
+    under all GL conjugations, as (member count, block of the validated
+    members in member order).
 
     The seeds are kept as they are.  Every stride-th member by closure
     position is validated, in one batch, each named by its closure
     position; stride 1 validates, and returns, every member once.
     """
+    seeds = sc.as_block(seeds, p, n)
     count = 0
-    out, rows, at = [], [], []
+    kept, rows, at = [], [], []
     for count, (row, seed) in enumerate(_closure_rows(p, n, seeds), 1):
         if seed is not None:
-            out.append(seed)
+            kept.append(seed)
         elif count % stride == 0:
             rows.append(row)
             at.append(count - 1)
-    out += _validated_rows(p, n, _stack(rows, p ** n), "closure", at)
-    return count, [out[i] for i in sc.lex_order(out)]
+    closed = _validated_rows(p, n, _stack(rows, p ** n), "closure", at)
+    return count, sc.member_block(p, n, [seeds.take(kept), closed])
 
 
 def _stack(rows, N):
@@ -364,13 +368,12 @@ def full_enum(p, n, method="structured", count_only=None, sample_rate=0.01,
             count_aut=aut_count, count_nonaut=nn_count,
             formula_value=formula_count(p, n), sample_validated=validated)
 
-    skews = enum_automorphisms(p, n)
-    if p != 2 and n >= 2:
-        if n == 2:
-            skews = skews + enum_nonnormal_n2(p)
-        else:
-            skews = skews + enum_nonnormal_n3(p)[0]
-    return _result_from_skews(p, n, "structured", skews)
+    parts = [enum_automorphisms(p, n)]
+    if p != 2 and n == 2:
+        parts.append(enum_nonnormal_n2(p))
+    elif p != 2 and n == 3:
+        parts.append(enum_nonnormal_n3(p)[0])
+    return _result(p, n, "structured", parts)
 
 
 def _sample_stride(rate):
@@ -440,14 +443,12 @@ def _check_fits(p, n, count_only):
 
 
 def compare_sets(A, B):
-    """Symmetric-difference report for two skew-morphism lists; they are
-    equal only when neither repeats a member."""
-    da = {s.key(): s for s in A}
-    db = {s.key(): s for s in B}
-    only_a = [list(map(int, da[k].images)) for k in da.keys() - db.keys()]
-    only_b = [list(map(int, db[k].images)) for k in db.keys() - da.keys()]
-    only_a.sort()
-    only_b.sort()
+    """Symmetric-difference report for two skew-morphism sets, blocks or
+    member lists; they are equal only when neither repeats a member."""
+    da = {row.tobytes(): row for row in sc.as_block(A).images}
+    db = {row.tobytes(): row for row in sc.as_block(B).images}
+    only_a = sorted(da[k].tolist() for k in da.keys() - db.keys())
+    only_b = sorted(db[k].tolist() for k in db.keys() - da.keys())
     return {
         "equal": not only_a and not only_b and len(da) == len(A) and len(db) == len(B),
         "count_a": len(A),

@@ -123,6 +123,7 @@ def validate(p, n, images):
     if images.shape != (p ** n,):
         raise SkewValidationError(
             "expected %d images, got shape %r" % (p ** n, images.shape))
+    images = _points(images, p ** n)
     status, order, pi, witness = K.validate_images(p, n, images)
     if status != K.OK:
         _raise_status(status, witness)
@@ -133,7 +134,8 @@ def validate(p, n, images):
 
 
 def validate_rows(p, n, batch):
-    """validate for every row of a (B, p**n) batch, in one kernel call.
+    """validate for every row of a (B, p**n) batch, in one kernel call,
+    as a SkewBlock holding a read-only view of the batch.
 
     The first failing row raises SkewValidationError, with its index in
     the error's row attribute.
@@ -141,32 +143,133 @@ def validate_rows(p, n, batch):
     check_prime(p)
     if n < 1:
         raise ValueError("n must be positive")
-    batch = np.ascontiguousarray(batch, dtype=K.IDX_DTYPE)
+    batch = np.asarray(batch)
     if batch.ndim != 2 or batch.shape[1] != p ** n:
         raise SkewValidationError(
             "expected rows of %d images, got shape %r" % (p ** n, batch.shape))
+    batch = _points(batch, p ** n)
     status, order, pi, witness = K.validate_many(p, n, batch)
     bad = np.flatnonzero(status != K.OK)
     if bad.size:
         r = int(bad[0])
         _raise_status(int(status[r]), int(witness[r]), row=r)
-    return members(p, n, batch, order, pi)
+    return SkewBlock(p, n, batch, pi, order)
 
 
-def members(p, n, rows, order, pi):
-    """SkewMorphisms of rows that validate_many passed, with its order and pi."""
-    assert (pi[order > 1, 0] == 1).all(), "pi(0) must be 1 for order >= 2"
-    # each member owns copies of its rows: views would keep the batch alive
-    return [SkewMorphism(p, n, row.copy(), row_pi.copy(), o)
-            for row, row_pi, o in zip(rows, pi, order.tolist())]
+def _points(images, N):
+    """images as contiguous IDX_DTYPE, refusing any value the cast would
+    change: one that is no integer (a bool among them) or lies outside
+    [0, N), named by its index and, in a batch, its row."""
+    kind = images.dtype.kind
+    if kind in "iu":
+        # through the unsigned view a negative value reads as a huge one
+        bad = images.view("u%d" % images.itemsize)
+        if bad.max(initial=0) < N:
+            return np.ascontiguousarray(images, dtype=K.IDX_DTYPE)
+        bad = bad >= N
+    elif kind == "f":
+        bad = ~((images >= 0) & (images < N) & (images == np.floor(images)))
+    elif kind == "O":  # python ints past int64, None, ...
+        bad = np.array([type(v) is not int or not 0 <= v < N for v in images.flat],
+                       dtype=bool).reshape(images.shape)
+    else:  # bools, strings
+        bad = np.ones(images.shape, dtype=bool)
+    if bad.any():
+        at = np.unravel_index(np.argmax(bad), images.shape)
+        raise SkewValidationError(
+            "image at index %d is %r, not an integer in [0, %d)" % (at[-1], images.item(at), N),
+            status=K.NOT_PERMUTATION, witness=int(at[-1]),
+            row=int(at[0]) if images.ndim == 2 else None)
+    return np.ascontiguousarray(images, dtype=K.IDX_DTYPE)
+
+
+class SkewBlock:
+    """A validated set of skew-morphisms of one F_p^n, held as columns:
+    images and pi read-only (M, N) int16 arrays, order (M,) int64, and the
+    automorphism mask aut, worked out once as (order == 1) | (pi == 1).all(1).
+
+    It reads as a sequence of SkewMorphism: len, iteration and an integer
+    index give members, each owning copies of its rows; a slice, or + with
+    another sequence, gives a list of them.
+    """
+
+    __slots__ = ("p", "n", "images", "pi", "order", "aut")
+
+    def __init__(self, p, n, images, pi, order):
+        self.p = p
+        self.n = n
+        self.images = _read_only(images, K.IDX_DTYPE)
+        self.pi = _read_only(pi, K.IDX_DTYPE)
+        self.order = _read_only(order, np.int64)
+        assert (self.pi[self.order > 1, :1] == 1).all(), "pi(0) must be 1 for order >= 2"
+        self.aut = _read_only((self.order == 1) | (self.pi == 1).all(axis=1), bool)
+
+    def __len__(self):
+        return len(self.order)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = range(len(self))[i]  # IndexError past either end
+        return SkewMorphism(self.p, self.n, self.images[i].copy(), self.pi[i].copy(),
+                            self.order[i])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __add__(self, other):
+        return list(self) + list(other)
+
+    def __radd__(self, other):
+        return list(other) + list(self)
+
+    def take(self, at):
+        """The members at positions at, as a new block."""
+        return SkewBlock(self.p, self.n, self.images[at], self.pi[at], self.order[at])
+
+
+def _read_only(a, dtype):
+    # a read-only view: the caller's own array keeps its flags
+    a = np.ascontiguousarray(a, dtype=dtype).view()
+    a.flags.writeable = False
+    return a
+
+
+def as_block(skews, p=None, n=None):
+    """skews as a SkewBlock: a block as it is, a sequence of SkewMorphism
+    members of one F_p^n gathered into one, validated already, so not again.
+    p and n give the shape of an empty set, which otherwise has no points;
+    members of different sizes raise ValueError."""
+    if isinstance(skews, SkewBlock):
+        return skews
+    skews = list(skews)
+    if skews:
+        p, n = skews[0].p, skews[0].n
+    N = 0 if p is None else p ** n
+    rows = [np.array([getattr(s, f) for s in skews], dtype=K.IDX_DTYPE).reshape(len(skews), N)
+            for f in ("images", "pi")]
+    return SkewBlock(p, n, *rows, [s.order for s in skews])
+
+
+def member_block(p, n, parts):
+    """The members of parts (blocks or member lists of F_p^n) as one block
+    in member order: one lex_order and one gather.  Nothing merges
+    duplicates."""
+    parts = [as_block(part, p, n) for part in parts]
+    images, pi, order = (np.concatenate([getattr(b, f) for b in parts])
+                         for f in ("images", "pi", "order"))
+    at = lex_order(images)
+    return SkewBlock(p, n, images[at], pi[at], order[at])
 
 
 def lex_order(skews):
-    """The member order: positions that sort skews by image row, first point
-    most significant, ties kept in place, from one stacked int16 array."""
-    if len(skews) < 2:
-        return np.arange(len(skews))
-    return np.lexsort(np.stack([s.images for s in skews]).T[::-1])
+    """The member order: positions that sort skews (a block, a member list
+    or an (M, N) image array) by image row, first point most significant,
+    ties kept in place."""
+    rows = skews if isinstance(skews, np.ndarray) else as_block(skews).images
+    if len(rows) < 2:
+        return np.arange(len(rows))
+    return np.lexsort(rows.T[::-1])
 
 
 def _raise_status(status, witness, row=None):
@@ -343,20 +446,8 @@ def skew_to_obj(sk):
     }
 
 
-# skew_to_obj as one JSON line with ", " separators, in one format string:
-# the repr of a list of python ints is its JSON text.  Further fields go
-# in before the closing brace.
-RECORD_LINE = ('{"p": %d, "n": %d, "order": %d, "k": %d, "m": %d, '
-               '"sigma": %r, "pi": %r, "automorphism": %s%s}\n')
-
-
 def json_bool(b):
     return "true" if b else "false"
-
-
-def record_line(sk, more=""):
-    return RECORD_LINE % (sk.p, sk.n, sk.order, sk.k, sk.m, sk.images.tolist(),
-                          sk.pi.tolist(), json_bool(sk.is_automorphism()), more)
 
 
 def parse_record(obj):
@@ -366,32 +457,99 @@ def parse_record(obj):
     for field in ("p", "n", "sigma"):
         if field not in obj:
             raise SkewValidationError("record missing field %r" % field)
-    sk = validate(_field(obj, "p", int), _field(obj, "n", int),
-                  _field(obj, "sigma", lambda v: np.array(v, dtype=np.int64)))
+    sk = validate(_ints(obj, "p"), _ints(obj, "n"), np.array(_ints(obj, "sigma", listed=True)))
     for field, got in (("order", sk.order), ("k", sk.k), ("m", sk.m)):
-        if field in obj and _field(obj, field, int) != got:
+        if field in obj and _ints(obj, field) != got:
             raise SkewValidationError(
                 "record field %r = %r disagrees with recomputed %d" % (field, obj[field], got))
-    if "pi" in obj and _field(obj, "pi", lambda v: [int(x) for x in v]) != sk.pi.tolist():
+    if "pi" in obj and _ints(obj, "pi", listed=True) != sk.pi.tolist():
         raise SkewValidationError("record power function disagrees with recomputed one")
     return sk
 
 
-def _field(obj, field, convert):
-    # a null or mistyped value is bad input, not a crash
-    try:
-        return convert(obj[field])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SkewValidationError("record field %r is unusable (%s)" % (field, exc)) from None
+def _ints(obj, field, listed=False):
+    """A record field's JSON integer, or with listed its list of JSON
+    integers.  A float, a bool, a string or null is bad input, refused
+    rather than cast."""
+    value = obj[field]
+    if not listed:
+        if type(value) is int:
+            return value
+        raise SkewValidationError("record field %r is %s, not an integer"
+                                  % (field, json.dumps(value)))
+    if type(value) is not list:
+        raise SkewValidationError("record field %r is %s, not a list"
+                                  % (field, json.dumps(value)))
+    if not set(map(type, value)) <= {int}:
+        i = next(i for i, v in enumerate(value) if type(v) is not int)
+        raise SkewValidationError("record field %r holds %s at index %d, not an integer"
+                                  % (field, json.dumps(value[i]), i))
+    return value
 
 
 def write_jsonl(skews, path):
-    """One record line per member, in lex_order; returns the record count."""
-    skews = list(skews)
-    with open(path, "w") as fh:
-        for i in lex_order(skews):
-            fh.write(record_line(skews[i]))
-    return len(skews)
+    """One record line per member of skews (a block or a member list), in
+    lex_order; returns the record count."""
+    block = as_block(skews)
+    return write_records(path, block, lex_order(block))
+
+
+def write_records(path, block, at, fields=("",), field_of=None):
+    """Write the records of block's members at positions at, in that
+    order, each as json.dumps writes skew_to_obj's dict with ", "
+    separators, with the text fields[field_of[r]] (fields[0] when field_of
+    is None) put in before the closing brace of member r.  Returns the
+    record count.
+
+    The one record formatter: a line is gathered from NUL-padded byte
+    tables (the header of the member's order, "v, " per point of sigma and
+    pi, the joint after each, and the tail by automorphism flag and field
+    text), a chunk of lines at a time into a (rows, width) uint8 array,
+    and one mask drops the padding.
+    """
+    with open(path, "wb") as fh:
+        if not len(at):
+            return 0
+        p, n, N = block.p, block.n, block.images.shape[1]
+        orders, order_of = np.unique(block.order, return_inverse=True)
+        head, sigma_end, last, tail = _tables(
+            [_HEAD % ((p, n, o) + _split_order(o, p)) for o in orders.tolist()],
+            ['%d], "pi": [' % v for v in range(N)],
+            ["%d" % v for v in range(N)],
+            ['], "automorphism": %s%s}\n' % (json_bool(a), f)
+             for f in fields for a in (False, True)])
+        # "v, " as one 4- or 8-byte word per point: one flat take per row
+        w = 4 if N <= 100 else 8
+        point = np.array(["%d, " % v for v in range(N)], dtype="S%d" % w).view("u%d" % w)
+
+        def points(rows):
+            return point.take(rows).view(np.uint8).reshape(len(rows), -1)
+
+        width = (head.shape[1] + (2 * N - 2) * w + sigma_end.shape[1] + last.shape[1]
+                 + tail.shape[1])
+        step = max(1, _WRITE_CHUNK // width)
+        for a in range(0, len(at), step):
+            r = at[a:a + step]
+            images, pi = block.images[r], block.pi[r]
+            kind = block.aut[r] + (0 if field_of is None else 2 * field_of[r])
+            chunk = np.concatenate([
+                head[order_of[r]], points(images[:, :-1]), sigma_end[images[:, -1]],
+                points(pi[:, :-1]), last[pi[:, -1]], tail[kind]], axis=1)
+            fh.write(chunk[chunk != 0].tobytes())
+    return len(at)
+
+
+_HEAD = '{"p": %d, "n": %d, "order": %d, "k": %d, "m": %d, "sigma": ['
+
+# bytes in one chunk of write_records, glibc's default mmap threshold:
+# a chunk's temporaries come and go without raising the threshold, which
+# would leave more of the heap resident afterwards
+_WRITE_CHUNK = 1 << 17
+
+
+def _tables(*texts):
+    """Each list of texts as a NUL-padded (len, width) uint8 table."""
+    return [np.array(ts, dtype="S").view(np.uint8).reshape(len(ts), -1) for ts in texts]
 
 
 def read_jsonl(path):

@@ -463,7 +463,7 @@ def _example_report_e2():
     from . import enumeration
     full = enumeration.full_enum(3, 2)
     claims.append(Claim("extracted member of the full (3,2) set", True,
-                        sk.key() in {t.key() for t in full.skews}))
+                        bool((full.skews.images == sk.images).all(axis=1).any())))
 
     # the realizing T, found generically in X itself
     spows = X.cycle(s)[1:]
@@ -541,12 +541,18 @@ CLASSIFIED_FIELDS = (', "case": "%s", "core_rank": %d, "g_normal_in_x": %s, '
 def write_classified_jsonl(path, rows):
     """rows: (skew, report-or-None, embedding-or-None) triples, written in
     the member order of skew_core.lex_order, as classified_record dicts
-    would be by json.dumps with ", " separators."""
+    would be by json.dumps with ", " separators, through
+    skew_core.write_records with the distinct field texts looked up once."""
     rows = list(rows)
-    with open(path, "w") as fh:
-        for sk, rep, aff in (rows[i] for i in sc.lex_order([r[0] for r in rows])):
-            rep = rep if rep is not None else classify(sk)
-            found = "null" if aff is None else sc.json_bool(aff.found)
-            fh.write(sc.record_line(sk, CLASSIFIED_FIELDS % (
-                rep.case, rep.core_rank, sc.json_bool(rep.g_normal_in_x),
-                sc.json_bool(rep.g_normal_in_p), found)))
+    texts, text_of = {}, []
+    for sk, rep, aff in rows:
+        rep = rep if rep is not None else classify(sk)
+        key = (rep.case, rep.core_rank, rep.g_normal_in_x, rep.g_normal_in_p,
+               None if aff is None else bool(aff.found))
+        text_of.append(texts.setdefault(key, len(texts)))
+    fields = [CLASSIFIED_FIELDS % (case, rank, sc.json_bool(gx), sc.json_bool(gp),
+                                   "null" if found is None else sc.json_bool(found))
+              for case, rank, gx, gp, found in texts]
+    block = sc.as_block([r[0] for r in rows])
+    return sc.write_records(path, block, sc.lex_order(block), fields,
+                            np.array(text_of, dtype=np.int64))

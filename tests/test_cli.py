@@ -173,6 +173,20 @@ def test_verify_malformed_record_exits_2_naming_the_line(tmp_path, capsys, line)
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("sigma, index", [
+    ("[0, 65538, 65537]", 1), ("[0, 2.7, 1]", 1), ("[0, 2, true]", 2)],
+    ids=["wrap", "float", "bool"])
+def test_verify_refuses_values_the_cast_would_change(tmp_path, capsys, sigma, index):
+    # each would read as the valid [0, 2, 1] through an int16 cast
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"p": 3, "n": 1, "sigma": %s}\n' % sigma)
+    assert run_cli(["verify", "--in", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert "error: line 1: " in captured.err and "index %d" % index in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "bad.jsonl.classified").exists()
+
+
 @pytest.mark.parametrize("rate", ["-3", "7", "1.5", "nan"])
 def test_verify_refuses_sample_rate_outside_unit_interval(tmp_path, capsys, rate):
     path = tmp_path / "one.jsonl"

@@ -106,6 +106,24 @@ def test_repeated_member_is_a_count_mismatch(monkeypatch, block):
     assert not res.match and res.count_total == 65
 
 
+def test_enum_path_builds_no_members(tmp_path, monkeypatch):
+    # a set stays one block from the kernel to the JSONL file
+    built = []
+    init = sc.SkewMorphism.__init__
+
+    def counting(self, *args):
+        built.append(args[:2])
+        init(self, *args)
+
+    monkeypatch.setattr(sc.SkewMorphism, "__init__", counting)
+    for p, n in ((7, 2), (3, 3)):
+        res = en.full_enum(p, n)
+        assert sc.write_jsonl(res.skews, tmp_path / "set.jsonl") == res.count_total
+    assert built == []
+    res.skews[0]
+    assert built == [(3, 3)]
+
+
 def test_aut_closure_fixes_complete_set(brute32):
     nonnormal = [s for s in brute32.skews if not s.is_automorphism()]
     count, closed = en.aut_closure(3, 2, nonnormal)

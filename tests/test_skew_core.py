@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from skewmorph import _kernels as K
+from skewmorph import enumeration as en
 from skewmorph import fpalg
 from skewmorph import group_engine as ge
 from skewmorph import skew_core as sc
@@ -387,6 +388,87 @@ def test_lex_order(brute32, set52, set72, set33):
         assert [s.key() for s in got] == [s.key() for s in want]
     assert sc.lex_order([]).tolist() == []
     assert sc.lex_order(brute32.skews[:1]).tolist() == [0]
+
+
+def _dumps(obj):
+    return json.dumps(obj, separators=(", ", ": "))
+
+
+def test_writer_lines_are_json_dumps(tmp_path, set52, set72, set33):
+    # every member of (5,2), (7,2) and (3,3), from the result block and
+    # from a shuffled member list, plus (5,3) rows of three-digit points
+    rng = np.random.default_rng(0)
+    seeds53 = en._canonical_config_seeds(5, 3, range(1, 3), fpalg.omega_set(5)[:4])
+    gl53 = sc.validate_rows(5, 3, fpalg.matrix_to_perm(fpalg.gl_generators(3, 5), 5))
+    for skews in (set52.skews, set72.skews, set33.skews, seeds53, gl53):
+        want = [_dumps(sc.skew_to_obj(sk))
+                for sk in sorted(skews, key=lambda s: s.images.tolist())]
+        shuffled = [skews[i] for i in rng.permutation(len(skews))]
+        for given in (skews, shuffled):
+            path = tmp_path / "set.jsonl"
+            assert sc.write_jsonl(given, path) == len(want)
+            assert path.read_text().splitlines() == want
+    path = tmp_path / "empty.jsonl"
+    assert sc.write_jsonl([], path) == 0
+    assert path.read_bytes() == b""
+
+
+def test_block_reads_as_member_sequence(set72):
+    block = set72.skews
+    assert isinstance(block, sc.SkewBlock) and len(block) == 3456
+    for a in (block.images, block.pi, block.order, block.aut):
+        assert not a.flags.writeable
+    assert block.images.dtype == block.pi.dtype == K.IDX_DTYPE
+    members = list(block)
+    assert [s.is_automorphism() for s in members] == block.aut.tolist()
+    assert block[-1] == members[-1] and block[np.int64(5)] == members[5]
+    # each member owns its rows, read-only
+    sk = block[7]
+    assert sk.images.base is None and not sk.images.flags.writeable
+    assert (sk.images == block.images[7]).all() and (sk.pi == block.pi[7]).all()
+    assert sk.order == block.order[7]
+    with pytest.raises(IndexError):
+        block[len(block)]
+    assert block[2:5] == members[2:5] and isinstance(block[::1000], list)
+    assert block + members[:1] == members + members[:1]
+    assert members[:1] + block == members[:1] + members
+    assert sc.as_block(members).images.tolist() == block.images.tolist()
+    with pytest.raises(ValueError):
+        sc.as_block(members[:1] + [sc.validate(3, 2, np.arange(9))])
+
+
+@pytest.mark.parametrize("images, index", [
+    ([0, 65538, 65537], 1),  # wraps to [0, 2, 1] in int16
+    ([0, 2.7, 1], 1),        # truncates to [0, 2, 1]
+    ([0, 2, -1], 2),
+    ([0, 2, None], 2),
+    ([0, 2 ** 70, 1], 1),
+], ids=["wrap", "float", "negative", "none", "past-int64"])
+def test_values_the_cast_would_change_are_refused(images, index):
+    for call, arg in ((sc.validate, images), (sc.validate_rows, [[0, 1, 2], images])):
+        with pytest.raises(sc.SkewValidationError, match="image at index %d is" % index) as ei:
+            call(3, 1, arg)
+        assert ei.value.witness == index
+        assert ei.value.row == (None if call is sc.validate else 1)
+    # a bool array casts to the identity of Z_2
+    for call, arg in ((sc.validate, np.array([False, True])),
+                      (sc.validate_rows, np.array([[False, True]]))):
+        with pytest.raises(sc.SkewValidationError, match="image at index 0 is False"):
+            call(2, 1, arg)
+
+
+@pytest.mark.parametrize("sigma, index", [
+    ([0, 65538, 65537], 1), ([0, 2.7, 1], 1), ([0, 2, True], 2)],
+    ids=["wrap", "float", "bool"])
+def test_parse_record_refuses_values_the_cast_would_change(sigma, index):
+    with pytest.raises(sc.SkewValidationError, match="index %d" % index):
+        sc.parse_record({"p": 3, "n": 1, "sigma": sigma})
+    # a float or a bool is no integer field either
+    good = {"p": 3, "n": 1, "sigma": [0, 2, 1]}
+    assert sc.parse_record(good).images.tolist() == [0, 2, 1]
+    for field, value in (("p", 3.0), ("n", True), ("order", 2.0), ("pi", [0, 1.0, 1])):
+        with pytest.raises(sc.SkewValidationError, match=repr(field)):
+            sc.parse_record(dict(good, **{field: value}))
 
 
 def test_parse_record_rejections(brute32):

@@ -300,6 +300,25 @@ def test_sweep_classify_modes(brute32):
             assert aff is not None and aff.found
 
 
+def test_classified_writer_lines_are_json_dumps(tmp_path, set52, set72, set33):
+    # every member of (5,2), (7,2) and (3,3), each with its report and one
+    # of the three affine fields, from the block's members and shuffled
+    rng = np.random.default_rng(1)
+    affine = (None, sv.AffineEmbedding(True, "G", 0, None, 1),
+              sv.AffineEmbedding(False, "", 0, None, 1))
+    for res in (set52, set72, set33):
+        members = list(res.skews)
+        rows = [(sk, sv.classify(sk), affine[i % 3]) for i, sk in enumerate(members)]
+        want = [json.dumps(sv.classified_record(*r), separators=(", ", ": ")) for r in rows]
+        path = tmp_path / "classified.jsonl"
+        assert sv.write_classified_jsonl(path, [rows[i] for i in rng.permutation(len(rows))]) \
+            == len(rows)
+        # the block is in member order, so rows and want are too
+        assert path.read_text().splitlines() == want
+    assert sv.write_classified_jsonl(path, []) == 0
+    assert path.read_bytes() == b""
+
+
 def test_classified_record_and_jsonl(tmp_path, brute32):
     rows = sv.sweep_classify(brute32.skews, affine="all")
     triples = [(sk, rep, aff) for sk, (rep, aff) in zip(brute32.skews, rows)]
