@@ -410,31 +410,24 @@ def physical_memory_bytes():
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-# bytes a materialized member holds at the peak of its stage, a + b * p**n:
-# a fit to tracemalloc peaks of 800, 1,233 and 1,562 bytes a member after
-# the GL step of full_enum at (7,2), (11,2) and (13,2)
-MEMBER_BYTES = (490, 6.35)
-
-
 def _check_fits(p, n, count_only):
     """Reject a structured run whose memory model exceeds physical memory,
     before anything large is built.
 
     Count-only hashes each non-normal member as its images bytes, a lower
-    bound on the key set.  A materialized run peaks at the larger of its
-    GL step, where matrix_to_perm holds V @ M and its remainder mod p, two
-    int64 arrays of |GL| x p**n x n, and its members at MEMBER_BYTES each.
+    bound on the key set.  A materialized run peaks at its GL step, where
+    matrix_to_perm holds V @ M and its remainder mod p, two int64 arrays
+    of |GL| x p**n x n; its members, a block of about 4 p**n bytes each,
+    hold less at every p.
     """
     N = p ** n
     if count_only:
         keys, key = nonnormal_count(p, n), N * np.dtype(K.IDX_DTYPE).itemsize
         need, what = keys * key, "hash %d member keys of %d bytes" % (keys, key)
     else:
-        gl, members = fpalg.gl_order(n, p), formula_count(p, n)
-        per = int(MEMBER_BYTES[0] + MEMBER_BYTES[1] * N)
-        need, what = max(
-            (2 * gl * N * n * 8, "build GL through two int64 arrays of %d x %d x %d" % (gl, N, n)),
-            (members * per, "hold %d members of about %d bytes" % (members, per)))
+        gl = fpalg.gl_order(n, p)
+        need = 2 * gl * N * n * 8
+        what = "build GL through two int64 arrays of %d x %d x %d" % (gl, N, n)
     have = physical_memory_bytes()
     if need > have:
         raise ValueError("%s (%d,%d) would %s, %.1f GB, more than the %.1f GB of physical memory"

@@ -103,11 +103,14 @@ class SkewMorphism:
         return K.power_rows(self.images, self.order)
 
 
-def power_sums(sk, S):
+def power_sums(pi, S, order):
     """PS[i, g] = sum_{t<i} pi(sigma^t g) mod order, an exclusive running
-    sum over the power table S, as int32."""
-    steps = sk.pi[S].astype(np.int64)
-    return ((np.cumsum(steps, axis=0) - steps) % sk.order).astype(np.int32)
+    sum of the power function pi down the power table S, as int32."""
+    steps = pi.take(S)
+    PS = np.cumsum(steps, axis=0, dtype=np.int32)
+    PS -= steps
+    PS %= order
+    return PS
 
 
 def validate(p, n, images):
@@ -317,7 +320,7 @@ class SkewProductGroup:
         add, _, neg = K.index_tables(sk.p, sk.n)
         self.add, self.neg = add.astype(np.int32), neg.astype(np.int32)
         self.S = sk.power_table().astype(np.int32)
-        self.PS = power_sums(sk, self.S)
+        self.PS = power_sums(sk.pi, self.S, sk.order)
         # for mul: add times order, and a table of x mod order for x < 2 order
         self._add_o = self.add * self.order
         self._mod = np.arange(2 * self.order, dtype=np.int32) % self.order

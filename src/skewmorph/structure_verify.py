@@ -16,6 +16,9 @@ orbit-restricted subset is again a subgroup, the largest one normal
 in X.  All three checks and the core are plain array reductions, so a
 full sweep never builds multiplication tables.  An automorphism (order 1
 or pi == 1) needs none of them: classify reports it in closed form.
+
+The affine search for T (find_affine_embedding) reads the law of X off
+the same tables, for all the members of one (p, n, order) at once.
 """
 
 from collections import Counter
@@ -167,8 +170,13 @@ class AffineEmbedding:
     note: str = ""
 
 
-def _vmult(add, S, PS, o, g1, e1, g2, e2):
-    return add[g1, S[e1, g2]], (PS[e1, g2] + e2) % o
+# power-table elements per chunk of members in _search_chunk: at 2**15 a
+# chunk's temporaries peak near 1.3 MB; larger chunks ran faster but left
+# more heap behind each sweep
+_AFFINE_CHUNK = 1 << 15
+# values of a in _search_chunk's first window: the accepted candidate has
+# a < 8 in every non-normal member of (3,2), (5,2) and (7,2)
+_AFFINE_WINDOW = 8
 
 
 def find_affine_embedding(sk):
@@ -176,109 +184,175 @@ def find_affine_embedding(sk):
     T meeting <sigma> trivially (then X = T<sigma> realizes sigma as an
     affine map on T).
 
-    Normal G serves directly.  Otherwise T is assembled from the central
-    translations of P plus one mixed element x = (a, i) of order p, the
-    first in pair id order that passes every test.  The law of X is read
-    off the tables of G and sigma, without building X: array passes over
-    all candidates keep the x with i != 0 that commute with the central
-    translations, x^p = 1 and no x^t (0 < t < p) in <sigma>; only the
-    normality test is a scalar loop, and tried counts the candidates that
-    reach it.
+    kind "G" is G itself, for an automorphism; kind "mixed" is T spanned by
+    the central translations of P and mixed_pair, with tried the number of
+    candidates that met the normality test.  This is _affine_search on
+    the one member; sweep_classify searches all its members at once.
     """
-    p, n, o, k = sk.p, sk.n, sk.order, sk.k
-    N = sk.N
-    if o == 1 or (np.asarray(sk.pi) == 1).all():
-        return AffineEmbedding(True, "G", n, None, 0)
+    return _affine_search([sk])[0]
 
-    add, _, neg = K.index_tables(p, n)
-    S = sk.power_table()
-    PS = sc.power_sums(sk, S)
 
-    idx = np.arange(N)
-    kk = k % o
-    zt_mask = (S[kk] == idx) & (PS[kk] == kk)
-    zt_idx = np.nonzero(zt_mask)[0]
-    r_z = 0
-    while p ** r_z < zt_idx.size:
-        r_z += 1
-    if p ** r_z != zt_idx.size:
+def _affine_search(skews):
+    """One AffineEmbedding per member of skews, in input order.
+
+    An automorphism has G itself, normal, as T.  Otherwise T is assembled
+    from the central translations of P plus one mixed element x = (a, i)
+    of order p, the first in pair id order a * o + i that passes every
+    test.  The members that share (p, n, order) are searched together, in
+    chunks of about _AFFINE_CHUNK power-table elements (_search_chunk).
+    """
+    out = [None] * len(skews)
+    groups = {}
+    for j, sk in enumerate(skews):
+        if sk.is_automorphism():
+            out[j] = AffineEmbedding(True, "G", sk.n, None, 0)
+        else:
+            groups.setdefault((sk.p, sk.n, sk.order), []).append(j)
+    for (p, n, o), at in groups.items():
+        step = max(1, _AFFINE_CHUNK // (o * p ** n))
+        for c in range(0, len(at), step):
+            part = at[c:c + step]
+            for j, aff in zip(part, _search_chunk(p, n, o, [skews[j] for j in part])):
+                out[j] = aff
+    return out
+
+
+def _search_chunk(p, n, o, skews):
+    """The affine search on the non-automorphisms of one (p, n, order), each
+    test one array pass over the candidates of all of them.  The members
+    are one permutation of M * N points, member r on r * N .. r * N + N - 1,
+    so one power table S and its power sums PS give the law of every X.
+
+    The passes keep the x = (a, i) with i != 0 that commute with the
+    central translations, x^p = 1 and no x^t (0 < t < p) in <sigma>; these
+    meet the normality test, y^-1 t y in T for the generators y of X and t
+    of T.  a runs in windows, _AFFINE_WINDOW values, then twice as many
+    each time, until every member has accepted a candidate.
+    """
+    M, N = len(skews), p ** n
+    MN = M * N
+    add, sub, neg = K.index_tables(p, n)
+    block = sc.as_block(skews)
+    base = np.arange(0, MN, N, dtype=np.int32)  # r * N, the offset of member r
+    S = K.power_rows((block.images + base[:, None]).ravel(), o)  # (o, M * N)
+    PS = sc.power_sums(block.pi.ravel(), S, o)
+    Sf, PSf = S.ravel(), PS.ravel()
+
+    def mul(rN, g1, e1, g2, e2):
+        # (g1, e1)(g2, e2) in the skew product of the member at offset rN
+        f = e1 * MN + rN + g2
+        return add[g1, Sf[f] - rN], (PSf[f] + e2) % o
+
+    def conj(rN, t, yi, y):
+        return mul(rN, *mul(rN, *yi, *t), *y)
+
+    kk = skews[0].k % o
+    zt = (S[kk] == np.arange(MN)) & (PS[kk] == kk)
+    size = zt.reshape(M, N).sum(axis=1)
+    rank = (p ** np.arange(n + 1)[:, None] < size).sum(axis=0)
+    if (p ** rank != size).any():
         raise AssertionError("central translations do not form a p-power set")
-    if r_z + 1 != n:
-        return AffineEmbedding(False, "", r_z, None, 0,
-                               note="central translation rank %d, need %d" % (r_z, n - 1))
+    out = [None] * M
+    for m in np.nonzero(rank + 1 != n)[0].tolist():
+        out[m] = AffineEmbedding(False, "", int(rank[m]), None, 0,
+                                 note="central translation rank %d, need %d" % (rank[m], n - 1))
 
-    # independent basis of the central translations
-    basis = []
-    span = {0}
-    for v in zt_idx:
-        v = int(v)
-        if v in span:
-            continue
-        basis.append(v)
-        mults = [0]
-        for _ in range(p - 1):
-            mults.append(int(add[mults[-1], v]))
-        span = {int(add[x, w]) for x in span for w in mults}
+    # independent basis of the central translations, greedy in index order
+    basis, span = [], np.zeros((M, N), dtype=bool)
+    span[:, 0] = True
+    for _ in range(n - 1):
+        if basis:
+            back = sub[:, basis[-1]].T  # x - z
+            for _ in range(p - 1):
+                span |= np.take_along_axis(span, back, axis=1)
+        basis.append(np.argmax(zt.reshape(M, N) & ~span, axis=1))
 
-    # candidates (a, i), i != 0, in pair id order a * o + i, that commute
-    # with every basis translation (z, 0): a test on i alone
-    i_ok = np.arange(1, o)
+    # the exponents i that commute with every basis translation (z, 0)
+    i_ok = np.ones((M, o), dtype=bool)
+    i_ok[:, 0] = False
     for z in basis:
-        i_ok = i_ok[(S[i_ok, z] == z) & (PS[i_ok, z] == i_ok)]
-    ga = np.repeat(np.arange(N), i_ok.size)
-    ia = np.tile(i_ok, N)
-    # G-parts and exponents of x^0 .. x^p, one array pass per power
-    xg = np.zeros((p + 1, ga.size), dtype=np.intp)
-    xe = np.zeros((p + 1, ga.size), dtype=np.intp)
-    for t in range(1, p + 1):
-        xg[t], xe[t] = _vmult(add, S, PS, o, xg[t - 1], xe[t - 1], ga, ia)
-    # x^0 .. x^(p-1) have distinct exponents, as exp_to_t below needs: equal
-    # ones would put a power of x, so x itself (p prime), in G, and i != 0
-    ok = (xg[p] == 0) & (xe[p] == 0) & ~zt_mask[xg[1:p]].any(axis=0)
+        rz = base + z
+        i_ok &= (S[:, rz] == rz).T & (PS[:, rz].T == np.arange(o))
 
-    # normality: y^-1 t y in T for the generators y of X, the basis
-    # translations (e_j, 0) and sigma, and the generators t of T; the
-    # conjugates of T's translations are the same for every candidate
-    def conj(t, yi, y):
-        return _vmult(add, S, PS, o, *_vmult(add, S, PS, o, *yi, *t), *y)
-
+    # the generators y of X, the basis translations (e_j, 0) and sigma,
+    # with y^-1; the conjugates of T's translations are the same for
+    # every candidate of a member
     gens = []
     for y in [(p ** (n - 1 - j), 0) for j in range(n)] + [(0, 1)]:
-        g = int(S[-y[1] % o, neg[y[0]]])
-        gens.append(((g, -int(PS[y[1], g]) % o), y))
-    fixed = [conj((v, 0), yi, y) for yi, y in gens for v in basis]
-    zt_set = set(zt_idx.tolist())
-    tried = 0
-    for c in np.nonzero(ok)[0].tolist():
-        tried += 1
-        x = (int(ga[c]), int(ia[c]))
-        x_g = xg[:p, c].tolist()
-        exp_to_t = dict(zip(xe[:p, c].tolist(), range(p)))
+        g = Sf[-y[1] % o * MN + base + neg[y[0]]] - base
+        gens.append(((g, -PSf[y[1] * MN + base + g] % o), y))
+    fixed = [conj(base, (z, 0), yi, y) for yi, y in gens for z in basis]
+
+    tried = np.zeros(M, dtype=np.int64)
+    todo, settled = np.nonzero(rank + 1 == n)[0], np.zeros(M, dtype=bool)
+    lo, hi = 0, _AFFINE_WINDOW
+    while todo.size and lo < N:
+        r, a, i = np.nonzero(np.broadcast_to(i_ok[todo, None], (todo.size, min(hi, N) - lo, o)))
+        r, a = todo[r], a + lo
+        rN = base[r]
+        # G-parts and exponents of x^0 .. x^p, one array pass per power
+        xg, xe = [np.zeros_like(a)], [np.zeros_like(a)]
+        for _ in range(p):
+            g, e = mul(rN, xg[-1], xe[-1], a, i)
+            xg.append(g)
+            xe.append(e)
+        xg, xe = np.array(xg), np.array(xe)
+        # x^0 .. x^(p-1) have distinct exponents, as in_T below needs: equal
+        # ones would put a power of x, so x itself (p prime), in G, and i != 0
+        ok = np.nonzero((xg[p] == 0) & (xe[p] == 0) & ~zt[rN + xg[1:p]].any(axis=0))[0]
+        r, a, i, rN, C = r[ok], a[ok], i[ok], rN[ok], ok.size
+        # the t of each exponent of x^0 .. x^(p-1), p for none, and minus
+        # the G-part of x^t, 0 at t = p
+        cols = np.arange(C)
+        t_of = np.full(C * o, p, dtype=np.int32)
+        t_of[cols * o + xe[:p, ok]] = np.arange(p)[:, None]
+        back = np.concatenate([neg[xg[:p, ok]], np.zeros((1, C), dtype=neg.dtype)]).ravel()
 
         def in_T(g, e):
-            t = exp_to_t.get(int(e))
-            return t is not None and int(add[g, neg[x_g[t]]]) in zt_set
+            # (g, e) = x^t (z, 0) for the t with x^t's exponent e, z in ZT
+            t = t_of[cols * o + e]
+            return (t < p) & zt[rN + add[g, back[t * C + cols]]]
 
-        if (all(in_T(*u) for u in fixed)
-                and all(in_T(*conj(x, yi, y)) for yi, y in gens)):
-            return AffineEmbedding(True, "mixed", r_z, x, tried)
-    return AffineEmbedding(False, "", r_z, None, tried, note="no candidate accepted")
+        good = np.ones(r.size, dtype=bool)
+        for g, e in fixed:
+            good &= in_T(g[r], e[r])
+        for (gi, ei), y in gens:
+            good &= in_T(*conj(rN, (a, i), (gi[r], ei[r]), y))
+
+        count = np.bincount(r, minlength=M)
+        first = np.cumsum(count) - count  # each member's first candidate
+        done, at = np.unique(r[good], return_index=True)
+        for m, c in zip(done.tolist(), np.nonzero(good)[0][at].tolist()):
+            out[m] = AffineEmbedding(True, "mixed", n - 1, (int(a[c]), int(i[c])),
+                                     int(tried[m] + c - first[m] + 1))
+        tried += count
+        settled[done] = True
+        todo = todo[~settled[todo]]
+        lo, hi = hi, 2 * hi
+    for m in todo.tolist():
+        out[m] = AffineEmbedding(False, "", n - 1, None, int(tried[m]),
+                                 note="no candidate accepted")
+    return out
 
 
 def sweep_classify(skews, affine="nonnormal", sample_rate=0.05, seed=0):
     """(report, embedding-or-None) per member.  affine: 'all', 'nonnormal'
-    (plus a deterministic sample of the normal ones), or 'none'."""
+    (plus a deterministic sample of the normal ones), or 'none'.  Every
+    member is classified on its own; the wanted members then meet one
+    _affine_search."""
     if affine not in ("all", "nonnormal", "none"):
         raise ValueError("unknown affine mode %r" % (affine,))
     rng = np.random.default_rng(seed)
-    out = []
+    reports, wanted = [], []
     for sk in skews:
         rep = classify(sk)
-        want = affine == "all"
-        if affine == "nonnormal":
-            want = not rep.g_normal_in_x or rng.random() < sample_rate
-        aff = find_affine_embedding(sk) if want else None
-        out.append((rep, aff))
+        if affine == "all" or (affine == "nonnormal" and (
+                not rep.g_normal_in_x or rng.random() < sample_rate)):
+            wanted.append((len(reports), sk))
+        reports.append(rep)
+    out = [(rep, None) for rep in reports]
+    for (j, _), aff in zip(wanted, _affine_search([sk for _, sk in wanted])):
+        out[j] = (reports[j], aff)
     return out
 
 

@@ -146,7 +146,8 @@ def test_classify_matches_reference_on_every_member(set52, set33, set72):
 def _reference_affine_search(sk):
     """The scalar search on SkewProductGroup's pair law: every candidate
     of order p that commutes with the central translations, in pair id
-    order, tested one at a time."""
+    order, tested one at a time; tried counts the candidates that reach
+    the normality test."""
     p, n, o, k = sk.p, sk.n, sk.order, sk.k
     N = sk.N
     if o == 1 or (np.asarray(sk.pi) == 1).all():
@@ -200,6 +201,7 @@ def _reference_affine_search(sk):
 
     gens = [id_pair(X, g) for g in X.generator_ids()]
     zt_pairs = [(v, 0) for v in basis]
+    tried = 0
     for cid in np.nonzero(cand)[0]:
         a, i = divmod(int(cid), o)
         x_pows = [(0, 0)]
@@ -210,6 +212,7 @@ def _reference_affine_search(sk):
             continue
         if any(g_t in zt_set for g_t, _ in x_pows[1:]):
             continue
+        tried += 1
 
         def in_T(pair):
             t = exp_to_t.get(pair[1])
@@ -217,12 +220,12 @@ def _reference_affine_search(sk):
 
         if all(in_T(mult_pairs(X, mult_pairs(X, inv_pair(X, y), t), y))
                for y in gens for t in zt_pairs + [(a, i)]):
-            return sv.AffineEmbedding(True, "mixed", r_z, (a, i), 0)
-    return sv.AffineEmbedding(False, "", r_z, None, 0, note="no candidate accepted")
+            return sv.AffineEmbedding(True, "mixed", r_z, (a, i), tried)
+    return sv.AffineEmbedding(False, "", r_z, None, tried, note="no candidate accepted")
 
 
 def _outcome(aff):
-    return aff.found, aff.kind, aff.zt_rank, aff.mixed_pair, aff.note
+    return aff.found, aff.kind, aff.zt_rank, aff.mixed_pair, aff.tried, aff.note
 
 
 def _nonnormal_sample(skews, per_order, seed):
@@ -255,6 +258,66 @@ def test_affine_search_matches_reference_on_nonnormal_samples(set72, set33):
             aff = sv.find_affine_embedding(sk)
             assert aff.kind == "mixed" and 1 <= aff.tried
             assert _outcome(aff) == _outcome(_reference_affine_search(sk))
+
+
+def test_affine_search_matches_reference_on_every_nonnormal_member(set72, set33):
+    # one array search over each whole set, against the scalar reference
+    for skews in (set72.skews, set33.skews):
+        nonnormal = [sk for sk in skews if not sk.is_automorphism()]
+        got = sv._affine_search(nonnormal)
+        assert len(got) == len(nonnormal)
+        for sk, aff in zip(nonnormal, got):
+            assert _outcome(aff) == _outcome(_reference_affine_search(sk))
+
+
+def _shuffled_mix(sets, seed, size=None):
+    """The members of sets, shuffled; size keeps a seeded sample of them."""
+    members = [sk for res in sets for sk in res.skews]
+    at = np.random.default_rng(seed).permutation(len(members))[:size]
+    return [members[j] for j in at]
+
+
+def test_sweep_classify_matches_per_member_loop(brute32, set52, set72):
+    # every (3,2) and (5,2) member and about a quarter of (7,2), shuffled;
+    # the loop is sweep_classify member by member, with the same rng draws
+    mix = _shuffled_mix((brute32, set52), 5) + _shuffled_mix((set72,), 7, 900)
+    mix = [mix[j] for j in np.random.default_rng(8).permutation(len(mix))]
+    reports = [sv.classify(sk) for sk in mix]
+    embeddings = [sv.find_affine_embedding(sk) for sk in mix]
+    for affine in ("all", "nonnormal", "none"):
+        for seed in (0, 1):
+            rng = np.random.default_rng(seed)
+            want = []
+            for rep, aff in zip(reports, embeddings):
+                keep = affine == "all" or (affine == "nonnormal" and (
+                    not rep.g_normal_in_x or rng.random() < 0.05))
+                want.append((rep, aff if keep else None))
+            assert sv.sweep_classify(mix, affine=affine, seed=seed) == want
+
+
+@pytest.mark.parametrize("per_chunk", [1, 2, 7])
+def test_affine_search_chunk_boundaries(monkeypatch, brute32, set52, set72, per_chunk):
+    # 23 non-normal order-42 members of (7,2) in chunks of per_chunk, amid
+    # members of other groups and automorphisms, give what one search each
+    # gives; a first window of per_chunk values of a makes members accept
+    # in later windows
+    group = [sk for sk in set72.skews if sk.order == 42 and not sk.is_automorphism()][:23]
+    mix = _shuffled_mix((brute32, set52), 6)[:60] + group
+    mix = [mix[j] for j in np.random.default_rng(per_chunk).permutation(len(mix))]
+    want = [sv.find_affine_embedding(sk) for sk in mix]
+    sizes = []
+    search_chunk = sv._search_chunk
+
+    def counted(p, n, o, skews):
+        if (p, n, o) == (7, 2, 42):
+            sizes.append(len(skews))
+        return search_chunk(p, n, o, skews)
+
+    monkeypatch.setattr(sv, "_search_chunk", counted)
+    monkeypatch.setattr(sv, "_AFFINE_CHUNK", per_chunk * 42 * 49)
+    monkeypatch.setattr(sv, "_AFFINE_WINDOW", per_chunk)
+    assert sv._affine_search(mix) == want
+    assert sizes == [per_chunk] * (23 // per_chunk) + [23 % per_chunk] * (23 % per_chunk > 0)
 
 
 def test_affine_t_is_normal_elementary_abelian_and_meets_sigma_trivially(
