@@ -116,12 +116,14 @@ def _validated_rows(p, n, rows, block, index=None):
     breaks the skew law is a finding (AssertionError), not bad input.
     index[r] is the member index the finding names for row r (default r).
     """
-    try:
-        return sc.validate_rows(p, n, rows)
-    except sc.SkewValidationError as exc:
-        at = exc.row if index is None else index[exc.row]
-        raise AssertionError("p=%d n=%d: %s member %d fails validation (status %s): %s"
-                             % (p, n, block, at, exc.status, exc)) from None
+    status, order, pi, witness = K.validate_many(p, n, rows)
+    bad = np.flatnonzero(status != K.OK)
+    if bad.size:
+        r = int(bad[0])
+        raise AssertionError("p=%d n=%d: %s member %d fails validation (status %d): %s"
+                             % (p, n, block, r if index is None else index[r], status[r],
+                                sc.status_message(status[r], witness[r])))
+    return sc.SkewBlock(p, n, rows, pi, order)
 
 
 def _result(p, n, method, parts):
@@ -212,13 +214,7 @@ def _scalar_sigma2_list(p):
 
 
 def enum_nonnormal_n2(p):
-    check_prime(p)
-    if p == 2:
-        raise ValueError("non-normal skew-morphisms need p odd")
-    seeds = _canonical_config_seeds(p, 2, range(1, p), _scalar_sigma2_list(p))
-    count, skews = aut_closure(p, 2, seeds)
-    _check_nonnormal(p, 2, count, skews)
-    return skews
+    return _enum_nonnormal(p, 2)[0]
 
 
 def enum_nonnormal_n3(p, count_only=False, sample_rate=0.01):
@@ -228,14 +224,24 @@ def enum_nonnormal_n3(p, count_only=False, sample_rate=0.01):
     validates the seeds plus a deterministic sample at sample_rate; only
     those stay materialized, and skews is None.
     """
+    stride = _sample_stride(sample_rate) if count_only else 1
+    skews, count = _enum_nonnormal(p, 3, stride)
+    return None if count_only else skews, count, len(skews)
+
+
+def _enum_nonnormal(p, n, stride=1):
+    """The non-normal block of (p, n), n in {2, 3}: the seed of every
+    canonical (i, sigma_2), closed under GL conjugation and checked
+    against the formula, as (validated members, member count); stride
+    is aut_closure's."""
     check_prime(p)
     if p == 2:
         raise ValueError("non-normal skew-morphisms need p odd")
-    seeds = _canonical_config_seeds(p, 3, range(1, p), fpalg.omega_set(p))
-    stride = _sample_stride(sample_rate) if count_only else 1
-    count, skews = aut_closure(p, 3, seeds, stride)
-    _check_nonnormal(p, 3, count, skews)
-    return None if count_only else skews, count, len(skews)
+    sigma2_list = _scalar_sigma2_list(p) if n == 2 else fpalg.omega_set(p)
+    seeds = _canonical_config_seeds(p, n, range(1, p), sigma2_list)
+    count, skews = aut_closure(p, n, seeds, stride)
+    _check_nonnormal(p, n, count, skews)
+    return skews, count
 
 
 def _check_nonnormal(p, n, count, validated):
@@ -397,12 +403,7 @@ def _sampled_gl_validation(p, n, rate):
         codes = drawn.reshape(-1, n * n) @ p ** np.arange(n * n)
         first = np.sort(np.unique(codes, return_index=True)[1])
     perms = fpalg.matrix_to_perm(drawn[first[:target]], p)
-    status = K.validate_many(p, n, perms)[0]
-    if (status != K.OK).any():
-        bad = int(np.nonzero(status != K.OK)[0][0])
-        raise AssertionError("p=%d n=%d: sampled GL member %d fails validation (status %d)"
-                             % (p, n, bad, int(status[bad])))
-    return len(perms)
+    return len(_validated_rows(p, n, perms, "sampled GL"))
 
 
 def physical_memory_bytes():

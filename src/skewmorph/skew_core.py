@@ -34,11 +34,10 @@ from . import group_engine as ge
 from .fpalg import check_prime
 
 class SkewValidationError(ValueError):
-    def __init__(self, message, status=None, witness=None, row=None):
+    def __init__(self, message, status=None, witness=None):
         super().__init__(message)
         self.status = status
         self.witness = witness
-        self.row = row  # the failing row of a batch, None for one array
 
 
 def _split_order(order, p):
@@ -129,40 +128,18 @@ def validate(p, n, images):
     images = _points(images, p ** n)
     status, order, pi, witness = K.validate_images(p, n, images)
     if status != K.OK:
-        _raise_status(status, witness)
+        raise SkewValidationError(status_message(status, witness), status=status,
+                                  witness=witness)
     sk = SkewMorphism(p, n, images, pi, order)
     if sk.order > 1:
         assert sk.pi[0] == 1, "pi(0) must be 1 for order >= 2"
     return sk
 
 
-def validate_rows(p, n, batch):
-    """validate for every row of a (B, p**n) batch, in one kernel call,
-    as a SkewBlock holding a read-only view of the batch.
-
-    The first failing row raises SkewValidationError, with its index in
-    the error's row attribute.
-    """
-    check_prime(p)
-    if n < 1:
-        raise ValueError("n must be positive")
-    batch = np.asarray(batch)
-    if batch.ndim != 2 or batch.shape[1] != p ** n:
-        raise SkewValidationError(
-            "expected rows of %d images, got shape %r" % (p ** n, batch.shape))
-    batch = _points(batch, p ** n)
-    status, order, pi, witness = K.validate_many(p, n, batch)
-    bad = np.flatnonzero(status != K.OK)
-    if bad.size:
-        r = int(bad[0])
-        _raise_status(int(status[r]), int(witness[r]), row=r)
-    return SkewBlock(p, n, batch, pi, order)
-
-
 def _points(images, N):
     """images as contiguous IDX_DTYPE, refusing any value the cast would
     change: one that is no integer (a bool among them) or lies outside
-    [0, N), named by its index and, in a batch, its row."""
+    [0, N), named by its index."""
     kind = images.dtype.kind
     if kind in "iu":
         # through the unsigned view a negative value reads as a huge one
@@ -173,16 +150,14 @@ def _points(images, N):
     elif kind == "f":
         bad = ~((images >= 0) & (images < N) & (images == np.floor(images)))
     elif kind == "O":  # python ints past int64, None, ...
-        bad = np.array([type(v) is not int or not 0 <= v < N for v in images.flat],
-                       dtype=bool).reshape(images.shape)
+        bad = np.array([type(v) is not int or not 0 <= v < N for v in images], dtype=bool)
     else:  # bools, strings
         bad = np.ones(images.shape, dtype=bool)
     if bad.any():
-        at = np.unravel_index(np.argmax(bad), images.shape)
+        at = int(np.argmax(bad))
         raise SkewValidationError(
-            "image at index %d is %r, not an integer in [0, %d)" % (at[-1], images.item(at), N),
-            status=K.NOT_PERMUTATION, witness=int(at[-1]),
-            row=int(at[0]) if images.ndim == 2 else None)
+            "image at index %d is %r, not an integer in [0, %d)" % (at, images.item(at), N),
+            status=K.NOT_PERMUTATION, witness=at)
     return np.ascontiguousarray(images, dtype=K.IDX_DTYPE)
 
 
@@ -275,14 +250,13 @@ def lex_order(skews):
     return np.lexsort(rows.T[::-1])
 
 
-def _raise_status(status, witness, row=None):
+def status_message(status, witness):
+    """Why the kernel refused a row, from its status and witness."""
     if status == K.NOT_PERMUTATION:
-        message = "images are not a permutation fixing 0 (index %d)" % witness
-    elif status == K.ORDER_TOO_BIG:
-        message = "permutation order exceeds p**n - 1, cannot be a skew-morphism"
-    else:
-        message = "f_x is no power of sigma at x = %d" % witness
-    raise SkewValidationError(message, status=status, witness=witness, row=row)
+        return "images are not a permutation fixing 0 (index %d)" % witness
+    if status == K.ORDER_TOO_BIG:
+        return "permutation order exceeds p**n - 1, cannot be a skew-morphism"
+    return "f_x is no power of sigma at x = %d" % witness
 
 
 def aut_conjugate(sk, M):

@@ -59,11 +59,6 @@ class ClassificationReport:
     witness: dict = field(default_factory=dict)
 
 
-def _power_sum_row(sk, S, j):
-    # PS_j(v) = sum_{t<j} pi(sigma^t v) mod order
-    return np.asarray(sk.pi)[S[:j]].sum(axis=0) % sk.order
-
-
 def _case(p, m, k, g_normal_x, g_normal_p):
     if p == 2 or m == 0:
         return CASE_1
@@ -86,10 +81,10 @@ def classify(sk):
     N = sk.N
     pi = np.asarray(sk.pi)
     add, _, _ = K.index_tables(p, n)
-    S = sk.power_table()
+    S = K.power_rows(sk.images, o + 1)  # sigma^0 .. sigma^o: S[k] is there at k = o too
 
     mask = pi == 1
-    PSk = _power_sum_row(sk, S, k)
+    PSk = sc.power_sums(pi, S[:k + 1], o)[k]
     g_normal_p = bool((PSk == k % o).all())
     p_normal_x = bool(((pi % k) == (1 % k)).all())
 
@@ -360,17 +355,6 @@ def sweep_classify(skews, affine="nonnormal", sample_rate=0.05, seed=0):
 # Omega_1 and the action-matrix conditions around the order-729 group
 
 
-def omega1_report(X, G, z, p, n):
-    om = ge.omega1_pgroup(X)
-    gz = ge.FiniteGroup.from_generators(X.carrier, tuple(G.generators) + (z,))
-    return {
-        "omega_order": len(om),
-        "expected_order": p ** (n + 1),
-        "equals_G_z": np.array_equal(om.mask, gz.mask),
-        "ok": len(om) == p ** (n + 1) and np.array_equal(om.mask, gz.mask),
-    }
-
-
 def metacyclic_omega1_control():
     """Control case: the metacyclic 3-group Z_9 ⋊ Z_3 has Omega_1 =
     Z_3 x Z_3 even though the group itself is 2-generated of exponent 9."""
@@ -393,22 +377,6 @@ def action_condition(rows, p, m):
     M = fpalg.matrix(rows, p)
     d = (M - np.eye(len(M), dtype=np.int64)) % p
     return bool(fpalg.mat_pow(d, p ** (m - 1) - 1, p).any())
-
-
-def verify_nilpotency_condition(d):
-    """The action-matrix condition and C_X(A) = <G, z> on the e1 data d."""
-    cond = action_condition(E1_ACTION, 3, 2)
-    neg = action_condition(E1_ACTION_DEGENERATE, 3, 2)
-    cent = ge.centralizer(d["X"], d["A"].generators)
-    gz = ge.FiniteGroup.from_generators(
-        d["X"].carrier, tuple(d["G"].generators) + (d["z"],))
-    fact1 = np.array_equal(cent.mask, gz.mask)
-    return {
-        "condition_holds": cond,
-        "degenerate_control_fails": not neg,
-        "centralizer_is_G_z": fact1,
-        "ok": cond and (not neg) and fact1,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -458,54 +426,49 @@ def build_and_verify_example(name):
     raise ValueError("unknown example %r" % name)
 
 
-def _product_claims(X, G, s, order):
-    return [
-        Claim("X = G<sigma> with trivial intersection", True,
-              len(G) * order == len(X) and not G.mask[X.cycle(s)[1:]].any()),
-    ]
+def _product_claim(X, G, s, order):
+    return Claim("X = G<sigma> with trivial intersection", True,
+                 len(G) * order == len(X) and not G.mask[X.cycle(s)[1:]].any())
 
 
 def _example_report_e1():
     d = ge.example_e1()
     X, G, s = d["X"], d["G"], d["sigma"]
+    rank4 = ge.normal_elem_abelian_subgroups(X, 4, p=3)
+    om = ge.omega1_pgroup(X)
+    gz = ge.FiniteGroup.from_generators(X.carrier, tuple(G.generators) + (d["z"],))
+    sk = sc.extract_skew(X, G, s, d["gens"])
+    rep = classify(sk)
     claims = [
         Claim("|X|", 729, len(X)),
         Claim("G elementary abelian rank", 4, ge.elementary_abelian_rank(G, 3)),
         Claim("sigma order", 9, X.element_order(s)),
         Claim("G normal in X", False, ge.is_normal(G, X)),
+        _product_claim(X, G, s, 9),
+        Claim("core of <sigma> in X: order", 1, len(ge.core(X.subgroup((s,)), X))),
+        Claim("core of G in X: rank", 3, ge.elementary_abelian_rank(ge.core(G, X), 3)),
+        Claim("normal rank-4 elementary abelian subgroups", 1, len(rank4)),
+        Claim("rank-4 normal subgroups contained in G", 0, sum(1 for H in rank4 if H <= G)),
+        Claim("any rank-4 normal subgroup complemented", False,
+              any(ge.has_complement(X, H) for H in rank4)),
+        Claim("Omega_1(X) order", 243, len(om)),
+        Claim("Omega_1(X) = <G, z>", True, np.array_equal(om.mask, gz.mask)),
+        Claim("(M-I)^(p^(m-1)-1) nonzero", True, action_condition(E1_ACTION, 3, 2)),
+        Claim("degenerate control vanishes", True,
+              not action_condition(E1_ACTION_DEGENERATE, 3, 2)),
+        Claim("C_X(A) = <G, z>", True,
+              np.array_equal(ge.centralizer(X, d["A"].generators).mask, gz.mask)),
+        Claim("extracted skew-morphism order", 9, sk.order),
+        Claim("extracted (k, m)", (1, 2), (sk.k, sk.m)),
+        Claim("extracted is automorphism", False, sk.is_automorphism()),
+        Claim("classification case", CASE_2_SPLIT, rep.case),
+        Claim("classified core rank", 3, rep.core_rank),
     ]
-    claims += _product_claims(X, G, s, 9)
-    claims.append(Claim("core of <sigma> in X: order", 1,
-                        len(ge.core(X.subgroup((s,)), X))))
-    flags = []
-    gx = ge.core(G, X)
-    claims.append(Claim("core of G in X: rank", 3, ge.elementary_abelian_rank(gx, 3)))
-    flags.append("the documented core rank of 4 is impossible for a non-normal "
-                 "G of rank 4; the computed core has rank 3")
-    rank4 = ge.normal_elem_abelian_subgroups(X, 4, p=3)
-    claims.append(Claim("normal rank-4 elementary abelian subgroups", 1, len(rank4)))
-    claims.append(Claim("rank-4 normal subgroups contained in G", 0,
-                        sum(1 for H in rank4 if H <= G)))
-    claims.append(Claim("any rank-4 normal subgroup complemented", False,
-                        any(ge.has_complement(X, H) for H in rank4)))
-    flags.append("exactly one normal Z_3^4 exists, the core times <z>; it is "
-                 "not contained in G and has no complement, so no affine "
-                 "point stabilizer can pair with it")
-    om = omega1_report(X, G, d["z"], 3, 4)
-    claims.append(Claim("Omega_1(X) order", 243, om["omega_order"]))
-    claims.append(Claim("Omega_1(X) = <G, z>", True, om["equals_G_z"]))
-    nil = verify_nilpotency_condition(d)
-    claims.append(Claim("(M-I)^(p^(m-1)-1) nonzero", True, nil["condition_holds"]))
-    claims.append(Claim("degenerate control vanishes", True, nil["degenerate_control_fails"]))
-    claims.append(Claim("C_X(A) = <G, z>", True, nil["centralizer_is_G_z"]))
-
-    sk = sc.extract_skew(X, G, s, d["gens"])
-    rep = classify(sk)
-    claims.append(Claim("extracted skew-morphism order", 9, sk.order))
-    claims.append(Claim("extracted (k, m)", (1, 2), (sk.k, sk.m)))
-    claims.append(Claim("extracted is automorphism", False, sk.is_automorphism()))
-    claims.append(Claim("classification case", CASE_2_SPLIT, rep.case))
-    claims.append(Claim("classified core rank", 3, rep.core_rank))
+    flags = ["the documented core rank of 4 is impossible for a non-normal "
+             "G of rank 4; the computed core has rank 3",
+             "exactly one normal Z_3^4 exists, the core times <z>; it is "
+             "not contained in G and has no complement, so no affine "
+             "point stabilizer can pair with it"]
     return ExampleReport("e1", claims, flags,
                          {"skew": sk, "report": rep, "group": d})
 
@@ -522,7 +485,7 @@ def _example_report_e2():
         Claim("P normal in X", True, ge.is_normal(P, X)),
         Claim("core of G in X: order", 3, len(ge.core(G, X))),
     ]
-    claims += _product_claims(X, G, s, 6)
+    claims.append(_product_claim(X, G, s, 6))
     claims.append(Claim("core of <sigma> in X: order", 1,
                         len(ge.core(X.subgroup((s,)), X))))
     flags = []
@@ -561,7 +524,7 @@ def _example_report_e3():
         Claim("core of G in X: rank", 4,
               ge.elementary_abelian_rank(ge.core(G, X), 3)),
     ]
-    claims += _product_claims(X, G, s, 18)
+    claims.append(_product_claim(X, G, s, 18))
     flags = []
     s9 = X.power(s, 9)
     Z = X.subgroup((s9,))

@@ -1,13 +1,17 @@
+import dataclasses
 import json
 import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from skewmorph import _kernels as K
 from skewmorph import cli
 from skewmorph import enumeration as en
+from skewmorph import skew_core as sc
+from skewmorph import structure_verify as sv
 
 
 def run_cli(argv):
@@ -269,3 +273,75 @@ def test_enum_workers_flag_is_accepted_and_ignored(tmp_path):
     assert run_cli(["enum", "--p", "5", "--n", "2", "--out", str(b)]) == 0
     for name in ("skews_p5_n2_structured.jsonl", "summary_p5_n2_structured.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def _closure_with(monkeypatch, change):
+    # aut_closure with its (count, block) passed through change
+    real = en.aut_closure
+    monkeypatch.setattr(en, "aut_closure", lambda *a, **kw: change(*real(*a, **kw)))
+
+
+def test_enum_nonnormal_count_off_is_a_finding(tmp_path, monkeypatch, capsys):
+    _closure_with(monkeypatch, lambda count, block: (count - 1, block.take(np.s_[1:])))
+    assert run_cli(["enum", "--p", "3", "--n", "2", "--out", str(tmp_path)]) == 1
+    assert "non-normal closure gives 15 instances, formula says 16" in capsys.readouterr().err
+
+
+def test_enum_leaked_automorphism_is_a_finding(tmp_path, monkeypatch, capsys):
+    # one member swapped for a GL row: the count still matches the formula
+    gl = en.enum_automorphisms(3, 2)
+    _closure_with(monkeypatch, lambda count, block: (
+        count, sc.member_block(3, 2, [block.take(np.s_[1:]), gl.take([5])])))
+    assert run_cli(["enum", "--p", "3", "--n", "2", "--out", str(tmp_path)]) == 1
+    assert "automorphism leaked into the non-normal set" in capsys.readouterr().err
+
+
+def test_enum_both_with_a_brute_member_dropped_is_a_finding(tmp_path, monkeypatch, capsys):
+    real = en.brute_force_enum
+
+    def short(p, n):
+        res = real(p, n)
+        return dataclasses.replace(res, skews=res.skews.take(np.s_[1:]))
+
+    monkeypatch.setattr(en, "brute_force_enum", short)
+    assert run_cli(["enum", "--p", "3", "--n", "2", "--method", "both",
+                    "--out", str(tmp_path)]) == 1
+    assert "structured and brute sets differ" in capsys.readouterr().err
+
+
+def test_verify_counts_violations_and_affine_misses(tmp_path, monkeypatch, capsys):
+    run_cli(["enum", "--p", "3", "--n", "2", "--out", str(tmp_path)])
+    capsys.readouterr()
+    real_sweep, real_violations = sv.sweep_classify, sv.theorem1_violations
+
+    def sweep(*a, **kw):
+        # the first record whose affine search ran finds no T
+        rows = real_sweep(*a, **kw)
+        j = next(j for j, (_, aff) in enumerate(rows) if aff is not None)
+        rows[j] = (rows[j][0], dataclasses.replace(rows[j][1], found=False))
+        return rows
+
+    calls = []
+
+    def violations(sk, rep):
+        # the first record checked breaks the core-rank rule
+        calls.append(1)
+        return ["core-rank"] if len(calls) == 1 else real_violations(sk, rep)
+
+    monkeypatch.setattr(sv, "sweep_classify", sweep)
+    monkeypatch.setattr(sv, "theorem1_violations", violations)
+    assert run_cli(["verify", "--in", str(tmp_path / "skews_p3_n2_structured.jsonl")]) == 1
+    assert "records 64, violations 1, affine searches without T 1" in capsys.readouterr().out
+
+
+def test_bench_refuses_a_set_that_cannot_fit(monkeypatch, capsys):
+    # the figure of a 7 GB host: the full set is admitted like any
+    # materialized run, so the GL step of (5,3) and (29,2) is refused
+    monkeypatch.setattr(en, "physical_memory_bytes", lambda: 7 * 10 ** 9)
+    t0 = time.monotonic()
+    for p, n, want in (("5", "3", "1488000 x 125 x 3, 8.9 GB"),
+                       ("29", "2", "682080 x 841 x 2, 18.4 GB")):
+        assert run_cli(["bench", "--p", p, "--n", n, "--repeat", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and want in err
+    assert time.monotonic() - t0 < 5

@@ -154,7 +154,8 @@ def test_seed_digests():
         (5, 2): en._canonical_config_seeds(5, 2, range(1, 5), en._scalar_sigma2_list(5)),
         (7, 2): en._canonical_config_seeds(7, 2, range(1, 7), en._scalar_sigma2_list(7)),
         (3, 3): en._canonical_config_seeds(3, 3, range(1, 3), _omega(3)),
-        (5, 3): sc.validate_rows(5, 3, [en._seed_for_config(5, 3, i, M2) for i, M2 in sample53]),
+        (5, 3): en._validated_rows(
+            5, 3, np.array([en._seed_for_config(5, 3, i, M2) for i, M2 in sample53]), "seed"),
     }
     assert {key: len(v) for key, v in seeds.items()} == {
         (5, 2): 12, (7, 2): 30, (3, 3): 20, (5, 3): 46}
@@ -316,3 +317,37 @@ def test_orders_divide_structure(struct32, set33):
             assert sk.order <= pn - 1
             assert sk.order == sk.k * res.p ** sk.m
             assert sk.k % res.p != 0
+
+
+def test_sampled_gl_failing_row_is_a_finding(monkeypatch):
+    # sampled row 3 with the images of points 1 and 2 swapped
+    real = fpalg.matrix_to_perm
+    bad = []
+
+    def swapped(M, p):
+        rows = real(M, p)
+        rows[3, [1, 2]] = rows[3, [2, 1]]
+        bad.append(rows[3])
+        return rows
+
+    monkeypatch.setattr(fpalg, "matrix_to_perm", swapped)
+    with pytest.raises(AssertionError) as ei:
+        en._sampled_gl_validation(3, 2, 0.1)
+    status, _, _, witness = K.validate_images(3, 2, bad[0])
+    assert str(ei.value) == ("p=3 n=2: sampled GL member 3 fails validation (status %d): %s"
+                             % (status, sc.status_message(status, witness)))
+
+
+@pytest.mark.parametrize("point, value, reason", [
+    (4, -1, "images are not a permutation fixing 0"),
+    (4, 9, "images are not a permutation fixing 0"),
+    # the images of 1 and 2 swapped: a permutation fixing 0, no skew-morphism
+    ([1, 2], [2, 1], "f_x is no power of sigma"),
+], ids=["minus-one", "p**n", "power-law"])
+def test_validated_rows_names_block_member_and_reason(point, value, reason):
+    # computed rows skip the cast check of validate: the kernel refuses them
+    rows = fpalg.matrix_to_perm(fpalg.gl_matrices_array(2, 3), 3)
+    rows[7, point] = rows[7, value] if isinstance(value, list) else value
+    with pytest.raises(AssertionError, match=r"p=3 n=2: GL member 17 fails validation "
+                                             r"\(status \d\): " + reason):
+        en._validated_rows(3, 2, rows, "GL", index=np.arange(10, 58))

@@ -205,6 +205,11 @@ def test_omega_sizes_and_formulas():
     assert fpalg.omega_formula_printed(3) != 10
 
 
+@pytest.mark.parametrize("p", [11, 13])
+def test_omega_derivation_counts_the_set_past_7(p):
+    assert len(fpalg.omega_set(p)) == fpalg.omega_formula_derivation(p)
+
+
 def test_omega_set_is_a_lexicographic_array():
     om = fpalg.omega_set(3)
     assert isinstance(om, np.ndarray)

@@ -231,6 +231,17 @@ def test_batch_kernel_checks_every_basis_point(p, n):
     assert (status == K.NO_POWER_MATCH).all()
 
 
+def test_validate_many_matches_per_row_on_every_3x3_matrix_over_f3():
+    # the singular maps are additive but no permutation: the automorphism
+    # pass lets them through, their basis order is 0, and the general pass
+    # refuses them as it refuses any other non-permutation
+    ms = np.array(list(itertools.product(range(3), repeat=9))).reshape(-1, 3, 3)
+    status = _assert_batch_matches_per_row(3, 3, fpalg.matrix_to_perm(ms, 3))
+    singular = fpalg.mat_det(ms, 3) == 0
+    assert singular.sum() == 3 ** 9 - fpalg.gl_order(3, 3)
+    assert (status[singular] == K.NOT_PERMUTATION).all() and (status[~singular] == K.OK).all()
+
+
 @pytest.mark.parametrize("members", ["set33", "set72"])
 def test_validate_many_matches_per_row_across_chunks(request, members):
     # longer than one chunk of the automorphism pass (rows of N * n) and

@@ -399,7 +399,7 @@ def test_writer_lines_are_json_dumps(tmp_path, set52, set72, set33):
     # from a shuffled member list, plus (5,3) rows of three-digit points
     rng = np.random.default_rng(0)
     seeds53 = en._canonical_config_seeds(5, 3, range(1, 3), fpalg.omega_set(5)[:4])
-    gl53 = sc.validate_rows(5, 3, fpalg.matrix_to_perm(fpalg.gl_generators(3, 5), 5))
+    gl53 = en._validated_rows(5, 3, fpalg.matrix_to_perm(fpalg.gl_generators(3, 5), 5), "GL")
     for skews in (set52.skews, set72.skews, set33.skews, seeds53, gl53):
         want = [_dumps(sc.skew_to_obj(sk))
                 for sk in sorted(skews, key=lambda s: s.images.tolist())]
@@ -445,16 +445,12 @@ def test_block_reads_as_member_sequence(set72):
     ([0, 2 ** 70, 1], 1),
 ], ids=["wrap", "float", "negative", "none", "past-int64"])
 def test_values_the_cast_would_change_are_refused(images, index):
-    for call, arg in ((sc.validate, images), (sc.validate_rows, [[0, 1, 2], images])):
-        with pytest.raises(sc.SkewValidationError, match="image at index %d is" % index) as ei:
-            call(3, 1, arg)
-        assert ei.value.witness == index
-        assert ei.value.row == (None if call is sc.validate else 1)
+    with pytest.raises(sc.SkewValidationError, match="image at index %d is" % index) as ei:
+        sc.validate(3, 1, images)
+    assert ei.value.witness == index
     # a bool array casts to the identity of Z_2
-    for call, arg in ((sc.validate, np.array([False, True])),
-                      (sc.validate_rows, np.array([[False, True]]))):
-        with pytest.raises(sc.SkewValidationError, match="image at index 0 is False"):
-            call(2, 1, arg)
+    with pytest.raises(sc.SkewValidationError, match="image at index 0 is False"):
+        sc.validate(2, 1, np.array([False, True]))
 
 
 @pytest.mark.parametrize("sigma, index", [

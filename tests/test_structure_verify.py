@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -438,3 +439,61 @@ def test_example_reports(example_reports):
 def test_example_rejects_unknown():
     with pytest.raises(ValueError):
         sv.build_and_verify_example("e9")
+
+
+def _member_32(brute32):
+    # a non-normal member of (3,2): order 6, k = 2, m = 1, no violation
+    return next(sk for sk in brute32.skews if not sk.is_automorphism() and sk.k == 2)
+
+
+@pytest.mark.parametrize("code, change", [
+    ("order-split", lambda rep: {"k": rep.k + 1}),
+    ("P-not-normal", lambda rep: {"p_normal_in_x": False}),
+    ("case1-not-automorphism", lambda rep: {"case": sv.CASE_1}),
+    ("nonnormal-at-m0-or-p2", lambda rep: {"k": rep.order, "m": 0}),
+    ("split-at-small-n", lambda rep: {"case": sv.CASE_2_SPLIT}),
+    ("normal-in-x-not-in-p", lambda rep: {"g_normal_in_x": True, "g_normal_in_p": False,
+                                          "core_rank": rep.n}),
+    ("core-rank", lambda rep: {"core_rank": 0}),
+])
+def test_each_theorem1_code_fires_alone(brute32, monkeypatch, code, change):
+    # a report built by hand that breaks one rule of the theorem
+    sk = _member_32(brute32)
+    rep = sv.classify(sk)
+    assert sv.theorem1_violations(sk, rep) == []
+    bad = dataclasses.replace(rep, **change(rep))
+    assert sv.theorem1_violations(sk, bad) == [code]
+    monkeypatch.setattr(sv, "classify", lambda s: bad)
+    assert sv.verify_theorem1([sk])["violations"] == [(0, [code])]
+
+
+def _fabricated(p, n, images, pi, order):
+    # the constructor does not validate: pi breaks the identity under test
+    return sc.SkewMorphism(p, n, np.array(images), np.array(pi), order)
+
+
+def test_classify_reads_p_normality_and_ps_k_pointwise():
+    # sigma the identity, order 6 (k = 2): PS_2 = 2 pi mod 6 and the core is {0}
+    rep = sv.classify(_fabricated(3, 2, range(9), [1] + [4] * 8, 6))
+    # pi = 4 is no 1 mod k, so P is not normal in X; PS_2 = 2 = k everywhere
+    assert not rep.p_normal_in_x and rep.g_normal_in_p and rep.core_size == 1
+    rep = sv.classify(_fabricated(3, 2, range(9), [1] + [3] * 8, 6))
+    # PS_2 = k at 0 only: G is not normal in P, first witnessed at 1
+    assert rep.p_normal_in_x and not rep.g_normal_in_p
+    assert rep.witness["gp_index"] == 1
+
+
+@pytest.mark.parametrize("p, n, images, kernel, order, message", [
+    # {0, 1} as ker pi: two points in Z_3^2
+    (3, 2, range(9), [0, 1], 6, "core size 2 is not a power of 3"),
+    # {0, 1, 3}: 1 + 1 = 2 lies outside
+    (3, 2, range(9), [0, 1, 3], 6, "not additively closed"),
+    # sigma the 7-cycle 1 -> 2 -> ... -> 7 -> 1 with its order given as 2:
+    # the core is {0, 1}, whose point 1 goes to 2
+    (2, 3, [0, 2, 3, 4, 5, 6, 7, 1], [0, 1, 2, 3], 2, "not sigma-invariant"),
+], ids=["p-power", "closed", "invariant"])
+def test_classify_checks_the_core(p, n, images, kernel, order, message):
+    pi = np.zeros(p ** n, dtype=np.int64)
+    pi[kernel] = 1
+    with pytest.raises(AssertionError, match=message):
+        sv.classify(_fabricated(p, n, images, pi, order))
