@@ -489,7 +489,7 @@ def test_classify_reads_p_normality_and_ps_k_pointwise():
     # {0, 1, 3}: 1 + 1 = 2 lies outside
     (3, 2, range(9), [0, 1, 3], 6, "not additively closed"),
     # sigma the 7-cycle 1 -> 2 -> ... -> 7 -> 1 with its order given as 2:
-    # the core is {0, 1}, whose point 1 goes to 2
+    # on the powers sigma^0 .. sigma^2 the core is {0, 1}, and 1 goes to 2
     (2, 3, [0, 2, 3, 4, 5, 6, 7, 1], [0, 1, 2, 3], 2, "not sigma-invariant"),
 ], ids=["p-power", "closed", "invariant"])
 def test_classify_checks_the_core(p, n, images, kernel, order, message):
