@@ -10,7 +10,10 @@ query here is pure.
 
 The carriers built here are cyclic groups, F_p^n on its point indices
 under the _kernels addition table, cyclic extensions of those and
-quotients.
+quotients.  Each law is a chain of flat takes from tables built with
+its carrier: split_tables splits a code b t + j into (b, j), and a sum
+j1 + j2 < 2t into (q, r), and 2-D tables are read at row * width + col,
+so no law divides.
 
 Extensions by a cyclic group are given by the conjugation action of the
 top generator on base generators, the way presentations state relations
@@ -70,12 +73,22 @@ class Carrier:
 
 
 def cyclic_carrier(m):
-    return Carrier(lambda a, b: (a + b) % m, lambda a: (-a) % m, m, "Z_%d" % m)
+    _, mod = split_tables(2 * m, m)
+    return Carrier(lambda a, b: _code(mod.take(a + b)), lambda a: _code(mod.take(m - a)),
+                   m, "Z_%d" % m)
 
 
 def _code(x):
     # table lookups give numpy scalars for int keys; elements stay python ints
     return x if isinstance(x, np.ndarray) else int(x)
+
+
+def split_tables(size, t):
+    """(c // t, c % t) for every c < size, as int64 arrays: a law splits a
+    code b t + j into (b, j), or a sum j1 + j2 < 2t into its (q, r), by
+    .take from these instead of a division."""
+    c = np.arange(size, dtype=np.int64)
+    return c // t, c % t
 
 
 def powers(mul, x, count):
@@ -201,9 +214,14 @@ def close_many(X, gens, cap):
     every row's frontier by that row's generators.  Returns the (B, |X|)
     masks and a (B,) flag for the rows whose subgroup has more than cap
     elements; such a row stops growing there, so its mask is partial.
+    A code outside 0..len(X)-1 is refused with ValueError: the laws read
+    their tables by .take, which would wrap a negative code.
     """
     gens = np.asarray(gens, dtype=np.int64)
     B, n = len(gens), len(X)
+    outside = (gens < 0) | (gens >= n)
+    if outside.any():
+        raise ValueError("generator code %d is outside 0..%d" % (gens[outside][0], n - 1))
     mask = np.zeros((B, n), dtype=bool)
     mask[:, 0] = True
     flat = mask.reshape(-1)
@@ -517,10 +535,10 @@ def quotient_group(X, N):
     cmap[e] = np.searchsorted(reps, low)
 
     def mul(a, b):
-        return _code(cmap[X.mul(reps[a], reps[b])])
+        return _code(cmap.take(X.mul(reps.take(a), reps.take(b))))
 
     def inv(a):
-        return _code(cmap[X.inv(reps[a])])
+        return _code(cmap.take(X.inv(reps.take(a))))
 
     carrier = Carrier(mul, inv, len(reps), "%s/N%d" % (X.carrier.name, len(N)))
     gens = tuple(dict.fromkeys(c for c in cmap[list(X.generators)].tolist() if c))
@@ -535,10 +553,12 @@ def _extend_action(base, action):
     """The generator action on all of the base, as an index array alpha.
 
     The graph of the action on the generators is closed in base x base,
-    coded b1 |B| + b2, by one close_many call capped at |B|.  It is the
-    graph of a homomorphism exactly when no point has two images (over
-    the cap some point has), and its pairs are then (b, alpha(b)) in
-    order of b.
+    coded b1 w + b2 with w the least power of two >= |B|, by one
+    close_many call capped at |B|.  It is the graph of a homomorphism
+    exactly when no point has two images (over the cap some point has),
+    and its pairs are then (b, alpha(b)) in order of b.  The law splits a
+    code by shift and mask: split tables over |B| w codes would outweigh
+    the graph's own mask.
     """
     n = len(base)
     for g in base.generators:
@@ -546,14 +566,15 @@ def _extend_action(base, action):
             raise ValueError("action missing generator %r" % (g,))
         if not 0 <= action[g] < n:
             raise ValueError("action sends %r outside the base" % (g,))
+    s = (n - 1).bit_length()
+    low = (1 << s) - 1
 
     def mul(u, v):
-        (u1, u2), (v1, v2) = divmod(u, n), divmod(v, n)
-        return base.mul(u1, v1) * n + base.mul(u2, v2)
+        return base.mul(u >> s, v >> s) << s | base.mul(u & low, v & low)
 
-    graph = [[g * n + action[g] for g in base.generators]]
-    pairs = close_many(Carrier(mul, None, n * n, "graph"), graph, n)[0][0]
-    first, alpha = divmod(np.flatnonzero(pairs), n)
+    graph = [[g << s | action[g] for g in base.generators]]
+    pairs = np.flatnonzero(close_many(Carrier(mul, None, n << s, "graph"), graph, n)[0][0])
+    first, alpha = pairs >> s, pairs & low
     twice = first[1:] == first[:-1]
     if twice.any():
         raise ValueError("action is not a homomorphism at %d" % first[np.argmax(twice)])
@@ -594,21 +615,26 @@ def build_extension(base, top_order, action, twist=None, name="extension"):
     apow = apow[:t]
     ipow = np.argsort(apow, axis=1)
     # twist[q] is y -> y c^q; wrap[j] is y -> alpha^j(y) c^-1 for j > 0
-    # and the identity for j = 0, so neither law branches on its input
-    twist = np.stack([apow[0], base.mul(apow[0], c)])
+    # and the identity for j = 0, so neither law branches on its input;
+    # the laws read these (rows, nb) tables flat, at row * nb + y
+    twist = np.stack([apow[0], base.mul(apow[0], c)]).ravel()
     wrap = base.mul(apow, base.inv(c))
     wrap[0] = apow[0]
+    wrap, ipow = wrap.ravel(), ipow.ravel()
+    # a code b t + j splits into (hi, lo) = (b, j), and j1 + j2 into (q, r)
+    hi, lo = split_tables(nb * t, t)
+    q, r = split_tables(2 * t, t)
 
     def mul(u, v):
-        b1, j1 = divmod(u, t)
-        b2, j2 = divmod(v, t)
-        q, r = divmod(j1 + j2, t)
-        return _code(twist[q, base.mul(b1, _code(ipow[j1, b2]))]) * t + r
+        j1 = lo.take(u)
+        j = j1 + lo.take(v)
+        y = base.mul(hi.take(u), ipow.take(j1 * nb + hi.take(v)))
+        return _code(twist.take(q.take(j) * nb + y) * t + r.take(j))
 
     # (b x^j)^-1 = alpha^j(b^-1) c^-1 x^(t-j) for j > 0
     def inv(u):
-        b, j = divmod(u, t)
-        return _code(wrap[j, base.inv(b)]) * t + (-j) % t
+        j = lo.take(u)
+        return _code(wrap.take(j * nb + base.inv(hi.take(u))) * t + r.take(t - j))
 
     carrier = Carrier(mul, inv, nb * t, name)
     gens = tuple(g * t for g in base.generators) + (1 % t,)
@@ -673,9 +699,10 @@ def cyclic_group(m):
 def elementary_abelian_group(p, n):
     """F_p^n on its point indices, big-endian as in _kernels.index_vectors;
     the generators are the basis vectors."""
-    add, _, neg = (tab.astype(np.int64) for tab in K.index_tables(p, n))
-    carrier = Carrier(lambda a, b: _code(add[a, b]), lambda a: _code(neg[a]),
-                      p ** n, "Z_%d^%d" % (p, n))
+    N = p ** n
+    add, _, neg = (tab.astype(np.int64).ravel() for tab in K.index_tables(p, n))
+    carrier = Carrier(lambda a, b: _code(add.take(a * N + b)), lambda a: _code(neg.take(a)),
+                      N, "Z_%d^%d" % (p, n))
     return FiniteGroup.whole(carrier, tuple(p ** (n - 1 - j) for j in range(n)))
 
 

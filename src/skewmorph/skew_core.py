@@ -10,9 +10,11 @@ pairs (g, i) with the multiplication
 
 which is the one place the power function really gets exercised.  The
 pair (g, i) has the id g * order + i, and SkewProductGroup.mul and .inv
-compute the law on ids from the addition table of G, the powers of s and
-the running sums of pi, for python ints and numpy id arrays alike, so no
-Cayley table of the whole group is ever built: group_engine.check_group_law
+compute the law on ids as flat takes from the addition table of G, the
+powers of s and the running sums of pi, with ids split into (g, i) by
+the split tables of group_engine.split_tables rather than a division,
+for python ints and numpy id arrays alike, so no Cayley table of the
+whole group is ever built: group_engine.check_group_law
 checks the law as it is built, with no M^2 array above 200 ids, and the
 derived subgroup is closed by group_engine.close_many.  as_finite_group
 gives the same law as a group_engine group on the ids.
@@ -289,15 +291,15 @@ class SkewProductGroup:
         self.N = sk.N
         self.order = sk.order
         self.M = self.N * self.order
-        # int32 holds every id g * order + i of a group that fits in
-        # memory, and the law's passes over int32 arrays run faster
-        add, _, neg = K.index_tables(sk.p, sk.n)
-        self.add, self.neg = add.astype(np.int32), neg.astype(np.int32)
-        self.S = sk.power_table().astype(np.int32)
-        self.PS = power_sums(sk.pi, self.S, sk.order)
-        # for mul: add times order, and a table of x mod order for x < 2 order
+        # int64 tables: the law's takes run faster on them than on int32
+        self.add, _, self.neg = (t.astype(np.int64) for t in K.index_tables(sk.p, sk.n))
+        self.S = sk.power_table().astype(np.int64)
+        self.PS = power_sums(sk.pi, self.S, sk.order).astype(np.int64)
+        # add times order, and the split tables of an id g * order + i into
+        # (g, i) and of an x < 2 order into x mod order
         self._add_o = self.add * self.order
-        self._mod = np.arange(2 * self.order, dtype=np.int32) % self.order
+        self._g, self._i = ge.split_tables(self.M, self.order)
+        _, self._mod = ge.split_tables(2 * self.order, self.order)
         if check:
             ge.check_group_law(self)
 
@@ -308,20 +310,20 @@ class SkewProductGroup:
     def pair_id(self, g, i):
         return g * self.order + i
 
+    # flat takes from 1-d tables: gathers that run faster than divmod and
+    # 2-d fancy indexing
     def mul(self, a, b):
-        o, N = self.order, self.N
-        ga, ia = divmod(a, o)
-        gb, ib = divmod(b, o)
-        # flat takes: gathers from 1-d views run faster than 2-d fancy indexing
-        k = ia * N + gb
-        return ge._code(self._add_o.take(ga * N + self.S.take(k))
-                        + self._mod.take(self.PS.take(k) + ib))
+        N = self.N
+        k = self._i.take(a) * N + self._g.take(b)
+        return ge._code(self._add_o.take(self._g.take(a) * N + self.S.take(k))
+                        + self._mod.take(self.PS.take(k) + self._i.take(b)))
 
     def inv(self, a):
-        o = self.order
-        ga, ia = divmod(a, o)
-        gb = self.S[-ia % o, self.neg[ga]]
-        return ge._code(gb * o + -self.PS[ia, gb] % o)
+        # (g, i)^-1 = (h, -PS[i, h]) with h = sigma^-i(-g)
+        o, N = self.order, self.N
+        ia = self._i.take(a)
+        gb = self.S.take(self._mod.take(o - ia) * N + self.neg.take(self._g.take(a)))
+        return ge._code(gb * o + self._mod.take(o - self.PS.take(ia * N + gb)))
 
     def sigma_pair(self, e=1):
         """The id of (0, e), sigma^e."""

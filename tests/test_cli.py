@@ -93,6 +93,19 @@ def test_enum_member_failing_validation_is_a_finding(tmp_path, monkeypatch, caps
     assert message in getattr(capsys.readouterr(), stream)
 
 
+def test_enum_count_only_run_reports_hashed_and_sampled(tmp_path, monkeypatch, capsys):
+    # (3,3) made count-only: the same report line as a (5,3) run, at 0.04 s
+    real = en.full_enum
+    monkeypatch.setattr(cli.en, "full_enum",
+                        lambda *a, **kw: real(*a, **dict(kw, count_only=True)))
+    assert run_cli(["enum", "--p", "3", "--n", "3", "--out", str(tmp_path)]) == 0
+    text = capsys.readouterr().out
+    assert "count-only run: 13312 members hashed, 153 validated by sampling" in text
+    assert "total 13312 = 11232 automorphisms + 2080 non-normal" in text
+    assert (tmp_path / "summary_p3_n3_structured.csv").is_file()
+    assert not list(tmp_path.glob("*.jsonl"))
+
+
 def test_enum_unfinishable_config_exits_2_at_once(tmp_path, monkeypatch, capsys):
     # the figure of a 7 GB host, whatever this host has
     monkeypatch.setattr(en, "physical_memory_bytes", lambda: 7 * 10 ** 9)

@@ -146,6 +146,21 @@ def test_closure_cap():
         ge.FiniteGroup.from_generators(ge.cyclic_carrier(100), (1,), cap=50)
 
 
+@pytest.mark.parametrize("name", ["e1", "Z_3^2"])
+def test_generator_codes_outside_the_carrier_are_refused(e1_group, name):
+    # the laws read their tables by .take, which wraps a negative code:
+    # close_many refuses such a code before any law sees it
+    X = e1_group if name == "e1" else ge.elementary_abelian_group(3, 2)
+    for bad in (-1, len(X)):
+        msg = "generator code %d is outside 0..%d" % (bad, len(X) - 1)
+        with pytest.raises(ValueError, match=msg):
+            ge.FiniteGroup.from_generators(X.carrier, (bad,))
+        with pytest.raises(ValueError, match=msg):
+            X.subgroup((X.generators[0], bad))
+        with pytest.raises(ValueError, match=msg):
+            ge.close_many(X, [[0, 1], [bad, 0]], len(X))
+
+
 def test_prime_power_split():
     assert ge.prime_power_split(27) == (3, 3)
     assert ge.prime_power_split(32) == (2, 5)
