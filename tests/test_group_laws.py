@@ -160,14 +160,16 @@ def built(monkeypatch):
     return refs, graphs
 
 
-@pytest.mark.parametrize("name", ["e1", "e2", "e3", "metacyclic"])
+@pytest.mark.parametrize("name", ["e1", "e2", "e3", "metacyclic", "twisted"])
 def test_carrier_laws_match_reference(built, name):
     refs, graphs = built
     make = {"e1": ge.example_e1, "e2": ge.example_e2, "e3": ge.example_e3,
-            "metacyclic": lambda: ge.metacyclic_group(3, 2)}[name]
+            "metacyclic": lambda: ge.metacyclic_group(3, 2),
+            # x^-1 b x = b^4 and x^3 = b^3: the one law here whose twist is not 0
+            "twisted": lambda: ge.build_extension(ge.cyclic_group(9), 3, {1: 4}, twist=3)}[name]
     make()
     # the extensions and their bases, down to F_3^n or Z_9
-    assert len(refs) == {"e1": 3, "e2": 2, "e3": 3, "metacyclic": 2}[name]
+    assert len(refs) == {"e1": 3, "e2": 2, "e3": 3, "metacyclic": 2, "twisted": 2}[name]
     for seed, (carrier, ref) in enumerate(refs.items()):
         assert len(ref) == len(carrier)
         _assert_same_law(carrier, ref, len(carrier), seed)

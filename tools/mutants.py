@@ -40,6 +40,9 @@ MUTANTS = {
     "L3": ("_code dropped from the extension's mul", GE,
            "return _code(twist.take(q.take(j) * nb + y) * t + r.take(j))",
            "return twist.take(q.take(j) * nb + y) * t + r.take(j)", LAWS),
+    "L4": ("the twist row dropped from the extension's mul", GE,
+           "return _code(twist.take(q.take(j) * nb + y) * t + r.take(j))",
+           "return _code(twist.take(y) * t + r.take(j))", LAWS),
     "S4": ("_search_chunk: tried without its carry-over across windows", SV,
            "int(tried[m] + c - first[m] + 1)", "int(c - first[m] + 1)", SEARCH),
     "S5": ("_search_chunk: in_T without its t < p guard", SV,
