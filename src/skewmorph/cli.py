@@ -2,8 +2,8 @@
 
 Exit codes form a tri-state: 0 for success, 1 for a mathematical mismatch
 or finding (counts off, theorem violation, claim failure), 2 for unusable
-input (bad flags, non-prime p, corrupt records).  All file output is
-deterministic: the same config always produces byte-identical JSONL/CSV.
+input (bad flags, non-prime p, corrupt records, unusable paths).  File
+output is deterministic: one config always gives byte-identical JSONL/CSV.
 """
 
 import argparse
@@ -65,8 +65,8 @@ def build_parser():
 
 def cmd_enum(args):
     fpalg.check_prime(args.p)
+    os.makedirs(args.out, exist_ok=True)  # an unusable --out fails before the run
     res = en.full_enum(args.p, args.n, method=args.method, sample_rate=args.sample_rate)
-    os.makedirs(args.out, exist_ok=True)
     stem = "p%d_n%d_%s" % (args.p, args.n, args.method)
     csv_path = os.path.join(args.out, "summary_%s.csv" % stem)
     en.write_summary_csv([res], csv_path)
@@ -181,7 +181,7 @@ def main(argv=None):
     except AssertionError as exc:
         print("finding: %s" % exc, file=sys.stderr)
         return 1
-    except (ValueError, sc.SkewValidationError) as exc:
+    except (ValueError, OSError, sc.SkewValidationError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

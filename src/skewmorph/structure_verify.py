@@ -18,7 +18,8 @@ full sweep never builds multiplication tables.  An automorphism (order 1
 or pi == 1) needs none of them: classify reports it in closed form.
 
 The affine search for T (find_affine_embedding) reads the law of X off
-the same tables, for all the members of one (p, n, order) at once.
+the same tables, one array pass per value of a over the members of one
+(p, n, order).
 """
 
 from collections import Counter
@@ -169,9 +170,6 @@ class AffineEmbedding:
 # chunk's temporaries peak near 1.3 MB; larger chunks ran faster but left
 # more heap behind each sweep
 _AFFINE_CHUNK = 1 << 15
-# values of a in _search_chunk's first window: the accepted candidate has
-# a < 8 in every non-normal member of (3,2), (5,2) and (7,2)
-_AFFINE_WINDOW = 8
 
 
 def find_affine_embedding(sk):
@@ -218,11 +216,13 @@ def _search_chunk(p, n, o, skews):
     are one permutation of M * N points, member r on r * N .. r * N + N - 1,
     so one power table S and its power sums PS give the law of every X.
 
-    The passes keep the x = (a, i) with i != 0 that commute with the
-    central translations, x^p = 1 and no x^t (0 < t < p) in <sigma>; these
-    meet the normality test, y^-1 t y in T for the generators y of X and t
-    of T.  a runs in windows, _AFFINE_WINDOW values, then twice as many
-    each time, until every member has accepted a candidate.
+    One pass per value of a, while some member has accepted no candidate,
+    keeps the x = (a, i) with i != 0 that commute with the central
+    translations, x^p = 1 and no x^t (0 < t < p) in <sigma>; these meet the
+    normality test, y^-1 t y in T for the generators y of X and t of T.
+
+    The members must be skew-morphisms: the passes rest on identities of X,
+    so on other input they can disagree with a candidate-by-candidate search.
     """
     M, N = len(skews), p ** n
     MN = M * N
@@ -270,23 +270,24 @@ def _search_chunk(p, n, o, skews):
         i_ok &= (S[:, rz] == rz).T & (PS[:, rz].T == np.arange(o))
 
     # the generators y of X, the basis translations (e_j, 0) and sigma,
-    # with y^-1; the conjugates of T's translations are the same for
-    # every candidate of a member
+    # with y^-1.  The conjugates of T's translations are the same for every
+    # candidate of a member, and only sigma's count: (e_j, 0) fixes every
+    # (z, 0), as sigma^0 is the identity and PS_0 = 0
     gens = []
     for y in [(p ** (n - 1 - j), 0) for j in range(n)] + [(0, 1)]:
         g = Sf[-y[1] % o * MN + base + neg[y[0]]] - base
         gens.append(((g, -PSf[y[1] * MN + base + g] % o), y))
-    fixed = [conj(base, (z, 0), yi, y) for yi, y in gens for z in basis]
+    fixed = [conj(base, (z, 0), *gens[-1]) for z in basis]
 
     tried = np.zeros(M, dtype=np.int64)
-    todo, settled = np.nonzero(rank + 1 == n)[0], np.zeros(M, dtype=bool)
-    lo, hi = 0, _AFFINE_WINDOW
-    while todo.size and lo < N:
-        r, a, i = np.nonzero(np.broadcast_to(i_ok[todo, None], (todo.size, min(hi, N) - lo, o)))
-        r, a = todo[r], a + lo
+    todo = rank + 1 == n  # the members with no candidate accepted yet
+    for a in range(N):
+        if not todo.any():
+            break
+        r, i = np.nonzero(i_ok & todo[:, None])
         rN = base[r]
         # G-parts and exponents of x^0 .. x^p, one array pass per power
-        xg, xe = [np.zeros_like(a)], [np.zeros_like(a)]
+        xg, xe = [np.zeros_like(i)], [np.zeros_like(i)]
         for _ in range(p):
             g, e = mul(rN, xg[-1], xe[-1], a, i)
             xg.append(g)
@@ -295,7 +296,7 @@ def _search_chunk(p, n, o, skews):
         # x^0 .. x^(p-1) have distinct exponents, as in_T below needs: equal
         # ones would put a power of x, so x itself (p prime), in G, and i != 0
         ok = np.nonzero((xg[p] == 0) & (xe[p] == 0) & ~zt[rN + xg[1:p]].any(axis=0))[0]
-        r, a, i, rN, C = r[ok], a[ok], i[ok], rN[ok], ok.size
+        r, i, rN, C = r[ok], i[ok], rN[ok], ok.size
         # the t of each exponent of x^0 .. x^(p-1), p for none, and minus
         # the G-part of x^t, 0 at t = p
         cols = np.arange(C)
@@ -318,13 +319,11 @@ def _search_chunk(p, n, o, skews):
         first = np.cumsum(count) - count  # each member's first candidate
         done, at = np.unique(r[good], return_index=True)
         for m, c in zip(done.tolist(), np.nonzero(good)[0][at].tolist()):
-            out[m] = AffineEmbedding(True, "mixed", n - 1, (int(a[c]), int(i[c])),
+            out[m] = AffineEmbedding(True, "mixed", n - 1, (a, int(i[c])),
                                      int(tried[m] + c - first[m] + 1))
         tried += count
-        settled[done] = True
-        todo = todo[~settled[todo]]
-        lo, hi = hi, 2 * hi
-    for m in todo.tolist():
+        todo[done] = False
+    for m in np.nonzero(todo)[0].tolist():
         out[m] = AffineEmbedding(False, "", n - 1, None, int(tried[m]),
                                  note="no candidate accepted")
     return out

@@ -347,6 +347,37 @@ def test_verify_counts_violations_and_affine_misses(tmp_path, monkeypatch, capsy
     assert "records 64, violations 1, affine searches without T 1" in capsys.readouterr().out
 
 
+def test_verify_e1_member_has_no_affine_t(tmp_path, capsys, example_reports):
+    # e1's skew-morphism of Z_3^4 breaks no rule of the theorem, and its
+    # affine search stops at central translation rank 1, so no T exists
+    path = tmp_path / "e1.jsonl"
+    sc.write_jsonl([example_reports["e1"].data["skew"]], path)
+    assert run_cli(["verify", "--in", str(path)]) == 1
+    assert "records 1, violations 0, affine searches without T 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case", ["verify-missing", "verify-directory", "enum-out-file"])
+def test_unusable_path_exits_2_without_traceback(tmp_path, case):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv = {"verify-missing": ["verify", "--in", str(tmp_path / "absent.jsonl")],
+            "verify-directory": ["verify", "--in", str(tmp_path)],
+            "enum-out-file": ["enum", "--p", "3", "--n", "2", "--out", str(taken)]}[case]
+    out = subprocess.run([sys.executable, "-m", "skewmorph.cli", *argv],
+                         capture_output=True, text=True)
+    assert out.returncode == 2
+    assert out.stderr.startswith("error:")
+    assert "Traceback" not in out.stderr
+
+
+def test_enum_out_file_is_refused_before_enumerating(tmp_path, monkeypatch, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    monkeypatch.setattr(en, "full_enum", lambda *a, **kw: pytest.fail("enumerated"))
+    assert run_cli(["enum", "--p", "7", "--n", "2", "--out", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_bench_refuses_a_set_that_cannot_fit(monkeypatch, capsys):
     # the figure of a 7 GB host: the full set is admitted like any
     # materialized run, so the GL step of (5,3) and (29,2) is refused

@@ -300,8 +300,7 @@ def test_sweep_classify_matches_per_member_loop(brute32, set52, set72):
 def test_affine_search_chunk_boundaries(monkeypatch, brute32, set52, set72, per_chunk):
     # 23 non-normal order-42 members of (7,2) in chunks of per_chunk, amid
     # members of other groups and automorphisms, give what one search each
-    # gives; a first window of per_chunk values of a makes members accept
-    # in later windows
+    # gives
     group = [sk for sk in set72.skews if sk.order == 42 and not sk.is_automorphism()][:23]
     mix = _shuffled_mix((brute32, set52), 6)[:60] + group
     mix = [mix[j] for j in np.random.default_rng(per_chunk).permutation(len(mix))]
@@ -316,7 +315,6 @@ def test_affine_search_chunk_boundaries(monkeypatch, brute32, set52, set72, per_
 
     monkeypatch.setattr(sv, "_search_chunk", counted)
     monkeypatch.setattr(sv, "_AFFINE_CHUNK", per_chunk * 42 * 49)
-    monkeypatch.setattr(sv, "_AFFINE_WINDOW", per_chunk)
     assert sv._affine_search(mix) == want
     assert sizes == [per_chunk] * (23 // per_chunk) + [23 % per_chunk] * (23 % per_chunk > 0)
 
@@ -344,6 +342,41 @@ def test_affine_t_is_normal_elementary_abelian_and_meets_sigma_trivially(
             assert (x == 0).all()  # exponent p
             assert ge.is_normal(T, X)
             assert not T.mask[X.cycle(spg.sigma_pair())[1:]].any()
+
+
+def test_affine_search_without_t_on_the_reference_members(example_reports):
+    # e1's member (Z_3^4) and e3's residue (Z_3^5), both of order 9, have
+    # too few central translations for a T of rank n; e1 flags that no
+    # affine point stabilizer exists
+    for tag, rank in (("e1", 1), ("e3", 2)):
+        sk = example_reports[tag].data["skew"]
+        aff = sv.find_affine_embedding(sk)
+        assert _outcome(aff) == (False, "", rank, None, 0,
+                                 "central translation rank %d, need %d" % (rank, sk.n - 1))
+        assert _outcome(aff) == _outcome(_reference_affine_search(sk))
+
+
+# a non-normal member of (5,2) of order 10 (k = 2); its central
+# translations, sigma^2(g) = g with PS_2(g) = pi(g) + pi(sigma g) = 2, are
+# the five points 0, 8, 11, 19, 22, and sigma swaps 11 and 19
+IMAGES_52 = [0, 21, 3, 16, 15, 20, 13, 12, 22, 18, 9, 19, 10, 17, 5, 7, 14, 2, 1, 11,
+             24, 23, 8, 4, 6]
+PI_52 = [1, 5, 9, 3, 7, 9, 3, 7, 1, 5, 7, 1, 5, 9, 3, 5, 9, 3, 7, 1, 3, 7, 1, 5, 9]
+
+
+def test_central_translations_no_p_power_set_is_a_finding():
+    sk = sc.validate(5, 2, IMAGES_52)
+    assert sk.pi.tolist() == PI_52 and sk.order == 10
+    assert sv.find_affine_embedding(sk).found
+    # pi(11) = 9 makes PS_2 = 9 + 1 = 0 at 11 and at 19: both leave, and
+    # three points remain, no power of 5
+    pi = list(PI_52)
+    pi[11] = 9
+    bad = _fabricated(5, 2, IMAGES_52, pi, 10)
+    with pytest.raises(AssertionError, match="central translations do not form a p-power set"):
+        sv.find_affine_embedding(bad)
+    with pytest.raises(AssertionError):
+        _reference_affine_search(bad)
 
 
 def test_sweep_classify_rejects_unknown_mode(brute32):

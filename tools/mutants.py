@@ -43,11 +43,13 @@ MUTANTS = {
     "L4": ("the twist row dropped from the extension's mul", GE,
            "return _code(twist.take(q.take(j) * nb + y) * t + r.take(j))",
            "return _code(twist.take(y) * t + r.take(j))", LAWS),
-    "S4": ("_search_chunk: tried without its carry-over across windows", SV,
+    "S4": ("_search_chunk: tried without its carry-over across values of a", SV,
            "int(tried[m] + c - first[m] + 1)", "int(c - first[m] + 1)", SEARCH),
     "S5": ("_search_chunk: in_T without its t < p guard", SV,
            "return (t < p) & zt[rN + add[g, back[t * C + cols]]]",
            "return zt[rN + add[g, back[t * C + cols]]]", SEARCH),
+    "S9": ("_search_chunk: a settled member left in todo, the first of each pass", SV,
+           "todo[done] = False", "todo[done[1:]] = False", SEARCH),
 }
 
 
