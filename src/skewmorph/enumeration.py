@@ -416,10 +416,11 @@ def _check_fits(p, n, count_only):
     before anything large is built.
 
     Count-only hashes each non-normal member as its images bytes, a lower
-    bound on the key set.  A materialized run peaks at its GL step, where
-    matrix_to_perm holds V @ M and its remainder mod p, two int64 arrays
-    of |GL| x p**n x n; its members, a block of about 4 p**n bytes each,
-    hold less at every p.
+    bound on the key set.  A materialized run is bounded by two int64
+    arrays of |GL| x p**n x n, 16 n times the int16 GL rows that
+    matrix_to_perm returns; the bound is kept conservative so that the
+    refused inputs stay the same.  The members, a block of about 4 p**n
+    bytes each, hold less at every p.
     """
     N = p ** n
     if count_only:

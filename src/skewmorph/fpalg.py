@@ -12,7 +12,7 @@ p <= 251 is accepted; only small p is exercised by the enumeration.
 
 import numpy as np
 
-from ._kernels import IDX_DTYPE, index_vectors
+from ._kernels import IDX_DTYPE, check_index_width, index_vectors
 
 PRIME_MAX = 251
 ORDER_CAP = 10 ** 6
@@ -181,13 +181,32 @@ def gl_matrices_array(n, p):
     return ms[mat_det(ms, p) != 0]
 
 
+# matrices times p**n points in one chunk of matrix_to_perm: up to
+# p**n = 2**14 its int32 temporaries, 64 KB, stay under glibc's default
+# mmap threshold (128 KB)
+_PERM_CHUNK = 1 << 14
+
+
 def matrix_to_perm(ms, p):
     """Index permutation of F_p^n induced by v -> v*M: shape (p**n,) for
-    one matrix, (K, p**n) for a batch."""
+    one matrix, (K, p**n) for a batch; entries need not be reduced, and
+    p**n past the index range raises ValueError.  Each chunk is reduced
+    mod p and its indices summed one coordinate at a time in int32: a
+    coordinate is at most n (p-1)**2 before its remainder."""
     n = ms.shape[-1]
-    V = index_vectors(p, n)
-    place = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return ((V @ ms % p) @ place).astype(IDX_DTYPE)
+    check_index_width(p, n)
+    N = p ** n
+    Vt = index_vectors(p, n).T.astype(np.int32)
+    batch = ms.reshape(-1, n, n)
+    out = np.empty((len(batch), N), dtype=IDX_DTYPE)
+    step = max(1, _PERM_CHUNK // N)
+    for a in range(0, len(batch), step):
+        m = (batch[a:a + step] % p).astype(np.int32)
+        idx = 0
+        for j in range(n):
+            idx = idx * p + m[:, :, j] @ Vt % p
+        out[a:a + step] = idx
+    return out.reshape(ms.shape[:-2] + (N,))
 
 
 # ---------------------------------------------------------------------------

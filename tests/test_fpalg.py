@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,6 +172,61 @@ def test_matrix_to_perm_is_action():
     M = fpalg.canonical_unipotent(3, 5)
     assert fpalg.matrix_to_perm(M, 5).tolist() == [
         _apply_index(M.tolist(), 5, i) for i in range(125)]
+
+
+def _perm_reference(ms, p):
+    """matrix_to_perm by the int64 formula: V @ M, its remainder mod p,
+    then the place values."""
+    ms = np.asarray(ms, dtype=np.int64)
+    n = ms.shape[-1]
+    V = K.index_vectors(p, n)
+    place = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return ((V @ ms % p) @ place).astype(K.IDX_DTYPE)
+
+
+@pytest.mark.parametrize("n, p", [(2, 2), (2, 3), (2, 5), (2, 7), (2, 11), (2, 13),
+                                  (3, 2), (3, 3)])
+def test_matrix_to_perm_matches_int64_formula_on_gl(n, p):
+    ms = fpalg.gl_matrices_array(n, p)
+    perms = fpalg.matrix_to_perm(ms, p)
+    assert perms.dtype == K.IDX_DTYPE
+    assert np.array_equal(perms, _perm_reference(ms, p))
+
+
+def test_matrix_to_perm_shapes_and_unreduced_entries():
+    p, n = 5, 3
+    # unreduced and negative entries, two chunks and a part of one
+    step = fpalg._PERM_CHUNK // p ** n
+    ms = np.random.default_rng(1).integers(-3 * p, 3 * p, size=(2 * step + 3, n, n))
+    assert np.array_equal(fpalg.matrix_to_perm(ms, p), _perm_reference(ms, p))
+    one = fpalg.matrix_to_perm(ms[0], p)
+    assert one.shape == (p ** n,)
+    assert np.array_equal(one, _perm_reference(ms[0], p))
+    empty = fpalg.matrix_to_perm(ms[:0], p)
+    assert empty.shape == (0, p ** n) and empty.dtype == K.IDX_DTYPE
+
+
+def test_matrix_to_perm_at_the_edge_of_the_index_range():
+    ms = np.random.default_rng(2).integers(0, 181, size=(4, 2, 2))
+    assert np.array_equal(fpalg.matrix_to_perm(ms, 181), _perm_reference(ms, 181))
+    gl1 = np.arange(1, 251).reshape(-1, 1, 1)
+    assert np.array_equal(fpalg.matrix_to_perm(gl1, 251), _perm_reference(gl1, 251))
+    # 37**3 and 191**2 points would wrap in int16
+    for n, p in ((3, 37), (2, 191)):
+        with pytest.raises(ValueError, match="index range"):
+            fpalg.matrix_to_perm(np.eye(n, dtype=np.int64), p)
+
+
+def test_matrix_to_perm_traced_peak_at_gl33():
+    # the int64 formula traces 13.9 MiB here; the int16 result is 0.6 MB
+    ms = fpalg.gl_matrices_array(3, 3)
+    tracemalloc.start()
+    try:
+        fpalg.matrix_to_perm(ms, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 10 ** 6
 
 
 def test_canonical_unipotent_orders():

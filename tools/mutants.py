@@ -28,8 +28,10 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GE = "src/skewmorph/group_engine.py"
 SV = "src/skewmorph/structure_verify.py"
+FP = "src/skewmorph/fpalg.py"
 LAWS = ("tests/test_group_laws.py",)
 SEARCH = ("tests/test_structure_verify.py",)
+FPALG = ("tests/test_fpalg.py",)
 
 # name: (what it breaks, file, old text, new text, default selection)
 MUTANTS = {
@@ -50,6 +52,12 @@ MUTANTS = {
            "return zt[rN + add[g, back[t * C + cols]]]", SEARCH),
     "S9": ("_search_chunk: a settled member left in todo, the first of each pass", SV,
            "todo[done] = False", "todo[done[1:]] = False", SEARCH),
+    "P1": ("matrix_to_perm: the last coordinate summed without its remainder mod p", FP,
+           "idx = idx * p + m[:, :, j] @ Vt % p",
+           "idx = idx * p + (m[:, :, j] @ Vt % p if j < n - 1 else m[:, :, j] @ Vt)", FPALG),
+    "P2": ("matrix_to_perm: the last partial chunk skipped", FP,
+           "for a in range(0, len(batch), step):",
+           "for a in range(0, len(batch) - len(batch) % step, step):", FPALG),
 }
 
 
