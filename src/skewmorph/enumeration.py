@@ -264,24 +264,16 @@ def _gl_generator_perms(p, n):
     return [(a, np.argsort(a).astype(K.IDX_DTYPE)) for a in perms]
 
 
-def _closure_rows(p, n, seeds):
-    """Breadth-first GL-conjugation closure of the seed block, as (row,
-    seed) pairs.
+def _closure_rows(p, n, rows):
+    """Breadth-first GL-conjugation closure of the distinct rows, as the
+    new conjugates alone.
 
-    The distinct seeds come first, each paired with its position in the
-    block; every later row is a new conjugate, paired with None.  The
-    order depends only on the seed order and the generator list, so a
+    The order depends only on the row order and the generator list, so a
     sample taken by position is the same on every run.
     """
     gens = _gl_generator_perms(p, n)
-    seen = set()
-    frontier = []
-    for i, row in enumerate(seeds.images):
-        key = row.tobytes()
-        if key not in seen:
-            seen.add(key)
-            frontier.append(row)
-            yield row, i
+    seen = {row.tobytes() for row in rows}
+    frontier = list(rows)
     while frontier:
         batch = np.stack(frontier)
         frontier = []
@@ -292,7 +284,7 @@ def _closure_rows(p, n, seeds):
                     seen.add(key)
                     row = row.copy()
                     frontier.append(row)
-                    yield row, None
+                    yield row
 
 
 def aut_closure(p, n, seeds, stride=1):
@@ -300,21 +292,21 @@ def aut_closure(p, n, seeds, stride=1):
     under all GL conjugations, as (member count, block of the validated
     members in member order).
 
-    The seeds are kept as they are.  Every stride-th member by closure
+    The distinct seeds, each at its first position in the block, are
+    kept as they are and come first.  Every stride-th member by closure
     position is validated, in one batch, each named by its closure
     position; stride 1 validates, and returns, every member once.
     """
     seeds = sc.as_block(seeds, p, n)
-    count = 0
-    kept, rows, at = [], [], []
-    for count, (row, seed) in enumerate(_closure_rows(p, n, seeds), 1):
-        if seed is not None:
-            kept.append(seed)
-        elif count % stride == 0:
+    seeds = seeds.take(np.sort(np.unique(seeds.images, axis=0, return_index=True)[1]))
+    count = len(seeds)
+    rows, at = [], []
+    for count, row in enumerate(_closure_rows(p, n, seeds.images), count + 1):
+        if count % stride == 0:
             rows.append(row)
             at.append(count - 1)
     closed = _validated_rows(p, n, _stack(rows, p ** n), "closure", at)
-    return count, sc.member_block(p, n, [seeds.take(kept), closed])
+    return count, sc.member_block(p, n, [seeds, closed])
 
 
 def _stack(rows, N):
