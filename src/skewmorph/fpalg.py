@@ -151,24 +151,25 @@ def primitive_root(p):
 
 
 def gl_generators(n, p):
-    """Transvections plus one diagonal generator, as a (K, n, n) array;
-    they generate all of GL(n,p)."""
+    """Three generators of GL(n,p) as a (3, n, n) array, two at p = 2:
+    the transvection I + E_12 (I itself at n = 1), the basis cycle
+    C: e_i -> e_i+1 with the sign of e_n -> +-e_1 that makes det C = 1,
+    and diag(w, 1, ..., 1) with w a primitive root, which is I at p = 2.
+
+    Conjugation by C carries I + E_12 round the cycle to I + E_i,i+1 and
+    I +- E_n1.  Their commutators [I + E_ij, I + E_jk] = I + E_ik give
+    every I + E_ij, and these transvections generate SL(n,p).  The
+    diagonal reaches every determinant, so the three generate GL(n,p).
+    """
     check_prime(p)
-    gens = []
     eye = np.eye(n, dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                m = eye.copy()
-                m[i, j] = 1
-                gens.append(m)
-    if p > 2:
-        m = eye.copy()
-        m[0, 0] = primitive_root(p)
-        gens.append(m)
-    if not gens:
-        gens.append(eye)
-    return np.stack(gens)
+    trans = eye.copy()
+    trans[0, 1:2] = 1
+    cycle = np.roll(eye, 1, axis=1)
+    cycle[-1, 0] = (-1) ** (n - 1) % p
+    diag = eye.copy()
+    diag[0, 0] = primitive_root(p)
+    return np.stack([trans, cycle, diag][:2 if p == 2 else 3])
 
 
 def gl_matrices_array(n, p):

@@ -129,6 +129,10 @@ def test_aut_closure_fixes_complete_set(brute32):
     count, closed = en.aut_closure(3, 2, nonnormal)
     assert count == len(closed) == 16
     assert {s.key() for s in closed} == {s.key() for s in nonnormal}
+    # repeated seeds are one member each
+    count, merged = en.aut_closure(3, 2, nonnormal[1:3] + nonnormal)
+    assert count == len(merged) == 16
+    assert merged.images.tobytes() == closed.images.tobytes()
     # a single seed already reaches its whole orbit inside the set
     count, orbit = en.aut_closure(3, 2, nonnormal[:1])
     assert {s.key() for s in orbit} <= {s.key() for s in nonnormal}
@@ -203,7 +207,7 @@ def test_count_only_samples_fixed_closure_positions():
     count, checked = en.aut_closure(3, 3, seeds, 20)
     assert (count, len(checked)) == (2080, 123)
     assert _seed_digest(checked) == \
-        "384865710e5add4e3fbd4c7743623534aedde46854a36b02017e1c2244a1268a"
+        "0faca6c2d6cb0013e0275c85e2e7dd3d7c1ae9f11d490c488c596a364ad35fdf"
 
 
 @pytest.fixture

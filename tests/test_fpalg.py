@@ -127,8 +127,12 @@ def test_gl_matrices_array_complete():
 
 
 def test_gl_generators_generate():
-    for p, n in ((3, 2), (5, 2), (3, 3)):
+    # three generators, two at p = 2 where the diagonal would be I
+    cases = [(n, p) for n in (1, 2) for p in (2, 3, 5, 7, 11, 13)] + [(3, 2), (3, 3)]
+    for n, p in cases:
         gens = fpalg.gl_generators(n, p)
+        assert gens.shape == (2 if p == 2 else 3, n, n)
+        assert (fpalg.mat_det(gens, p) != 0).all()
         ident = np.eye(n, dtype=np.int64)
         seen = {ident.tobytes()}
         frontier = [ident]
