@@ -259,11 +259,6 @@ def _check_nonnormal(p, n, count, validated):
 # closure under conjugation by GL(n,p)
 
 
-def _gl_generator_perms(p, n):
-    perms = fpalg.matrix_to_perm(fpalg.gl_generators(n, p), p)
-    return [(a, np.argsort(a).astype(K.IDX_DTYPE)) for a in perms]
-
-
 def _closure_rows(p, n, rows):
     """Breadth-first GL-conjugation closure of the distinct rows, as the
     new conjugates alone.
@@ -271,7 +266,8 @@ def _closure_rows(p, n, rows):
     The order depends only on the row order and the generator list, so a
     sample taken by position is the same on every run.
     """
-    gens = _gl_generator_perms(p, n)
+    gens = [(a, np.argsort(a).astype(K.IDX_DTYPE))
+            for a in fpalg.matrix_to_perm(fpalg.gl_generators(n, p), p)]
     seen = {row.tobytes() for row in rows}
     frontier = list(rows)
     while frontier:

@@ -151,24 +151,23 @@ def primitive_root(p):
 
 
 def gl_generators(n, p):
-    """Three generators of GL(n,p) as a (3, n, n) array, two at p = 2:
-    the transvection I + E_12 (I itself at n = 1), the basis cycle
-    C: e_i -> e_i+1 with the sign of e_n -> +-e_1 that makes det C = 1,
-    and diag(w, 1, ..., 1) with w a primitive root, which is I at p = 2.
+    """I + E_12, the basis cycle e_i -> e_i+1 with the sign of its last
+    entry that makes its determinant 1, and diag(w, 1, ..., 1) for a
+    primitive root w, as a (3, n, n) array; the first two at p = 2, where
+    the diagonal is I.  At n = 1 the first two are I.
 
-    Conjugation by C carries I + E_12 round the cycle to I + E_i,i+1 and
+    Conjugation by the cycle carries I + E_12 round to I + E_i,i+1 and
     I +- E_n1.  Their commutators [I + E_ij, I + E_jk] = I + E_ik give
-    every I + E_ij, and these transvections generate SL(n,p).  The
-    diagonal reaches every determinant, so the three generate GL(n,p).
+    every I + E_ij, these generate SL(n,p), and the diagonal reaches
+    every determinant, so the three generate GL(n,p).
     """
     check_prime(p)
     eye = np.eye(n, dtype=np.int64)
-    trans = eye.copy()
+    trans, diag = eye.copy(), eye.copy()
     trans[0, 1:2] = 1
+    diag[0, 0] = primitive_root(p)
     cycle = np.roll(eye, 1, axis=1)
     cycle[-1, 0] = (-1) ** (n - 1) % p
-    diag = eye.copy()
-    diag[0, 0] = primitive_root(p)
     return np.stack([trans, cycle, diag][:2 if p == 2 else 3])
 
 
