@@ -443,6 +443,13 @@ def parse_record(obj):
                 "record field %r = %r disagrees with recomputed %d" % (field, obj[field], got))
     if "pi" in obj and _ints(obj, "pi", listed=True) != sk.pi.tolist():
         raise SkewValidationError("record power function disagrees with recomputed one")
+    flag = obj.get("automorphism", sk.is_automorphism())
+    if type(flag) is not bool:
+        raise SkewValidationError("record field 'automorphism' is %s, not a boolean"
+                                  % json.dumps(flag))
+    if flag != sk.is_automorphism():
+        raise SkewValidationError("record field 'automorphism' = %s disagrees with recomputed %s"
+                                  % (json_bool(flag), json_bool(not flag)))
     return sk
 
 

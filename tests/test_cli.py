@@ -204,6 +204,27 @@ def test_verify_refuses_values_the_cast_would_change(tmp_path, capsys, sigma, in
     assert not (tmp_path / "bad.jsonl.classified").exists()
 
 
+def test_verify_refuses_a_wrong_automorphism_flag(tmp_path, capsys):
+    # the flag of an order-8 automorphism flipped, or another's set to "yes"
+    path = tmp_path / "set.jsonl"
+    sc.write_jsonl(en.full_enum(3, 2).skews, path)
+    lines = path.read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if '"order": 8,' in line
+              and line.endswith('"automorphism": true}'))
+    flipped = lines[at].replace('"automorphism": true', '"automorphism": false')
+    other = lines[at - 1][:lines[at - 1].rindex(":")] + ': "yes"}'
+    for i, line, message in ((at, flipped, "'automorphism' = false disagrees with "
+                                            "recomputed true"),
+                             (at - 1, other, "'automorphism' is \"yes\", not a boolean")):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines[:i] + [line] + lines[i + 1:]) + "\n")
+        assert run_cli(["verify", "--in", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert "error: line %d: record field %s" % (i + 1, message) in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "bad.jsonl.classified").exists()
+
+
 @pytest.mark.parametrize("rate", ["-3", "7", "1.5", "nan"])
 def test_verify_refuses_sample_rate_outside_unit_interval(tmp_path, capsys, rate):
     path = tmp_path / "one.jsonl"
