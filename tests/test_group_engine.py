@@ -359,6 +359,13 @@ def test_build_extension_refusals():
         ge.build_extension(C9, 2, {1: 2})
     with pytest.raises(ValueError, match="fix the twist"):
         ge.build_extension(C9, 6, {1: 2}, twist=3)
+    with pytest.raises(ValueError, match="top order must be positive"):
+        ge.build_extension(C9, 0, {1: 2})
+    with pytest.raises(ValueError, match="the base must be all of its carrier"):
+        ge.build_extension(C9.subgroup((3,)), 2, {3: 6})
+    for twist in (9, -1):
+        with pytest.raises(ValueError, match="twist element is not in the base"):
+            ge.build_extension(C9, 6, {1: 2}, twist=twist)
     # the same action with the fixed twist 0 and t = 6 is accepted
     assert len(ge.build_extension(C9, 6, {1: 2})) == 54
     # a twisted one: x^-1 b x = b^4 and x^3 = b^3, which 4x fixes

@@ -363,6 +363,23 @@ def test_extract_rejects_bad_factorizations(brute32):
         sc.extract_skew(X, G, spg.pair_id(0, 2), gens)
 
 
+def test_extract_refuses_each_bad_input_of_e2():
+    d = ge.example_e2()
+    X, G, s, (g1, b) = d["X"], d["G"], d["sigma"], d["gens"]
+    a = X.generators[0]
+    s2 = X.mul(s, s)
+    for group, gens, message in (
+            (G, (b,), "need 2 generators, got 1"),
+            # <s^2, b> has order 9 and holds s^2
+            (X.subgroup((s2, b)), (s2, b), "G meets <s> nontrivially"),
+            (G, (b, b), "do not label G freely"),
+            # a lies outside G = <a s^2, b>
+            (G, (a, b), "do not generate G")):
+        with pytest.raises(ValueError, match=message):
+            sc.extract_skew(X, group, s, gens)
+    assert sc.extract_skew(X, G, s, (g1, b)).order == 6
+
+
 def test_jsonl_round_trip(tmp_path, brute32):
     path = tmp_path / "set.jsonl"
     wrote = sc.write_jsonl(brute32.skews, path)

@@ -29,9 +29,11 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 GE = "src/skewmorph/group_engine.py"
 SV = "src/skewmorph/structure_verify.py"
 FP = "src/skewmorph/fpalg.py"
+EN = "src/skewmorph/enumeration.py"
 LAWS = ("tests/test_group_laws.py",)
 SEARCH = ("tests/test_structure_verify.py",)
 FPALG = ("tests/test_fpalg.py",)
+ENUM = ("tests/test_enumeration.py",)
 
 # name: (what it breaks, file, old text, new text, default selection)
 MUTANTS = {
@@ -58,6 +60,14 @@ MUTANTS = {
     "P2": ("matrix_to_perm: the last partial chunk skipped", FP,
            "for a in range(0, len(batch), step):",
            "for a in range(0, len(batch) - len(batch) % step, step):", FPALG),
+    "G1": ("gl_generators: the basis cycle dropped", FP,
+           "[trans, cycle, diag][:2 if p == 2 else 3]", "[trans, diag][:1 if p == 2 else 2]",
+           FPALG),
+    "G2": ("gl_generators: the diagonal dropped", FP,
+           "[trans, cycle, diag][:2 if p == 2 else 3]", "[trans, cycle]", FPALG),
+    "R1": ("aut_closure: repeated seeds not merged", EN,
+           "seeds = seeds.take(np.sort(np.unique(seeds.images, axis=0, return_index=True)[1]))",
+           "seeds = seeds.take(np.arange(len(seeds)))", ENUM),
 }
 
 
