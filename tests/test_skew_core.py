@@ -355,15 +355,13 @@ def test_extract_rejects_bad_factorizations(brute32):
     X = spg.as_finite_group()
     gens = X.generators[:2]
     G = X.subgroup(gens)
-    # s inside G, the pair (1, 0): <s> meets G nontrivially
+    # s inside G, the pair (1, 0), of order 3: refused as |G| * order(s) < |X|
     with pytest.raises(ValueError):
         sc.extract_skew(X, G, spg.pair_id(1, 0), gens)
     # s of too small an order, the pair (0, 2): |G| * order(s) < |X|
     with pytest.raises(ValueError):
         sc.extract_skew(X, G, spg.pair_id(0, 2), gens)
-
-
-def test_extract_refuses_each_bad_input_of_e2():
+    # e2's X and G, each with one fault
     d = ge.example_e2()
     X, G, s, (g1, b) = d["X"], d["G"], d["sigma"], d["gens"]
     a = X.generators[0]
