@@ -5,12 +5,14 @@ i = sum v_j * p**(n-j), so index 0 is the identity and basis vectors come
 first in each block.  All kernels work on these integer indices through
 precomputed addition/subtraction tables.
 
-Validation has a per-row kernel (validate_images) and a batch kernel
-(validate_many) with the same results.  The batch kernel first settles
-the automorphisms: a permutation fixing 0 that is additive along every
-basis point is F_p-linear, so pi is 1 (0 for the identity) and its order
-is read off the orbits of the basis.  Only the other rows pay for the
-power table that the general law needs.
+Validation checks the law s(x + y) = s(x) + s^pi(x)(y) with two drivers,
+validate_images for one row and validate_many for blocks, which share its
+two rules: _automorphisms settles a permutation that is additive along
+the basis (F_p-linear, so pi is 1), and _power_match checks any other
+row, whose every F[x] = s(x + .) - s(x) must be a row of its power table.
+The drivers differ only in how they find the permutations, the orders
+and the powers: a cycle walk and power_rows for one row; a sort, the
+orbits of the basis and a doubling over chunks of rows for a block.
 """
 
 import math
@@ -56,9 +58,13 @@ def index_tables(p, n):
 
 
 def perm_order_capped(images, cap):
-    """Order of a permutation, or -1 if it exceeds cap (lcm bail)."""
+    """Order of a permutation of range(N), -1 if it exceeds cap, or 0 if
+    images is none: a walk from an unseen point that ends on a seen point
+    other than its start means some point has two preimages."""
     images = images.tolist()  # python ints walk faster than numpy scalars
     N = len(images)
+    if not 0 <= min(images) <= max(images) < N:
+        return 0
     seen = [False] * N
     order = 1
     for start in range(N):
@@ -70,10 +76,10 @@ def perm_order_capped(images, cap):
             seen[x] = True
             x = images[x]
             length += 1
-        order = order * length // math.gcd(order, length)
-        if order > cap:
-            return -1
-    return order
+        if x != start:
+            return 0
+        order = math.lcm(order, length)
+    return order if order <= cap else -1
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +89,11 @@ OK = 0
 NOT_PERMUTATION = 1
 NO_POWER_MATCH = 2
 ORDER_TOO_BIG = 3
+
+# elements in one chunk: rows * n * N for the automorphism test, rows * N * N
+# for the power tables of validate_many, rows * x * N for the F table of the
+# general law; larger chunks gain little speed and raise peak memory
+_CHUNK = 1 << 16
 
 
 def power_rows(images, count):
@@ -101,52 +112,6 @@ def power_rows(images, count):
     return S
 
 
-def _validate_np(images, add, neg, pi):
-    N = images.shape[0]
-    if (np.sort(images) != np.arange(N)).any():
-        bad = int(np.argmax(np.bincount(np.clip(images, 0, N - 1), minlength=N) != 1))
-        return NOT_PERMUTATION, 0, bad
-    if images[0] != 0:
-        return NOT_PERMUTATION, 0, 0
-    order = perm_order_capped(images, N - 1 if N > 1 else 1)
-    if order < 0:
-        return ORDER_TOO_BIG, 0, 0
-    # F[x, y] = s(x + y) - s(x), by flat takes on add
-    F = add.take(np.take(images, add) + (neg.take(images).astype(np.intp) * N)[:, None])
-    if order > 1 and (F == images).all():
-        # s is additive, an automorphism: s^1 is the one power equal to s
-        pi[:] = 1
-        return OK, order, -1
-    powers = power_rows(images, order)
-    match = (F[:, None, :] == powers[None, :, :]).all(axis=2)
-    ok = match.any(axis=1)
-    if not ok.all():
-        return NO_POWER_MATCH, order, int(np.argmin(ok))
-    pi[:] = np.argmax(match, axis=1).astype(pi.dtype)
-    return OK, order, -1
-
-
-def validate_images(p, n, images):
-    """(status, order, pi, witness) for a candidate image array.
-
-    A single array goes through the per-row kernel: at the sizes where
-    single arrays are validated, (7,2) and (3,3), a batch of one through
-    validate_many costs more per call.
-    """
-    add, _, neg = index_tables(p, n)
-    images = np.ascontiguousarray(images, dtype=IDX_DTYPE)
-    pi = np.zeros(len(images), dtype=IDX_DTYPE)
-    status, order, witness = _validate_np(images, add, neg, pi)
-    return int(status), int(order), pi, int(witness)
-
-
-# elements in one chunk of the batch kernel: rows * N * n in the
-# automorphism pass, which takes the n basis points one after the other,
-# and rows * N * N for the other rows; larger chunks gain little speed
-# and raise peak memory
-_CHUNK = 1 << 16
-
-
 def splitmix64(start, count):
     """Outputs start .. start+count-1 of splitmix64 seeded at 0, as uint64:
     the finalizer of 0x9E3779B97F4A7C15 * c for each counter c >= 1, with
@@ -163,34 +128,94 @@ def _hash_weights(N):
     return splitmix64(1, N).view(np.int64)
 
 
-def _additive_rows(im, add, basis):
-    """Mask of the rows of a (b, N) chunk of points in [0, N) that fix 0
-    and have s(x + e) = s(x) + s(e) for every x and every basis point e.
+@functools.lru_cache(maxsize=64)
+def _basis(p, n):
+    """Indices of the basis points e_1 .. e_n of F_p^n: p**(n-1), ..., p, 1."""
+    return p ** np.arange(n - 1, -1, -1)
 
-    Every point is a sum of basis points, so such a row is additive,
-    hence F_p-linear.  No sort checks that it is a permutation: if s^e
-    fixes a basis, s^e is the identity, so s is invertible; a singular
-    row gets order 0 from _basis_orders and goes on to _validate_rows,
-    which reports NOT_PERMUTATION.
+
+def _count_witness(im):
+    """For each row of a (b, N) chunk, the first point of [0, N) that the
+    row, clipped into [0, N), does not hit exactly once: 0 for a
+    permutation, which is refused for moving 0."""
+    b, N = im.shape
+    flat = np.clip(im, 0, N - 1) + N * np.arange(b)[:, None]
+    return np.argmax(np.bincount(flat.ravel(), minlength=b * N).reshape(b, N) != 1, axis=1)
+
+
+def _automorphisms(s, add, basis):
+    """Mask of the rows of a (b, N) chunk of permutations with
+    s(x + e) = s(x) + s(e) for every x and every basis point e.
+
+    Every point is a sum of basis points, so such a row is additive, hence
+    F_p-linear: an automorphism, with pi 1 (0 for the identity).  At x = 0
+    the test asks s(0) = 0.
     """
-    N = im.shape[1]
-    ok = (im[:, 0] == 0) & (im.min(axis=1) >= 0) & (im.max(axis=1) < N)
-    live = np.nonzero(ok)[0]
-    for e in basis:
-        # s(x + e) against s(x) + s(e); most other rows fail at the first e
-        s = im[live]
-        shifted = np.take(s, add[:, e] + (np.arange(len(live)) * N)[:, None])
-        sums = add.take(s.astype(np.intp) * N + s[:, e, None])
-        live = live[(shifted == sums).all(axis=1)]
-    ok[:] = False
-    ok[live] = True
-    return ok
+    # at[r, i, x] = s(x + e_i), so at[r, i, 0] = s(e_i)
+    at = s.take(add[basis], axis=1)
+    sums = add.take(s[:, None, :].astype(np.intp) * s.shape[1] + at[:, :, :1])
+    return (at == sums).all(axis=(1, 2))
+
+
+def _power_match(s, P, add, neg):
+    """The general law on a (b, N) chunk of permutations fixing 0 with
+    P[r, e] = s_r^e: F[r, x] = s(x + .) - s(x) must be a row of P[r], found
+    by the row hash and confirmed exactly.  Returns pi[r, x], that row's e,
+    and witness[r], the first x with no row (pi 0 there), or -1."""
+    b, E, N = P.shape
+    w = _hash_weights(N)
+    keys = (P.astype(np.int64) @ w)[:, None, :]
+    rows = np.arange(b)[:, None]
+    negs = neg.take(s).astype(np.intp) * N
+    pi = np.zeros((b, N), dtype=IDX_DTYPE)
+    ok = np.zeros((b, N), dtype=bool)
+    step = max(1, _CHUNK // (b * N))
+    for x in range(0, N, step):
+        # F[r, j, y] = s(x + j + y) - s(x + j), by a flat take on add
+        F = add.take(negs[:, x:x + step, None] + s.take(add[x:x + step], axis=1))
+        hit = (F.astype(np.int64) @ w)[:, :, None] == keys
+        cand = np.argmax(hit, axis=2)
+        found = hit.any(axis=2)
+        good = found & (P[rows, cand] == F).all(axis=2)
+        # a hash hit that fails the comparison is a collision: search exactly
+        for r, j in np.argwhere(found & ~good):
+            same = (P[r] == F[r, j]).all(axis=1)
+            if same.any():
+                cand[r, j] = np.argmax(same)
+                good[r, j] = True
+        pi[:, x:x + step] = cand
+        ok[:, x:x + step] = good
+    witness = np.where(ok.all(axis=1), -1, np.argmin(ok, axis=1))
+    pi[witness >= 0] = 0
+    return pi, witness
+
+
+def validate_images(p, n, images):
+    """(status, order, pi, witness) for a candidate image array.
+
+    The one-row driver: one cycle walk (perm_order_capped) gives the
+    permutation verdict and the order, then _automorphisms settles a
+    linear map and _power_match any other row.
+    """
+    add, _, neg = index_tables(p, n)
+    images = np.ascontiguousarray(images, dtype=IDX_DTYPE)
+    N = len(images)
+    pi = np.zeros(N, dtype=IDX_DTYPE)
+    order = perm_order_capped(images, max(N - 1, 1))
+    if order == 0 or images[0] != 0:
+        return NOT_PERMUTATION, 0, pi, int(_count_witness(images[None])[0])
+    if order < 0:
+        return ORDER_TOO_BIG, 0, pi, 0
+    if _automorphisms(images[None], add, _basis(p, n))[0]:
+        pi[:] = order > 1
+        return OK, order, pi, -1
+    pi, witness = _power_match(images[None], power_rows(images, order)[None], add, neg)
+    return (OK if witness[0] < 0 else NO_POWER_MATCH), order, pi[0], int(witness[0])
 
 
 def _basis_orders(batch, rows, basis):
-    """For each listed row s of batch, the first e < N at which s^e fixes
-    every basis point, or 0 if there is none.  For an automorphism this
-    is its order, which is at most N - 1."""
+    """For each listed automorphism s of batch, the first e at which s^e
+    fixes every basis point: its order, at most N - 1."""
     N = batch.shape[1]
     found = np.zeros(len(rows), dtype=np.int64)
     off = rows * N
@@ -205,98 +230,61 @@ def _basis_orders(batch, rows, basis):
     return found
 
 
-def _validate_rows(im, add, neg, status, order, pi, witness):
-    # the law of _validate_np on a (b, N) chunk of the rows that are no
-    # automorphism (the rest of validate_many), results written in place
-    N = im.shape[1]
-    ident = np.arange(N, dtype=IDX_DTYPE)
-    perm = (np.sort(im, axis=1) == ident).all(axis=1)
-    if not perm.all():
-        bad = np.nonzero(~perm)[0]
-        flat = np.clip(im[bad], 0, N - 1) + N * np.arange(len(bad))[:, None]
-        counts = np.bincount(flat.ravel(), minlength=len(bad) * N).reshape(len(bad), N)
-        status[bad] = NOT_PERMUTATION
-        witness[bad] = np.argmax(counts != 1, axis=1)
-    status[perm & (im[:, 0] != 0)] = NOT_PERMUTATION
-    live = np.nonzero(perm & (im[:, 0] == 0))[0]
-    if not live.size:
-        return
-    s = im[live]
-    off = (np.arange(len(live)) * N)[:, None, None]
-    # P[r, e] = s^e by doubling, stopped once every row has met the identity
-    P = np.empty((len(live), N, N), dtype=IDX_DTYPE)
-    P[:, 0] = ident
-    P[:, 1] = s
-    ords = np.where((s == ident).all(axis=1), 1, 0)
-    m = 2
-    while m < N and not ords.all():
-        t = min(m, N - m)
-        sm = np.take(P[:, m - 1], s + off[:, 0])
-        P[:, m:m + t] = np.take(sm, P[:, :t] + off)
-        back = (P[:, m:m + t] == ident).all(axis=2)
-        first = back.any(axis=1) & (ords == 0)
-        ords[first] = m + np.argmax(back[first], axis=1)
-        m += t
-    status[live[ords == 0]] = ORDER_TOO_BIG
-    keep = ords > 0
-    if not keep.any():
-        return
-    live, s, ords = live[keep], s[keep], ords[keep]
-    b, E = len(live), int(ords.max())
-    P = P[keep, :E]
-    off = off[:b]
-    # F[r, x, y] = s(x + y) - s(x), which must be the row of s^pi(x)
-    F = np.take(add, (neg[s].astype(np.intp) * N)[:, :, None] + np.take(s, add + off))
-    # pi(x) proposed by the row hash, then confirmed on the whole row
-    w = _hash_weights(N)
-    hit = (F.astype(np.int64) @ w)[:, :, None] == (P.astype(np.int64) @ w)[:, None, :]
-    cand = np.argmax(hit, axis=2)
-    found = hit.any(axis=2)
-    ok = found & (np.take(P.reshape(b * E, N), cand + (np.arange(b) * E)[:, None], axis=0)
-                  == F).all(axis=2)
-    # a hash hit that fails the comparison is a collision: search exactly
-    for r, x in zip(*np.nonzero(found & ~ok)):
-        same = (P[r] == F[r, x]).all(axis=1)
-        if same.any():
-            cand[r, x] = np.argmax(same)
-            ok[r, x] = True
-    good = ok.all(axis=1)
-    order[live] = ords
-    status[live[good]] = OK
-    pi[live[good]] = cand[good]
-    witness[live[good]] = -1
-    status[live[~good]] = NO_POWER_MATCH
-    witness[live[~good]] = np.argmin(ok[~good], axis=1)
-
-
 def validate_many(p, n, batch):
     """(status, order, pi, witness) arrays over the rows of a (B, N) batch;
     row b holds what validate_images gives for batch[b]."""
     add, _, neg = index_tables(p, n)
     batch = np.ascontiguousarray(batch, dtype=IDX_DTYPE)
     B, N = batch.shape
-    out = (np.zeros(B, dtype=np.int64), np.zeros(B, dtype=np.int64),
-           np.zeros((B, N), dtype=IDX_DTYPE), np.zeros(B, dtype=np.int64))
-    order, pi, witness = out[1:]
-    # the automorphisms first; only the rows they leave build power tables
-    basis = N // p ** np.arange(1, n + 1)
+    basis = _basis(p, n)
+    status, order, pi, witness = out = (
+        np.zeros(B, dtype=np.int64), np.zeros(B, dtype=np.int64),
+        np.zeros((B, N), dtype=IDX_DTYPE), np.zeros(B, dtype=np.int64))
+    # the permutations fixing 0, and among them the automorphisms, which
+    # need no power table
+    ident = np.arange(N, dtype=IDX_DTYPE)
     aut = np.zeros(B, dtype=bool)
     step = max(1, _CHUNK // (N * n))
     for a in range(0, B, step):
-        aut[a:a + step] = _additive_rows(batch[a:a + step], add, basis)
-    rows = np.nonzero(aut)[0]
+        im = batch[a:a + step]
+        perm = (np.sort(im, axis=1) == ident).all(axis=1) & (im[:, 0] == 0)
+        bad = a + np.flatnonzero(~perm)
+        status[bad] = NOT_PERMUTATION
+        witness[bad] = _count_witness(batch[bad])
+        live = a + np.flatnonzero(perm)
+        aut[live] = _automorphisms(batch[live], add, basis)
+    rows = np.flatnonzero(aut)
     order[rows] = _basis_orders(batch, rows, basis)
-    aut = order > 0
-    pi[aut] = (order[aut] > 1)[:, None]
-    witness[aut] = -1
-    rest = np.nonzero(~aut)[0]
+    pi[rows] = (order[rows] > 1)[:, None]
+    witness[rows] = -1
+    # the other permutations fixing 0 go to the general law
+    rest = np.flatnonzero((status == OK) & ~aut)
     step = max(1, _CHUNK // (N * N))
     for a in range(0, len(rest), step):
         r = rest[a:a + step]
-        part = tuple(o[r] for o in out)
-        _validate_rows(batch[r], add, neg, *part)
-        for o, q in zip(out, part):
-            o[r] = q
+        s = batch[r]
+        off = (np.arange(len(r)) * N)[:, None, None]
+        # P[r, e] = s^e by doubling, stopped once every row has met the identity
+        P = np.empty((len(r), N, N), dtype=IDX_DTYPE)
+        P[:, 0] = ident
+        P[:, 1] = s
+        ords = np.where((s == ident).all(axis=1), 1, 0)
+        m = 2
+        while m < N and not ords.all():
+            t = min(m, N - m)
+            sm = np.take(P[:, m - 1], s + off[:, 0])
+            P[:, m:m + t] = np.take(sm, P[:, :t] + off)
+            back = (P[:, m:m + t] == ident).all(axis=2)
+            first = back.any(axis=1) & (ords == 0)
+            ords[first] = m + np.argmax(back[first], axis=1)
+            m += t
+        status[r[ords == 0]] = ORDER_TOO_BIG
+        keep = ords > 0
+        if keep.any():
+            r, ords = r[keep], ords[keep]
+            order[r] = ords
+            pi[r], witness[r] = _power_match(s[keep], P[keep, :ords.max()], add, neg)
+            status[r] = np.where(witness[r] < 0, OK, NO_POWER_MATCH)
     return out
 
 

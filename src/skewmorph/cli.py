@@ -142,7 +142,7 @@ def cmd_bench(args):
         raise ValueError("--repeat must be at least 1, got %d" % args.repeat)
     # the full set, admitted by _check_fits like any materialized run,
     # builds the cached tables outside the timing; automorphisms take the
-    # kernels' short paths and the other rows the power table, so each
+    # automorphism test and the other rows the power-row match, so each
     # part is timed on its own
     block = en.full_enum(p, n, count_only=False).skews
     parts = [("automorphism rows of the full set", block.images[block.aut]),
@@ -154,8 +154,8 @@ def cmd_bench(args):
             print("  no other rows: every skew-morphism of Z_%d^%d is an automorphism" % (p, n))
             continue
         print("  %d %s" % (len(rows), label))
-        # the two sides of the size selection: enumeration validates
-        # blocks, reading records back validates one row at a time
+        # the two drivers: enumeration validates blocks, reading records
+        # back validates one row at a time
         for name, run in (("validate_many, one batch", K.validate_many),
                           ("validate_images, per row", _per_row)):
             best = min(_time_once(run, p, n, rows) for _ in range(args.repeat))

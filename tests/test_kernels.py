@@ -29,6 +29,10 @@ def test_perm_order_capped():
     images = np.array([0, 2, 3, 1, 5, 6, 7, 8, 4], dtype=K.IDX_DTYPE)
     assert K.perm_order_capped(images, 100) == 15
     assert K.perm_order_capped(images, 8) == -1
+    # no permutation of range(9): 0, whatever the cap
+    for bad in ([0, 1, 1, 3, 4, 5, 6, 7, 8], [1, 2, 0, 4, 3, 5, 6, 8, 8],
+                [0, 2, 3, 1, 5, 6, 7, 8, 9], [0, 2, 3, 1, 5, 6, 7, 8, -1]):
+        assert K.perm_order_capped(np.array(bad, dtype=K.IDX_DTYPE), 100) == 0
 
 
 def _lcm_order(images, cap):
@@ -115,18 +119,49 @@ def test_validate_images_no_power_match():
     assert witness >= 0
 
 
-def _per_row(p, n, batch):
-    rows = [K.validate_images(p, n, row) for row in batch]
-    return (np.array([r[0] for r in rows]), np.array([r[1] for r in rows]),
-            np.array([r[2] for r in rows]).reshape(len(batch), p ** n),
-            np.array([r[3] for r in rows]))
+def _reference(p, n, row):
+    # (status, order, pi, witness) from the definition, sharing only the
+    # F_p tables with the kernel: sigma permutes F_p^n fixing 0, with order
+    # at most N - 1, and for each x some e < order has
+    # sigma(x + y) - sigma(x) = sigma^e(y) for all y
+    N = p ** n
+    add, sub, _ = K.index_tables(p, n)
+    s = np.asarray(row, dtype=np.int64)
+    pi = np.zeros(N, dtype=K.IDX_DTYPE)
+    if sorted(s.tolist()) != list(range(N)) or s[0] != 0:
+        # the witness: the first point not hit exactly once, 0 if none
+        counts = np.bincount(np.clip(s, 0, N - 1), minlength=N)
+        return K.NOT_PERMUTATION, 0, pi, int(np.argmax(counts != 1))
+    powers, cur = {}, np.arange(N)  # the rows of sigma^e by composition, keyed by their bytes
+    while cur.tobytes() not in powers and len(powers) < N:
+        powers[cur.tobytes()] = len(powers)
+        cur = s[cur]
+    order = len(powers)
+    if order > N - 1:
+        return K.ORDER_TOO_BIG, 0, pi, 0
+    F = sub[s[add], s[:, None]].astype(np.int64)  # F[x, y] = sigma(x + y) - sigma(x)
+    for x in range(N):
+        e = powers.get(F[x].tobytes())
+        if e is None:
+            return K.NO_POWER_MATCH, order, np.zeros(N, dtype=K.IDX_DTYPE), x
+        pi[x] = e
+    return K.OK, order, pi, -1
+
+
+def _stack(results, N):
+    status, order, pi, witness = zip(*results)
+    return np.array(status), np.array(order), np.array(pi).reshape(-1, N), np.array(witness)
 
 
 def _assert_batch_matches_per_row(p, n, batch):
-    got, want = K.validate_many(p, n, batch), _per_row(p, n, batch)
-    for field, g, w in zip(("status", "order", "pi", "witness"), got, want):
-        assert (g == w).all(), field
-    return got[0]
+    # validate_many, and validate_images row by row, against _reference
+    want = _stack([_reference(p, n, row) for row in batch], p ** n)
+    for name, got in (("validate_many", K.validate_many(p, n, batch)),
+                      ("validate_images", _stack([K.validate_images(p, n, row) for row in batch],
+                                                 p ** n))):
+        for field, g, w in zip(("status", "order", "pi", "witness"), got, want):
+            assert (g == w).all(), (name, field)
+    return want[0]
 
 
 def _near_misses(rows, rng, count):
@@ -189,7 +224,7 @@ def test_validate_many_matches_per_row_on_members(request, members):
 @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (7, 2), (3, 3)])
 def test_per_row_kernel_settles_every_gl_row(p, n):
     # every GL(n,p) row is an automorphism: OK, pi == 1 and the order of
-    # its matrix, by the per-row kernel's one-compare path
+    # its matrix, settled by the automorphism test
     ms = fpalg.gl_matrices_array(n, p)
     for M, row in zip(ms, fpalg.matrix_to_perm(ms, p)):
         status, order, pi, witness = K.validate_images(p, n, row)
@@ -223,7 +258,7 @@ def _additive_but_along(p, n, i, j):
 
 @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3)])
 def test_batch_kernel_checks_every_basis_point(p, n):
-    # a pass that skipped one basis point would call these automorphisms
+    # an automorphism test that skipped one basis point would pass these
     rows = np.stack([_additive_but_along(p, n, i, j)
                      for j in range(n) for i in range(n) if i != j])
     assert (np.sort(rows, axis=1) == np.arange(p ** n)).all() and (rows[:, 0] == 0).all()
@@ -232,9 +267,8 @@ def test_batch_kernel_checks_every_basis_point(p, n):
 
 
 def test_validate_many_matches_per_row_on_every_3x3_matrix_over_f3():
-    # the singular maps are additive but no permutation: the automorphism
-    # pass lets them through, their basis order is 0, and the general pass
-    # refuses them as it refuses any other non-permutation
+    # the singular maps are additive but no permutation: refused before
+    # the automorphism test, as any other non-permutation is
     ms = np.array(list(itertools.product(range(3), repeat=9))).reshape(-1, 3, 3)
     status = _assert_batch_matches_per_row(3, 3, fpalg.matrix_to_perm(ms, 3))
     singular = fpalg.mat_det(ms, 3) == 0
@@ -273,17 +307,45 @@ def test_hash_weights_are_splitmix64():
     assert K.splitmix64(3, 2).tolist() == want[2:]
 
 
-def test_validate_many_survives_colliding_hashes(monkeypatch):
-    # every row hashes alike, so each pi(x) comes from the exact search
+def test_validate_many_survives_colliding_hashes(monkeypatch, brute32, set72, set33):
+    # every row hashes alike, in both drivers, so each pi(x) of a member
+    # that is no automorphism comes from the exact search
     monkeypatch.setattr(K, "_hash_weights", lambda N: np.full(N, 7, dtype=np.int64))
     rng = np.random.default_rng(7)
-    for p, n in ((3, 2), (7, 2), (3, 3)):
+    for res in (brute32, set72, set33):
+        p, n = res.p, res.n
         gl = _gl_perms(p, n)
         gl = gl[rng.permutation(len(gl))[:300]]
-        batch = np.concatenate([gl, _near_misses(gl, rng, 100),
+        other = res.skews.images[~res.skews.aut]
+        other = other[rng.permutation(len(other))[:100]]
+        batch = np.concatenate([gl, other, _near_misses(gl, rng, 100),
                                 _perms_fixing_0(rng, p ** n, 100), _malformed(rng, p ** n)])
         status = _assert_batch_matches_per_row(p, n, batch)
-        assert (status[:len(gl)] == K.OK).all()
+        assert (status[:len(gl) + len(other)] == K.OK).all()
+
+
+@pytest.mark.parametrize("members", ["set52", "set72"])
+def test_small_chunks_split_the_x_range(monkeypatch, request, members):
+    # with a chunk of 2 * N cells, the automorphism test and the power
+    # tables take one row at a time and the general law two x at a time,
+    # so each row's x range spans N / 2 chunks; the results stay those of
+    # the default chunks
+    res = request.getfixturevalue(members)
+    p, n, N = res.p, res.n, res.p ** res.n
+    rng = np.random.default_rng(13)
+    skews = res.skews.images
+    batch = np.concatenate([skews[rng.permutation(len(skews))[:200]], _near_misses(skews, rng, 200),
+                            _perms_fixing_0(rng, N, 30), _malformed(rng, N),
+                            _additive_but_along(p, n, 1, 0)[None]])
+    want = K.validate_many(p, n, batch)
+    assert K._CHUNK // (N * N) > 1 and K._CHUNK // N > N
+    monkeypatch.setattr(K, "_CHUNK", 2 * N)
+    got = K.validate_many(p, n, batch)
+    for field, g, w in zip(("status", "order", "pi", "witness"), got, want):
+        assert (g == w).all(), field
+    assert (_assert_batch_matches_per_row(p, n, batch) == want[0]).all()
+    # the last row fails first at x = e_1, past the first chunk of x
+    assert (want[0][-1], want[3][-1]) == (K.NO_POWER_MATCH, p)
 
 
 def test_conj_batch_round_trip(brute32):

@@ -30,10 +30,12 @@ GE = "src/skewmorph/group_engine.py"
 SV = "src/skewmorph/structure_verify.py"
 FP = "src/skewmorph/fpalg.py"
 EN = "src/skewmorph/enumeration.py"
+KE = "src/skewmorph/_kernels.py"
 LAWS = ("tests/test_group_laws.py",)
 SEARCH = ("tests/test_structure_verify.py",)
 FPALG = ("tests/test_fpalg.py",)
 ENUM = ("tests/test_enumeration.py",)
+KERNELS = ("tests/test_kernels.py",)
 
 # name: (what it breaks, file, old text, new text, default selection)
 MUTANTS = {
@@ -68,6 +70,10 @@ MUTANTS = {
     "R1": ("aut_closure: repeated seeds not merged", EN,
            "seeds = seeds.take(np.sort(np.unique(seeds.images, axis=0, return_index=True)[1]))",
            "seeds = seeds.take(np.arange(len(seeds)))", ENUM),
+    "A1": ("_automorphisms: the last basis point skipped", KE,
+           "at = s.take(add[basis], axis=1)", "at = s.take(add[basis[:-1]], axis=1)", KERNELS),
+    "H1": ("_power_match: a hash hit accepted without the exact compare", KE,
+           "good = found & (P[rows, cand] == F).all(axis=2)", "good = found", KERNELS),
 }
 
 
