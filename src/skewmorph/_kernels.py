@@ -135,9 +135,9 @@ def _basis(p, n):
 
 
 def _count_witness(im):
-    """For each row of a (b, N) chunk, the first point of [0, N) that the
-    row, clipped into [0, N), does not hit exactly once: 0 for a
-    permutation, which is refused for moving 0."""
+    """The NOT_PERMUTATION witness of each row of a (b, N) chunk: the first
+    point of [0, N) that the row, clipped into [0, N), does not hit exactly
+    once, which is 0 for a permutation that moves 0."""
     b, N = im.shape
     flat = np.clip(im, 0, N - 1) + N * np.arange(b)[:, None]
     return np.argmax(np.bincount(flat.ravel(), minlength=b * N).reshape(b, N) != 1, axis=1)
