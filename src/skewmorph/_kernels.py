@@ -10,9 +10,11 @@ validate_images for one row and validate_many for blocks, which share its
 two rules: _automorphisms settles a permutation that is additive along
 the basis (F_p-linear, so pi is 1), and _power_match checks any other
 row, whose every F[x] = s(x + .) - s(x) must be a row of its power table.
-The drivers differ only in how they find the permutations, the orders
-and the powers: a cycle walk and power_rows for one row; a sort, the
-orbits of the basis and a doubling over chunks of rows for a block.
+The drivers differ only in how they find the permutations and the
+orders: a cycle walk for one row; for a block, a sort, then a walk of
+the basis points for an automorphism and of every point for any other
+row.  Both take the power tables from power_rows, a block's for a chunk
+of rows of one order at a time.
 """
 
 import math
@@ -90,9 +92,10 @@ NOT_PERMUTATION = 1
 NO_POWER_MATCH = 2
 ORDER_TOO_BIG = 3
 
-# elements in one chunk: rows * n * N for the automorphism test, rows * N * N
-# for the power tables of validate_many, rows * x * N for the F table of the
-# general law; larger chunks gain little speed and raise peak memory
+# elements in one chunk: rows * n * N for the automorphism test, rows *
+# points for the order walk, rows * order * N for the power tables of
+# validate_many, rows * x * N for the F table of the general law; larger
+# chunks gain little speed and raise peak memory
 _CHUNK = 1 << 16
 
 
@@ -213,20 +216,28 @@ def validate_images(p, n, images):
     return (OK if witness[0] < 0 else NO_POWER_MATCH), order, pi[0], int(witness[0])
 
 
-def _basis_orders(batch, rows, basis):
-    """For each listed automorphism s of batch, the first e at which s^e
-    fixes every basis point: its order, at most N - 1."""
+def _orders(batch, rows, points):
+    """For each listed row s of batch, the first e < N at which s^e fixes
+    every listed point, or 0 if there is none: the order of a permutation
+    when the points are all of F_p^n, or of an automorphism when they are
+    the basis.  Walked in chunks of _CHUNK // len(points) rows, each row
+    dropped from the walk once it is back."""
     N = batch.shape[1]
     found = np.zeros(len(rows), dtype=np.int64)
-    off = rows * N
-    # (n, rows) images of the basis, so each test reduces over the short axis 0
-    home = basis.astype(batch.dtype)[:, None]
-    cur = batch[rows, home]
-    for e in range(1, N):
-        found[(cur == home).all(axis=0) & (found == 0)] = e
-        if found.all():
-            break
-        cur = np.take(batch, cur + off)
+    # (points, rows) images, so each test reduces over axis 0
+    home = points.astype(batch.dtype)[:, None]
+    step = max(1, _CHUNK // len(points))
+    for a in range(0, len(rows), step):
+        at = np.arange(a, min(a + step, len(rows)))
+        off, cur = rows[at] * N, batch[rows[at], home]
+        for e in range(1, N):
+            back = (cur == home).all(axis=0)
+            if back.any():
+                found[at[back]] = e
+                at, off, cur = at[~back], off[~back], cur[:, ~back]
+                if not len(at):
+                    break
+            cur = np.take(batch, cur + off)
     return found
 
 
@@ -254,36 +265,27 @@ def validate_many(p, n, batch):
         live = a + np.flatnonzero(perm)
         aut[live] = _automorphisms(batch[live], add, basis)
     rows = np.flatnonzero(aut)
-    order[rows] = _basis_orders(batch, rows, basis)
+    order[rows] = _orders(batch, rows, basis)
     pi[rows] = (order[rows] > 1)[:, None]
     witness[rows] = -1
-    # the other permutations fixing 0 go to the general law
+    # the other permutations fixing 0 go to the general law, grouped by
+    # order; a chunk of one order o is one permutation of len(r) * N
+    # points, row j on j * N .. j * N + N - 1, whose power_rows give the
+    # power tables of all its rows.  The identity is an automorphism, so
+    # o >= 2: len(r) * N <= _CHUNK / 2 keeps these offsets inside int16
     rest = np.flatnonzero((status == OK) & ~aut)
-    step = max(1, _CHUNK // (N * N))
-    for a in range(0, len(rest), step):
-        r = rest[a:a + step]
-        s = batch[r]
-        off = (np.arange(len(r)) * N)[:, None, None]
-        # P[r, e] = s^e by doubling, stopped once every row has met the identity
-        P = np.empty((len(r), N, N), dtype=IDX_DTYPE)
-        P[:, 0] = ident
-        P[:, 1] = s
-        ords = np.where((s == ident).all(axis=1), 1, 0)
-        m = 2
-        while m < N and not ords.all():
-            t = min(m, N - m)
-            sm = np.take(P[:, m - 1], s + off[:, 0])
-            P[:, m:m + t] = np.take(sm, P[:, :t] + off)
-            back = (P[:, m:m + t] == ident).all(axis=2)
-            first = back.any(axis=1) & (ords == 0)
-            ords[first] = m + np.argmax(back[first], axis=1)
-            m += t
-        status[r[ords == 0]] = ORDER_TOO_BIG
-        keep = ords > 0
-        if keep.any():
-            r, ords = r[keep], ords[keep]
-            order[r] = ords
-            pi[r], witness[r] = _power_match(s[keep], P[keep, :ords.max()], add, neg)
+    order[rest] = _orders(batch, rest, ident)
+    status[rest[order[rest] == 0]] = ORDER_TOO_BIG
+    rest = rest[order[rest] > 0]
+    rest = rest[np.argsort(order[rest], kind="stable")]
+    for run in np.split(rest, np.flatnonzero(np.diff(order[rest])) + 1) if len(rest) else ():
+        o = order[run[0]]
+        step = max(1, _CHUNK // (o * N))
+        for a in range(0, len(run), step):
+            r = run[a:a + step]
+            off = np.arange(0, len(r) * N, N, dtype=IDX_DTYPE)[:, None]
+            P = power_rows((batch[r] + off).ravel(), o).reshape(o, len(r), N) - off
+            pi[r], witness[r] = _power_match(batch[r], P.swapaxes(0, 1), add, neg)
             status[r] = np.where(witness[r] < 0, OK, NO_POWER_MATCH)
     return out
 

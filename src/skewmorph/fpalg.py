@@ -137,17 +137,9 @@ def gl_order(n, p):
 
 
 def primitive_root(p):
-    if p == 2:
-        return 1
-    for g in range(2, p):
-        seen = set()
-        x = 1
-        for _ in range(p - 1):
-            x = x * g % p
-            seen.add(x)
-        if len(seen) == p - 1:
-            return g
-    raise RuntimeError("no primitive root found")
+    """The least g in 1 .. p-1 whose powers give all p - 1 nonzero residues;
+    one exists because the multiplicative group of a finite field is cyclic."""
+    return next(g for g in range(1, p) if len({pow(g, e, p) for e in range(p - 1)}) == p - 1)
 
 
 def gl_generators(n, p):

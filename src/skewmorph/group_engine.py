@@ -604,10 +604,7 @@ def build_extension(base, top_order, action, twist=None, name="extension"):
         raise ValueError("action must fix the twist element")
 
     # apow[j] = alpha^j and ipow[j] = alpha^-j, as index arrays
-    apow = np.empty((t + 1, nb), dtype=np.int64)
-    apow[0] = np.arange(nb)
-    for j in range(t):
-        apow[j + 1] = alpha[apow[j]]
+    apow = K.power_rows(alpha, t + 1)
     gens = np.array(base.generators, dtype=np.int64)
     conj_c = base.mul(base.mul(base.inv(c), gens), c)
     if (apow[t, gens] != conj_c).any():

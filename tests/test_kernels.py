@@ -103,10 +103,11 @@ def test_validate_images_rejections():
     bad = np.array([1, 0, 2, 3, 4, 5, 6, 7, 8], dtype=K.IDX_DTYPE)
     status, _, _, _ = K.validate_images(3, 2, bad)
     assert status == K.NOT_PERMUTATION
-    # order 15 > 8 can never be a skew-morphism order on 9 points
-    bad = np.array([0, 2, 3, 1, 5, 6, 7, 8, 4], dtype=K.IDX_DTYPE)
-    status, _, _, _ = K.validate_images(3, 2, bad)
-    assert status in (K.ORDER_TOO_BIG, K.NO_POWER_MATCH)
+    # order 15 > 8 can never be a skew-morphism order on 9 points; its
+    # cycles of 3 and 5 bring each point back within 8 steps, but never
+    # all at once, so the order walk runs to its cap
+    bad = np.array([[0, 2, 3, 1, 5, 6, 7, 8, 4]], dtype=K.IDX_DTYPE)
+    assert (_assert_batch_matches_per_row(3, 2, bad) == K.ORDER_TOO_BIG).all()
 
 
 def test_validate_images_no_power_match():
@@ -278,18 +279,27 @@ def test_validate_many_matches_per_row_on_every_3x3_matrix_over_f3():
 
 @pytest.mark.parametrize("members", ["set33", "set72"])
 def test_validate_many_matches_per_row_across_chunks(request, members):
-    # longer than one chunk of the automorphism pass (rows of N * n) and
-    # of the general pass (rows of N * N), every kind of row mixed in
+    # longer than one chunk of the automorphism pass (rows of N * n); its
+    # other permutations fixing 0 longer than one chunk of the order walk
+    # (rows of N), and its largest group of one order o longer than one
+    # chunk of power tables (rows of o * N); every kind of row mixed in
     res = request.getfixturevalue(members)
     p, n, N = res.p, res.n, res.p ** res.n
     rng = np.random.default_rng(11)
-    skews = np.stack([s.images for s in res.skews])
-    batch = np.concatenate([skews[rng.permutation(len(skews))[:2500]], _gl_perms(p, n)[:300],
-                            _near_misses(skews, rng, 300), _malformed(rng, N),
-                            _perms_fixing_0(rng, N, 50), np.arange(N, dtype=K.IDX_DTYPE)[None]])
-    assert len(batch) > K._CHUNK // (N * n) > K._CHUNK // (N * N)
-    status = _assert_batch_matches_per_row(p, n, batch[rng.permutation(len(batch))])
+    skews = res.skews.images
+    batch = np.concatenate([skews[~res.skews.aut], skews[rng.permutation(len(skews))[:1000]],
+                            _gl_perms(p, n)[:300], _near_misses(skews, rng, 600),
+                            _malformed(rng, N), _perms_fixing_0(rng, N, 50),
+                            np.arange(N, dtype=K.IDX_DTYPE)[None]])
+    batch = batch[rng.permutation(len(batch))]
+    status = _assert_batch_matches_per_row(p, n, batch)
     assert {K.OK, K.NOT_PERMUTATION, K.NO_POWER_MATCH} <= set(status.tolist())
+    perm = batch[status != K.NOT_PERMUTATION]
+    rest = perm[~K._automorphisms(perm, K.index_tables(p, n)[0], K._basis(p, n))]
+    orders, sizes = np.unique([K.perm_order_capped(s, N - 1) for s in rest], return_counts=True)
+    o = orders[np.argmax(np.where(orders > 0, sizes, 0))]
+    assert len(batch) > K._CHUNK // (N * n) and len(rest) > K._CHUNK // N
+    assert sizes[orders == o][0] > max(1, K._CHUNK // (o * N))
 
 
 def test_hash_weights_are_splitmix64():
@@ -327,9 +337,9 @@ def test_validate_many_survives_colliding_hashes(monkeypatch, brute32, set72, se
 @pytest.mark.parametrize("members", ["set52", "set72"])
 def test_small_chunks_split_the_x_range(monkeypatch, request, members):
     # with a chunk of 2 * N cells, the automorphism test and the power
-    # tables take one row at a time and the general law two x at a time,
-    # so each row's x range spans N / 2 chunks; the results stay those of
-    # the default chunks
+    # tables take one row at a time, the order walk two rows and the
+    # general law two x at a time, so each row's x range spans N / 2
+    # chunks; the results stay those of the default chunks
     res = request.getfixturevalue(members)
     p, n, N = res.p, res.n, res.p ** res.n
     rng = np.random.default_rng(13)

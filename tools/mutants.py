@@ -74,6 +74,11 @@ MUTANTS = {
            "at = s.take(add[basis], axis=1)", "at = s.take(add[basis[:-1]], axis=1)", KERNELS),
     "H1": ("_power_match: a hash hit accepted without the exact compare", KE,
            "good = found & (P[rows, cand] == F).all(axis=2)", "good = found", KERNELS),
+    "O1": ("validate_many: the other rows' orders walked from the basis alone", KE,
+           "order[rest] = _orders(batch, rest, ident)", "order[rest] = _orders(batch, rest, basis)",
+           KERNELS),
+    "O2": ("validate_many: the other rows put in one order group", KE,
+           "np.split(rest, np.flatnonzero(np.diff(order[rest])) + 1)", "[rest]", KERNELS),
 }
 
 
