@@ -6,15 +6,19 @@ first in each block.  All kernels work on these integer indices through
 precomputed addition/subtraction tables.
 
 Validation checks the law s(x + y) = s(x) + s^pi(x)(y) with two drivers,
-validate_images for one row and validate_many for blocks, which share its
-two rules: _automorphisms settles a permutation that is additive along
-the basis (F_p-linear, so pi is 1), and _power_match checks any other
-row, whose every F[x] = s(x + .) - s(x) must be a row of its power table.
-The drivers differ only in how they find the permutations and the
-orders: a cycle walk for one row; for a block, a sort, then a walk of
-the basis points for an automorphism and of every point for any other
-row.  Both take the power tables from power_rows, a block's for a chunk
-of rows of one order at a time.
+validate_images for one row and validate_many for blocks.  Both first
+find the permutations fixing 0 and their orders (a cycle walk for one
+row; for a block, a sort, then a walk of the basis points for an
+automorphism and of every point for any other row), and both settle an
+automorphism with _automorphisms: a permutation additive along the
+basis is F_p-linear, so pi is 1.  Any other row s must have every
+F[x] = s(x + .) - s(x) among the rows of its power table, which both
+take from power_rows, and both find that row by the _hash_weights row
+hash and confirm it exactly.  They differ in how they look it up:
+validate_images builds the whole (N, N) F of its row in one take and
+looks each hash up with one searchsorted in the sorted power hashes;
+validate_many's _power_match builds F for a chunk of rows and x at a
+time and compares every F hash with every power hash of its row.
 """
 
 import math
@@ -101,7 +105,9 @@ _CHUNK = 1 << 16
 
 def power_rows(images, count):
     """The (count, N) rows s^0 .. s^(count-1) of the permutation s, by
-    doubling: s^(m+j) = s^m . s^j for a block of j < m at a time."""
+    doubling: s^(m+j) = s^(m-1) . s^(j+1) for a block of j < m - 1 at a
+    time, one take into the table.  Every index lies in range(N), so
+    mode="clip" changes nothing; it lets take write into out unbuffered."""
     N = images.shape[0]
     S = np.empty((count, N), dtype=images.dtype)
     S[0] = np.arange(N, dtype=images.dtype)
@@ -109,8 +115,8 @@ def power_rows(images, count):
         S[1] = images
     m = 2
     while m < count:
-        t = min(m, count - m)
-        S[m:m + t] = S[m - 1].take(images).take(S[:t])
+        t = min(m - 1, count - m)
+        S[m - 1].take(S[1:t + 1], out=S[m:m + t], mode="clip")
         m += t
     return S
 
@@ -132,9 +138,19 @@ def _hash_weights(N):
 
 
 @functools.lru_cache(maxsize=64)
+def _row_tables(p, n):
+    """add as intp indices and -x * N by point x, as intp: the F table of
+    validate_images is one flat take on add with these."""
+    add, _, neg = index_tables(p, n)
+    return add.astype(np.intp), neg.astype(np.intp) * p ** n
+
+
+@functools.lru_cache(maxsize=64)
 def _basis(p, n):
-    """Indices of the basis points e_1 .. e_n of F_p^n: p**(n-1), ..., p, 1."""
-    return p ** np.arange(n - 1, -1, -1)
+    """Indices of the basis points e_1 .. e_n of F_p^n, p**(n-1), ..., p, 1,
+    and their rows add[e_i] of the addition table."""
+    basis = p ** np.arange(n - 1, -1, -1)
+    return basis, index_tables(p, n)[0][basis]
 
 
 def _count_witness(im):
@@ -146,17 +162,19 @@ def _count_witness(im):
     return np.argmax(np.bincount(flat.ravel(), minlength=b * N).reshape(b, N) != 1, axis=1)
 
 
-def _automorphisms(s, add, basis):
+def _automorphisms(s, add, add_basis):
     """Mask of the rows of a (b, N) chunk of permutations with
-    s(x + e) = s(x) + s(e) for every x and every basis point e.
+    s(x + e) = s(x) + s(e) for every x and every basis point e; add_basis
+    holds the rows add[e] of the addition table.
 
     Every point is a sum of basis points, so such a row is additive, hence
     F_p-linear: an automorphism, with pi 1 (0 for the identity).  At x = 0
     the test asks s(0) = 0.
     """
-    # at[r, i, x] = s(x + e_i), so at[r, i, 0] = s(e_i)
-    at = s.take(add[basis], axis=1)
-    sums = add.take(s[:, None, :].astype(np.intp) * s.shape[1] + at[:, :, :1])
+    # at[r, i, x] = s(x + e_i), so at[r, i, 0] = s(e_i); add is symmetric,
+    # so s(e_i) + s(x) is add[s(e_i) * N + s(x)]
+    at = s.take(add_basis, axis=1)
+    sums = add.take(at[:, :, :1].astype(np.intp) * s.shape[1] + s[:, None, :])
     return (at == sums).all(axis=(1, 2))
 
 
@@ -198,22 +216,49 @@ def validate_images(p, n, images):
 
     The one-row driver: one cycle walk (perm_order_capped) gives the
     permutation verdict and the order, then _automorphisms settles a
-    linear map and _power_match any other row.
+    linear map.  Any other row s meets the general law on 2-D arrays:
+    F[x, y] = s(x + y) - s(x) is one flat take on add, and each row F[x]
+    is looked up among the powers of s by its row hash, with one
+    searchsorted in the sorted hashes of power_rows.  Every hit is
+    confirmed exactly, and only a hit that fails the confirm is searched
+    exactly, so a hash collision costs time, never a wrong answer.
     """
-    add, _, neg = index_tables(p, n)
+    add = index_tables(p, n)[0]
     images = np.ascontiguousarray(images, dtype=IDX_DTYPE)
     N = len(images)
-    pi = np.zeros(N, dtype=IDX_DTYPE)
     order = perm_order_capped(images, max(N - 1, 1))
     if order == 0 or images[0] != 0:
-        return NOT_PERMUTATION, 0, pi, int(_count_witness(images[None])[0])
+        witness = int(_count_witness(images[None])[0])
+        return NOT_PERMUTATION, 0, np.zeros(N, dtype=IDX_DTYPE), witness
     if order < 0:
-        return ORDER_TOO_BIG, 0, pi, 0
-    if _automorphisms(images[None], add, _basis(p, n))[0]:
-        pi[:] = order > 1
+        return ORDER_TOO_BIG, 0, np.zeros(N, dtype=IDX_DTYPE), 0
+    if _automorphisms(images[None], add, _basis(p, n)[1])[0]:
+        pi = np.empty(N, dtype=IDX_DTYPE)
+        pi.fill(order > 1)  # np.full costs twice as much on a short row
         return OK, order, pi, -1
-    pi, witness = _power_match(images[None], power_rows(images, order)[None], add, neg)
-    return (OK if witness[0] < 0 else NO_POWER_MATCH), order, pi[0], int(witness[0])
+    w = _hash_weights(N)
+    P = power_rows(images, order)
+    keys = P.dot(w)
+    by_key = np.argsort(keys)
+    keys = keys.take(by_key)
+    # F[x, y] = s(x + y) - s(x) = add[-s(x), s(x + y)], by a flat take on add
+    add_i, neg_n = _row_tables(p, n)
+    F = add.take(neg_n.take(images)[:, None] + images.take(add_i))
+    found = F.dot(w)
+    at = np.minimum(keys.searchsorted(found), order - 1)
+    hit = keys.take(at) == found
+    pi = by_key.take(at)
+    good = hit & (P.take(pi, axis=0) == F).all(axis=1)
+    if not good.all():
+        # a hash hit that fails the comparison is a collision: search exactly
+        for x in np.flatnonzero(hit & ~good):
+            same = (P == F[x]).all(axis=1)
+            if same.any():
+                pi[x] = np.argmax(same)
+                good[x] = True
+        if not good.all():
+            return NO_POWER_MATCH, order, np.zeros(N, dtype=IDX_DTYPE), int(np.argmin(good))
+    return OK, order, pi.astype(IDX_DTYPE), -1
 
 
 def _orders(batch, rows, points):
@@ -247,7 +292,7 @@ def validate_many(p, n, batch):
     add, _, neg = index_tables(p, n)
     batch = np.ascontiguousarray(batch, dtype=IDX_DTYPE)
     B, N = batch.shape
-    basis = _basis(p, n)
+    basis, add_basis = _basis(p, n)
     status, order, pi, witness = out = (
         np.zeros(B, dtype=np.int64), np.zeros(B, dtype=np.int64),
         np.zeros((B, N), dtype=IDX_DTYPE), np.zeros(B, dtype=np.int64))
@@ -263,7 +308,7 @@ def validate_many(p, n, batch):
         status[bad] = NOT_PERMUTATION
         witness[bad] = _count_witness(batch[bad])
         live = a + np.flatnonzero(perm)
-        aut[live] = _automorphisms(batch[live], add, basis)
+        aut[live] = _automorphisms(batch[live], add, add_basis)
     rows = np.flatnonzero(aut)
     order[rows] = _orders(batch, rows, basis)
     pi[rows] = (order[rows] > 1)[:, None]

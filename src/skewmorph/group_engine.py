@@ -83,6 +83,16 @@ def _code(x):
     return x if isinstance(x, np.ndarray) else int(x)
 
 
+def _distinct(a):
+    """The sorted distinct values of a, flattened, as np.unique gives them:
+    a sort and the first of each run, since a plain 1-D np.unique call
+    imports numpy.ma."""
+    a = np.sort(a, axis=None)
+    first = np.ones(a.size, dtype=bool)
+    first[1:] = a[1:] != a[:-1]
+    return a[first]
+
+
 def split_tables(size, t):
     """(c // t, c % t) for every c < size, as int64 arrays: a law splits a
     code b t + j into (b, j), or a sum j1 + j2 < 2t into its (q, r), by
@@ -183,7 +193,7 @@ class FiniteGroup:
     def conjugacy_class(self, x):
         """The conjugates of x, as a sorted int array: one product over
         all of the group's elements."""
-        return np.unique(self.conj(x, self.elements))
+        return _distinct(self.conj(x, self.elements))
 
     def subgroup(self, gens):
         H = FiniteGroup.from_generators(self.carrier, gens)
@@ -230,7 +240,7 @@ def close_many(X, gens, cap):
     frontier = np.zeros(B, dtype=np.int64)
     while rows.size:
         codes = (rows[:, None] * n + X.mul(frontier[:, None], gens[rows])).ravel()
-        codes = np.unique(codes[~flat[codes]])
+        codes = _distinct(codes[~flat[codes]])
         flat[codes] = True
         rows, frontier = np.divmod(codes, n)
         size += np.bincount(rows, minlength=B)
@@ -530,7 +540,7 @@ def quotient_group(X, N):
         raise ValueError("N is not normal in X")
     e = X.elements
     low = X.mul(e[:, None], N.elements).min(axis=1)
-    reps = np.unique(low)
+    reps = _distinct(low)
     cmap = np.full(len(X.carrier), -1, dtype=np.int64)
     cmap[e] = np.searchsorted(reps, low)
 
@@ -580,7 +590,7 @@ def _extend_action(base, action):
         raise ValueError("action is not a homomorphism at %d" % first[np.argmax(twice)])
     if first.size < n:
         raise ValueError("generators do not reach the whole base")
-    if np.unique(alpha).size != n:
+    if _distinct(alpha).size != n:
         raise ValueError("action is not injective")
     return alpha
 

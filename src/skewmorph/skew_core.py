@@ -60,9 +60,9 @@ class SkewMorphism:
         self.p = p
         self.n = n
         self.images = np.ascontiguousarray(images, dtype=K.IDX_DTYPE)
-        self.images.flags.writeable = False
+        self.images.setflags(write=False)
         self.pi = np.ascontiguousarray(pi, dtype=K.IDX_DTYPE)
-        self.pi.flags.writeable = False
+        self.pi.setflags(write=False)
         self.order = int(order)
         self.k, self.m = _split_order(self.order, p)
         self._aut = None  # is_automorphism, worked out on the first call
@@ -132,10 +132,8 @@ def validate(p, n, images):
     if status != K.OK:
         raise SkewValidationError(status_message(status, witness), status=status,
                                   witness=witness)
-    sk = SkewMorphism(p, n, images, pi, order)
-    if sk.order > 1:
-        assert sk.pi[0] == 1, "pi(0) must be 1 for order >= 2"
-    return sk
+    assert order < 2 or pi[0] == 1, "pi(0) must be 1 for order >= 2"
+    return SkewMorphism(p, n, images, pi, order)
 
 
 def _points(images, N):
@@ -145,7 +143,7 @@ def _points(images, N):
     kind = images.dtype.kind
     if kind in "iu":
         # through the unsigned view a negative value reads as a huge one
-        bad = images.view("u%d" % images.itemsize)
+        bad = images.view(_UNSIGNED[images.itemsize])
         if bad.max(initial=0) < N:
             return np.ascontiguousarray(images, dtype=K.IDX_DTYPE)
         bad = bad >= N
@@ -161,6 +159,10 @@ def _points(images, N):
             "image at index %d is %r, not an integer in [0, %d)" % (at, images.item(at), N),
             status=K.NOT_PERMUTATION, witness=at)
     return np.ascontiguousarray(images, dtype=K.IDX_DTYPE)
+
+
+# the unsigned dtype of each integer width, for _points
+_UNSIGNED = {k: np.dtype("u%d" % k) for k in (1, 2, 4, 8)}
 
 
 class SkewBlock:
@@ -369,7 +371,7 @@ def extract_skew(X, G, s, generators):
     p, n = ge.prime_power_split(p_pow)
     if len(generators) != n:
         raise ValueError("need %d generators, got %d" % (n, len(generators)))
-    if np.unique(s_pows).size != order:
+    if ge._distinct(s_pows).size != order:
         raise ValueError("element powers collapse early")
     if len(X) != p_pow * order:
         raise ValueError("|X| != |G| * order(s), not a complementary factorization")
@@ -382,7 +384,7 @@ def extract_skew(X, G, s, generators):
     elems = np.zeros(1, dtype=np.int64)
     for g in generators:
         elems = mul(elems[:, None], ge.powers(mul, g, p)).ravel()
-    if elems.size != p_pow or np.unique(elems).size != p_pow:
+    if elems.size != p_pow or ge._distinct(elems).size != p_pow:
         raise ValueError("generators do not label G freely")
     if not G.mask[elems].all():
         raise ValueError("generators do not generate G")

@@ -79,32 +79,29 @@ def classify(sk):
             p=p, n=n, order=o, k=k, m=m, case=_case(p, m, k, True, True),
             automorphism=True, g_normal_in_x=True, g_normal_in_p=True,
             p_normal_in_x=True, core_rank=n, core_size=sk.N)
-    N = sk.N
     pi = np.asarray(sk.pi)
     add, _, _ = K.index_tables(p, n)
-    S = K.power_rows(sk.images, o + 1)  # sigma^0 .. sigma^o: S[k] is there at k = o too
+    S = K.power_rows(sk.images, o + 1)  # sigma^0 .. sigma^o, all read by the orbit mask
 
     mask = pi == 1
-    PSk = sc.power_sums(pi, S[:k + 1], o)[k]
+    PSk = pi.take(S[:k]).sum(axis=0) % o  # PS_k(g) = sum_{t<k} pi(sigma^t g)
     g_normal_p = bool((PSk == k % o).all())
     p_normal_x = bool(((pi % k) == (1 % k)).all())
 
-    orbit_mask = mask[S].all(axis=0)
-    core_idx = np.nonzero(orbit_mask)[0]
+    in_core = mask.take(S).all(axis=0)
+    core_idx = in_core.nonzero()[0]
     size = int(core_idx.size)
     rank = 0
     while p ** rank < size:
         rank += 1
     if p ** rank != size:
         raise AssertionError("core size %d is not a power of %d" % (size, p))
-    in_core = np.zeros(N, dtype=bool)
-    in_core[core_idx] = True
-    if not in_core[add[core_idx[:, None], core_idx]].all():
+    if not in_core.take(add[core_idx].take(core_idx, axis=1)).all():
         raise AssertionError("core candidate is not additively closed")
-    if not in_core[np.asarray(sk.images)[core_idx]].all():
+    if not in_core.take(np.asarray(sk.images).take(core_idx)).all():
         raise AssertionError("core candidate is not sigma-invariant")
 
-    witness = {"b_index": int(np.argmax(~mask))}
+    witness = {"b_index": int(mask.argmin())}
     if not g_normal_p:
         witness["gp_index"] = int(np.argmax(PSk != k % o))
 

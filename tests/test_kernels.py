@@ -295,7 +295,7 @@ def test_validate_many_matches_per_row_across_chunks(request, members):
     status = _assert_batch_matches_per_row(p, n, batch)
     assert {K.OK, K.NOT_PERMUTATION, K.NO_POWER_MATCH} <= set(status.tolist())
     perm = batch[status != K.NOT_PERMUTATION]
-    rest = perm[~K._automorphisms(perm, K.index_tables(p, n)[0], K._basis(p, n))]
+    rest = perm[~K._automorphisms(perm, K.index_tables(p, n)[0], K._basis(p, n)[1])]
     orders, sizes = np.unique([K.perm_order_capped(s, N - 1) for s in rest], return_counts=True)
     o = orders[np.argmax(np.where(orders > 0, sizes, 0))]
     assert len(batch) > K._CHUNK // (N * n) and len(rest) > K._CHUNK // N

@@ -1,6 +1,9 @@
 import itertools
 import json
 import pickle
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -483,18 +486,50 @@ def test_parse_record_refuses_values_the_cast_would_change(sigma, index):
 
 
 def test_parse_record_rejections(brute32):
+    # the refusal texts are what verify prints after the line number
     sk = brute32.skews[1]
     obj = sc.skew_to_obj(sk)
     for missing in ("p", "n", "sigma"):
         broken = dict(obj)
         del broken[missing]
-        with pytest.raises(sc.SkewValidationError):
+        with pytest.raises(sc.SkewValidationError, match="^record missing field '%s'$" % missing):
             sc.parse_record(broken)
-    broken = dict(obj)
-    broken["order"] = obj["order"] + 1
-    with pytest.raises(sc.SkewValidationError):
+    for field in ("order", "k", "m"):
+        broken = dict(obj, **{field: obj[field] + 1})
+        with pytest.raises(sc.SkewValidationError,
+                           match="^record field '%s' = %d disagrees with recomputed %d$"
+                           % (field, obj[field] + 1, obj[field])):
+            sc.parse_record(broken)
+    broken = dict(obj, pi=[0] * len(obj["pi"]))
+    with pytest.raises(sc.SkewValidationError,
+                       match="^record power function disagrees with recomputed one$"):
         sc.parse_record(broken)
-    broken = dict(obj)
-    broken["pi"] = [0] * len(obj["pi"])
-    with pytest.raises(sc.SkewValidationError):
-        sc.parse_record(broken)
+    for sigma, text in ((5, "5"), (None, "null"), ("012", '"012"'), ({"0": 0}, '{"0": 0}')):
+        with pytest.raises(sc.SkewValidationError,
+                           match="^record field 'sigma' is %s, not a list$" % re.escape(text)):
+            sc.parse_record(dict(obj, sigma=sigma))
+
+
+def test_verify_and_groups_paths_leave_numpy_ma_unimported(tmp_path):
+    # a plain 1-D np.unique imports numpy.ma (about 1 MB resident); the
+    # read-back, classification, round trip and reference-group paths
+    # call none
+    script = """if True:
+        import sys
+        import skewmorph as sm
+        path = sys.argv[1]
+        sm.write_jsonl(sm.full_enum(3, 2).skews, path)
+        skews = sm.read_jsonl(path)
+        sm.sweep_classify(skews)
+        for sk in skews:
+            X = sm.build_skew_product(sk)
+            FX = X.as_finite_group()
+            gens = FX.generators[:sk.n]
+            assert sm.extract_skew(FX, FX.subgroup(gens), X.sigma_pair(), gens) == sk
+            X.derived_is_abelian()
+        sm.build_and_verify_example("e1")
+        print("numpy.ma" in sys.modules)
+    """
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path / "s.jsonl")],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

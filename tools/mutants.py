@@ -71,9 +71,13 @@ MUTANTS = {
            "seeds = seeds.take(np.sort(np.unique(seeds.images, axis=0, return_index=True)[1]))",
            "seeds = seeds.take(np.arange(len(seeds)))", ENUM),
     "A1": ("_automorphisms: the last basis point skipped", KE,
-           "at = s.take(add[basis], axis=1)", "at = s.take(add[basis[:-1]], axis=1)", KERNELS),
+           "at = s.take(add_basis, axis=1)", "at = s.take(add_basis[:-1], axis=1)", KERNELS),
     "H1": ("_power_match: a hash hit accepted without the exact compare", KE,
            "good = found & (P[rows, cand] == F).all(axis=2)", "good = found", KERNELS),
+    "H2": ("validate_images: a hash hit accepted without the exact compare", KE,
+           "good = hit & (P.take(pi, axis=0) == F).all(axis=1)", "good = hit", KERNELS),
+    "H3": ("validate_images: no exact search after a failed confirm", KE,
+           "for x in np.flatnonzero(hit & ~good):", "for x in ():", KERNELS),
     "O1": ("validate_many: the other rows' orders walked from the basis alone", KE,
            "order[rest] = _orders(batch, rest, ident)", "order[rest] = _orders(batch, rest, basis)",
            KERNELS),
