@@ -25,6 +25,7 @@ doubling, G labelled by broadcast products of generator powers, and every
 candidate factor looked up in one dense label array.
 """
 
+import itertools
 import json
 import math
 
@@ -56,16 +57,16 @@ class SkewMorphism:
 
     __slots__ = ("p", "n", "images", "pi", "order", "k", "m", "_aut")
 
-    def __init__(self, p, n, images, pi, order):
+    def __init__(self, p, n, images, pi, order, aut=None):
         self.p = p
         self.n = n
-        self.images = np.ascontiguousarray(images, dtype=K.IDX_DTYPE)
-        self.images.setflags(write=False)
-        self.pi = np.ascontiguousarray(pi, dtype=K.IDX_DTYPE)
-        self.pi.setflags(write=False)
+        self.images = _read_only(images, K.IDX_DTYPE)
+        self.pi = _read_only(pi, K.IDX_DTYPE)
         self.order = int(order)
         self.k, self.m = _split_order(self.order, p)
-        self._aut = None  # is_automorphism, worked out on the first call
+        # is_automorphism as a bool: given by a caller that has the verdict
+        # already, else worked out on the first call
+        self._aut = aut
 
     @property
     def N(self):
@@ -127,7 +128,10 @@ def validate(p, n, images):
     if images.shape != (p ** n,):
         raise SkewValidationError(
             "expected %d images, got shape %r" % (p ** n, images.shape))
-    images = _points(images, p ** n)
+    at = _bad_point(images, p ** n)
+    if at >= 0:
+        raise _point_error(images, at, p ** n)
+    images = np.ascontiguousarray(images, dtype=K.IDX_DTYPE)
     status, order, pi, witness = K.validate_images(p, n, images)
     if status != K.OK:
         raise SkewValidationError(status_message(status, witness), status=status,
@@ -136,32 +140,34 @@ def validate(p, n, images):
     return SkewMorphism(p, n, images, pi, order)
 
 
-def _points(images, N):
-    """images as contiguous IDX_DTYPE, refusing any value the cast would
-    change: one that is no integer (a bool among them) or lies outside
-    [0, N), named by its index."""
+def _bad_point(images, N):
+    """The flat index of the first value of images that the cast to
+    IDX_DTYPE would change, one that is no integer (a bool among them) or
+    lies outside [0, N); -1 when there is none."""
     kind = images.dtype.kind
     if kind in "iu":
         # through the unsigned view a negative value reads as a huge one
         bad = images.view(_UNSIGNED[images.itemsize])
         if bad.max(initial=0) < N:
-            return np.ascontiguousarray(images, dtype=K.IDX_DTYPE)
+            return -1
         bad = bad >= N
     elif kind == "f":
         bad = ~((images >= 0) & (images < N) & (images == np.floor(images)))
     elif kind == "O":  # python ints past int64, None, ...
-        bad = np.array([type(v) is not int or not 0 <= v < N for v in images], dtype=bool)
+        bad = np.array([type(v) is not int or not 0 <= v < N for v in images.flat], dtype=bool)
     else:  # bools, strings
-        bad = np.ones(images.shape, dtype=bool)
-    if bad.any():
-        at = int(np.argmax(bad))
-        raise SkewValidationError(
-            "image at index %d is %r, not an integer in [0, %d)" % (at, images.item(at), N),
-            status=K.NOT_PERMUTATION, witness=at)
-    return np.ascontiguousarray(images, dtype=K.IDX_DTYPE)
+        bad = np.ones(images.size, dtype=bool)
+    return int(np.argmax(bad)) if bad.any() else -1
 
 
-# the unsigned dtype of each integer width, for _points
+def _point_error(images, at, N):
+    """The refusal of the image at index at of a 1-D images array."""
+    return SkewValidationError(
+        "image at index %d is %r, not an integer in [0, %d)" % (at, images.item(at), N),
+        status=K.NOT_PERMUTATION, witness=at)
+
+
+# the unsigned dtype of each integer width, for _bad_point
 _UNSIGNED = {k: np.dtype("u%d" % k) for k in (1, 2, 4, 8)}
 
 
@@ -193,8 +199,10 @@ class SkewBlock:
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
         i = range(len(self))[i]  # IndexError past either end
-        return SkewMorphism(self.p, self.n, self.images[i].copy(), self.pi[i].copy(),
-                            self.order[i])
+        # the member owns read-only copies of its rows, so they need no view
+        images, pi = self.images[i].copy(), self.pi[i].copy()
+        images.flags.writeable = pi.flags.writeable = False
+        return SkewMorphism(self.p, self.n, images, pi, self.order[i], bool(self.aut[i]))
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
@@ -211,9 +219,13 @@ class SkewBlock:
 
 
 def _read_only(a, dtype):
-    # a read-only view: the caller's own array keeps its flags
-    a = np.ascontiguousarray(a, dtype=dtype).view()
-    a.flags.writeable = False
+    """a as a read-only contiguous array of dtype: itself when it is one
+    already, else a read-only view, so the caller's own array keeps its
+    flags."""
+    a = np.ascontiguousarray(a, dtype=dtype)
+    if a.flags.writeable:
+        a = a.view()
+        a.flags.writeable = False
     return a
 
 
@@ -432,47 +444,137 @@ def json_bool(b):
 
 
 def parse_record(obj):
-    """Validate one JSONL record dict back into a SkewMorphism."""
-    if not isinstance(obj, dict):
-        raise SkewValidationError("record is a JSON %s, not an object" % type(obj).__name__)
+    """Validate one JSONL record dict back into a SkewMorphism: the
+    one-record case of read_jsonl's checks."""
+    members, failure = _parse_chunk([obj])
+    if failure:
+        raise failure[1]
+    return members[0]
+
+
+def _parse_chunk(objs, pn=None):
+    """Validate a chunk of decoded JSONL records into SkewMorphism members.
+
+    Each check of a record runs as one pass over the records not refused
+    yet, in this order: an object; p, n and sigma present; p and n JSON
+    integers; sigma a list of them; p prime and n positive; sigma's
+    length; (p, n) equal to pn, objs[0]'s when None; sigma's value range,
+    through one 2-D _bad_point; the kernel, validate_images once per
+    record; the order, k and m fields, the pi field and the automorphism
+    flag, where present, against the recomputed ones.  A refused record
+    leaves only the records before it to check, so the refusal kept is
+    the first record's first failing check.
+
+    Returns (members, None), or (None, (i, error)) with i the refused
+    record's index and error the exception to raise: a ValueError for a p
+    or n out of range, else a SkewValidationError.
+    """
+    end, failure = len(objs), None
+
+    def refuse(i, error):
+        nonlocal end, failure
+        if i is not None:
+            end, failure = i, (i, error(i))
+
+    refuse(_first([not isinstance(o, dict) for o in objs]), lambda i: SkewValidationError(
+        "record is a JSON %s, not an object" % type(objs[i]).__name__))
     for field in ("p", "n", "sigma"):
-        if field not in obj:
-            raise SkewValidationError("record missing field %r" % field)
-    sk = validate(_ints(obj, "p"), _ints(obj, "n"), np.array(_ints(obj, "sigma", listed=True)))
-    for field, got in (("order", sk.order), ("k", sk.k), ("m", sk.m)):
-        if field in obj and _ints(obj, field) != got:
-            raise SkewValidationError(
-                "record field %r = %r disagrees with recomputed %d" % (field, obj[field], got))
-    if "pi" in obj and _ints(obj, "pi", listed=True) != sk.pi.tolist():
-        raise SkewValidationError("record power function disagrees with recomputed one")
-    flag = obj.get("automorphism", sk.is_automorphism())
-    if type(flag) is not bool:
-        raise SkewValidationError("record field 'automorphism' is %s, not a boolean"
-                                  % json.dumps(flag))
-    if flag != sk.is_automorphism():
-        raise SkewValidationError("record field 'automorphism' = %s disagrees with recomputed %s"
-                                  % (json_bool(flag), json_bool(not flag)))
-    return sk
+        refuse(_first([field not in o for o in objs[:end]]),
+               lambda i: SkewValidationError("record missing field %r" % field))
+    for field in ("p", "n"):
+        refuse(_first([type(o[field]) is not int for o in objs[:end]]),
+               lambda i: _type_error(field, objs[i][field]))
+    sigmas = [o["sigma"] for o in objs[:end]]
+    refuse(_first_bad_list(sigmas), lambda i: _type_error("sigma", sigmas[i], listed=True))
+    ps, ns = [o["p"] for o in objs[:end]], [o["n"] for o in objs[:end]]
+    not_prime = {}
+    for p in set(ps):
+        try:
+            check_prime(p)
+        except ValueError as exc:
+            not_prime[p] = exc
+    refuse(_first([p in not_prime for p in ps]), lambda i: not_prime[ps[i]])
+    refuse(_first([n < 1 for n in ns[:end]]), lambda i: ValueError("n must be positive"))
+    refuse(_first([len(v) != p ** n for v, p, n in zip(sigmas[:end], ps, ns)]),
+           lambda i: SkewValidationError("expected %d images, got shape %r"
+                                         % (ps[i] ** ns[i], (len(sigmas[i]),))))
+    if not end:
+        return None, failure
+    pn = pn or (ps[0], ns[0])
+    refuse(_first([(p, n) != pn for p, n in zip(ps[:end], ns)]),
+           lambda i: SkewValidationError("record (p, n) = (%d, %d) differs from the first "
+                                         "record's (%d, %d)" % ((ps[i], ns[i]) + pn)))
+    p, n = pn
+    N = p ** n
+    images = np.array(sigmas[:end]).reshape(end, N)
+    # a chunk's array may take a wider dtype from another record, so the
+    # refused value is read from the record's own array
+    at = _bad_point(images, N)
+    refuse(at // N if at >= 0 else None,
+           lambda i: _point_error(np.array(sigmas[i]), at % N, N))
+    images = np.ascontiguousarray(images[:end], dtype=K.IDX_DTYPE)
+    orders, pis = [], []
+    for row in images:
+        status, order, pi, witness = K.validate_images(p, n, row)
+        if status != K.OK:
+            refuse(len(orders), lambda i: SkewValidationError(
+                status_message(status, witness), status=status, witness=witness))
+            break
+        orders.append(order)
+        pis.append(pi)
+    if not end:
+        return None, failure
+    block = SkewBlock(p, n, images[:end], pis, orders)
+    split = {o: _split_order(o, p) for o in set(orders)}
+    for field, got in (("order", orders), ("k", [split[o][0] for o in orders]),
+                       ("m", [split[o][1] for o in orders])):
+        refuse(_first([field in o and type(o[field]) is not int for o in objs[:end]]),
+               lambda i: _type_error(field, objs[i][field]))
+        refuse(_first([field in o and o[field] != g for o, g in zip(objs[:end], got)]),
+               lambda i: SkewValidationError("record field %r = %r disagrees with recomputed %d"
+                                             % (field, objs[i][field], got[i])))
+    refuse(_first_bad_list([o.get("pi", []) for o in objs[:end]]),
+           lambda i: _type_error("pi", objs[i]["pi"], listed=True))
+    refuse(_first(["pi" in o and o["pi"] != w for o, w in zip(objs[:end], block.pi.tolist())]),
+           lambda i: SkewValidationError("record power function disagrees with recomputed one"))
+    aut = block.aut.tolist()
+    flags = [o.get("automorphism", a) for o, a in zip(objs[:end], aut)]
+    refuse(_first([type(f) is not bool for f in flags]), lambda i: SkewValidationError(
+        "record field 'automorphism' is %s, not a boolean" % json.dumps(flags[i])))
+    refuse(_first([f != a for f, a in zip(flags[:end], aut)]), lambda i: SkewValidationError(
+        "record field 'automorphism' = %s disagrees with recomputed %s"
+        % (json_bool(flags[i]), json_bool(aut[i]))))
+    if failure:
+        return None, failure
+    return [SkewMorphism(p, n, *row) for row in
+            zip(block.images, block.pi, orders, aut)], None
 
 
-def _ints(obj, field, listed=False):
-    """A record field's JSON integer, or with listed its list of JSON
-    integers.  A float, a bool, a string or null is bad input, refused
-    rather than cast."""
-    value = obj[field]
-    if not listed:
-        if type(value) is int:
-            return value
-        raise SkewValidationError("record field %r is %s, not an integer"
-                                  % (field, json.dumps(value)))
-    if type(value) is not list:
-        raise SkewValidationError("record field %r is %s, not a list"
-                                  % (field, json.dumps(value)))
-    if not set(map(type, value)) <= {int}:
+def _first(flags):
+    """The index of the first true flag, or None."""
+    return flags.index(True) if True in flags else None
+
+
+def _first_bad_list(values):
+    """The index of the first of values that is no list of JSON integers,
+    or None.  One set of element types clears a chunk of lists that holds
+    nothing else."""
+    if (all(type(v) is list for v in values)
+            and set(map(type, itertools.chain.from_iterable(values))) <= {int}):
+        return None
+    return _first([type(v) is not list or not set(map(type, v)) <= {int} for v in values])
+
+
+def _type_error(field, value, listed=False):
+    """The refusal of a record field's value that is no JSON integer, or
+    with listed no list of them.  A float, a bool, a string or null is
+    bad input, refused rather than cast."""
+    if listed and type(value) is list:
         i = next(i for i, v in enumerate(value) if type(v) is not int)
-        raise SkewValidationError("record field %r holds %s at index %d, not an integer"
-                                  % (field, json.dumps(value[i]), i))
-    return value
+        return SkewValidationError("record field %r holds %s at index %d, not an integer"
+                                   % (field, json.dumps(value[i]), i))
+    return SkewValidationError("record field %r is %s, not %s"
+                               % (field, json.dumps(value), "a list" if listed else "an integer"))
 
 
 def write_jsonl(skews, path):
@@ -540,20 +642,39 @@ def _tables(*texts):
     return [np.array(ts, dtype="S").view(np.uint8).reshape(len(ts), -1) for ts in texts]
 
 
+# records in one chunk of read_jsonl: large enough that its passes cost
+# little per record, small enough that a chunk's lists and arrays do not
+# raise the peak RSS of a read
+_READ_CHUNK = 1024
+
+
 def read_jsonl(path):
+    """The members of a JSONL file, one record a line, blank lines skipped.
+
+    A chunk of _READ_CHUNK records at a time is decoded with one
+    json.loads per line and checked by _parse_chunk.  The first refused
+    line in file order is named, with its first failing check; a record
+    whose (p, n) differs from the first record's is refused.
+    """
     out = []
     with open(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SkewValidationError("line %d: bad JSON (%s)" % (line_no, exc))
-            try:
-                out.append(parse_record(obj))
-            except SkewValidationError as exc:
-                raise SkewValidationError("line %d: %s" % (line_no, exc), status=exc.status,
-                                          witness=exc.witness) from None
+        lines = ((no, line) for no, line in enumerate(map(str.strip, fh), 1) if line)
+        while chunk := list(itertools.islice(lines, _READ_CHUNK)):
+            objs, bad_json = [], None
+            for line_no, line in chunk:
+                try:
+                    objs.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    bad_json = SkewValidationError("line %d: bad JSON (%s)" % (line_no, exc))
+                    break
+            members, failure = _parse_chunk(objs, (out[0].p, out[0].n) if out else None)
+            if failure:
+                i, exc = failure
+                if not isinstance(exc, SkewValidationError):
+                    raise exc
+                raise SkewValidationError("line %d: %s" % (chunk[i][0], exc), status=exc.status,
+                                          witness=exc.witness)
+            if bad_json:
+                raise bad_json
+            out += members
     return out

@@ -225,6 +225,21 @@ def test_verify_refuses_a_wrong_automorphism_flag(tmp_path, capsys):
         assert not (tmp_path / "bad.jsonl.classified").exists()
 
 
+def test_verify_refuses_a_file_that_mixes_p_and_n(tmp_path, capsys):
+    bad = tmp_path / "mixed.jsonl"
+    bad.write_text(IDENTITY_32 + "\n\n" + '{"p": 3, "n": 1, "sigma": [0, 2, 1]}' + "\n")
+    assert run_cli(["verify", "--in", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert ("error: line 3: record (p, n) = (3, 1) differs from the first record's (3, 2)"
+            in captured.err)
+    assert captured.out == ""
+    assert not (tmp_path / "mixed.jsonl.classified").exists()
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    assert run_cli(["verify", "--in", str(empty)]) == 0
+    assert "records 0, violations 0" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("rate", ["-3", "7", "1.5", "nan"])
 def test_verify_refuses_sample_rate_outside_unit_interval(tmp_path, capsys, rate):
     path = tmp_path / "one.jsonl"

@@ -510,6 +510,91 @@ def test_parse_record_rejections(brute32):
             sc.parse_record(dict(obj, sigma=sigma))
 
 
+def test_read_jsonl_equals_parse_record_per_line(tmp_path, brute32, set52, set72, set33):
+    # the chunked read gives what one parse_record per line gives
+    for res in (brute32, set52, set72, set33):
+        path = tmp_path / "set.jsonl"
+        sc.write_jsonl(res.skews, path)
+        got = sc.read_jsonl(path)
+        want = [sc.parse_record(json.loads(line)) for line in path.read_text().splitlines()]
+        assert len(got) == len(want) == len(res.skews)
+        for a, b in zip(got, want):
+            assert a.images.tolist() == b.images.tolist() and a.pi.tolist() == b.pi.tolist()
+            assert a.order == b.order and a.is_automorphism() is b.is_automorphism()
+            assert not a.images.flags.writeable and not a.pi.flags.writeable
+
+
+def _read_refusal(path, lines):
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(sc.SkewValidationError) as ei:
+        sc.read_jsonl(path)
+    return str(ei.value)
+
+
+def test_read_jsonl_names_a_record_past_the_first_chunk(tmp_path, set33):
+    path = tmp_path / "set.jsonl"
+    sc.write_jsonl(set33.skews, path)
+    lines = path.read_text().splitlines()
+    pi_bad = json.dumps(dict(json.loads(lines[1]), pi=[0] * 27), separators=(", ", ": "))
+    other = json.dumps(sc.skew_to_obj(sc.validate(3, 2, np.arange(9))), separators=(", ", ": "))
+    for at in (sc._READ_CHUNK, 2 * sc._READ_CHUNK + 6, len(lines) - 1):
+        for line, text in ((pi_bad, "record power function disagrees with recomputed one"),
+                           (other, "record (p, n) = (3, 2) differs from the first "
+                                   "record's (3, 3)")):
+            broken = lines[:at] + [line] + lines[at + 1:]
+            assert _read_refusal(path, broken) == "line %d: %s" % (at + 1, text)
+
+
+@pytest.mark.parametrize("pi_first", [False, True])
+def test_read_jsonl_names_the_first_bad_line_of_a_chunk(tmp_path, set72, pi_first):
+    # a pi mismatch and a sigma refusal in one chunk, on lines 8 and 30:
+    # the earlier line is named with its own text, whichever check comes
+    # first in a record's order
+    path = tmp_path / "set.jsonl"
+    sc.write_jsonl(set72.skews, path)
+    lines = path.read_text().splitlines()
+    objs = [json.loads(line) for line in lines[:40]]
+    pi_at, sigma_at = (7, 29) if pi_first else (29, 7)
+    objs[pi_at]["pi"][-1] += 1
+    objs[sigma_at]["sigma"] = 5
+    broken = [json.dumps(o, separators=(", ", ": ")) for o in objs] + lines[40:]
+    want = ("record power function disagrees with recomputed one" if pi_first
+            else "record field 'sigma' is 5, not a list")
+    assert _read_refusal(path, broken) == "line %d: %s" % (min(pi_at, sigma_at) + 1, want)
+
+
+def test_read_jsonl_decodes_each_line_alone(tmp_path):
+    # joined, the two lines would read as the JSON array [1, [2, 3]]
+    text = _read_refusal(tmp_path / "two.jsonl", ["1, [2", "3]"])
+    assert text.startswith("line 1: bad JSON (Extra data")
+
+
+def test_read_jsonl_raises_p_and_n_refusals_as_they_are(tmp_path):
+    # check_prime's and validate's ValueError, as validate raises them:
+    # not a SkewValidationError, so with no line number
+    first = json.dumps({"p": 3, "n": 1, "sigma": [0, 2, 1]})
+    for record, text in (({"p": 4, "n": 1, "sigma": [0, 1, 2, 3]},
+                          "p must be a prime <= 251, got 4"),
+                         ({"p": 3, "n": 0, "sigma": [0]}, "n must be positive")):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(first + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(ValueError) as ei:
+            sc.read_jsonl(path)
+        assert type(ei.value) is ValueError and str(ei.value) == text
+
+
+def test_validate_leaves_the_callers_array_writable():
+    # the member takes read-only views; the caller's own arrays keep their flags
+    a = np.arange(9, dtype=K.IDX_DTYPE)
+    sk = sc.validate(3, 2, a)
+    assert a.flags.writeable
+    assert not sk.images.flags.writeable and not sk.pi.flags.writeable
+    pi = np.ones(9, dtype=K.IDX_DTYPE)
+    sk = sc.SkewMorphism(3, 2, a, pi, 1)
+    assert a.flags.writeable and pi.flags.writeable
+    assert not sk.images.flags.writeable and not sk.pi.flags.writeable
+
+
 def test_verify_and_groups_paths_leave_numpy_ma_unimported(tmp_path):
     # a plain 1-D np.unique imports numpy.ma (about 1 MB resident); the
     # read-back, classification, round trip and reference-group paths

@@ -31,11 +31,13 @@ SV = "src/skewmorph/structure_verify.py"
 FP = "src/skewmorph/fpalg.py"
 EN = "src/skewmorph/enumeration.py"
 KE = "src/skewmorph/_kernels.py"
+SC = "src/skewmorph/skew_core.py"
 LAWS = ("tests/test_group_laws.py",)
 SEARCH = ("tests/test_structure_verify.py",)
 FPALG = ("tests/test_fpalg.py",)
 ENUM = ("tests/test_enumeration.py",)
 KERNELS = ("tests/test_kernels.py",)
+SKEW = ("tests/test_skew_core.py",)
 
 # name: (what it breaks, file, old text, new text, default selection)
 MUTANTS = {
@@ -83,6 +85,11 @@ MUTANTS = {
            KERNELS),
     "O2": ("validate_many: the other rows put in one order group", KE,
            "np.split(rest, np.flatnonzero(np.diff(order[rest])) + 1)", "[rest]", KERNELS),
+    "C1": ("_parse_chunk: pi compared on the chunk's first record alone", SC,
+           "zip(objs[:end], block.pi.tolist())", "zip(objs[:min(end, 1)], block.pi.tolist())",
+           SKEW),
+    "C2": ("_parse_chunk: each automorphism flag checked against the first record's verdict",
+           SC, "zip(flags[:end], aut)", "zip(flags[:end], aut[:1] * len(aut))", SKEW),
 }
 
 
