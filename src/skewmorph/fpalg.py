@@ -39,7 +39,8 @@ def is_prime(m):
 
 
 def check_prime(p):
-    if not is_prime(p) or p > PRIME_MAX:
+    # the bound first: trial division of a p near 10^18 takes minutes
+    if p > PRIME_MAX or not is_prime(p):
         raise ValueError("p must be a prime <= %d, got %r" % (PRIME_MAX, p))
 
 

@@ -28,7 +28,8 @@ law it builds to check_group_law before returning the group.
 check_group_law is the one group-law check for any int-coded law, the
 skew products of skew_core among them: identity and two-sided inverses
 on every code, and associativity on every triple up to 200 codes, on
-10^5 triples drawn from splitmix64 counters above.
+10^5 triples above, drawn from splitmix64 once per process (1.2 MB,
+read-only) and reduced to each law's codes by a multiply-high.
 
 Every subgroup is closed by close_many, one array BFS over a batch of
 generator rows, and is the mask it returns: FiniteGroup.from_generators
@@ -39,6 +40,7 @@ action of an extension is extended from the generators by closing its
 graph in base x base.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -656,6 +658,33 @@ ASSOC_CHUNK = 10 ** 4
 ASSOC_CELLS = 1 << 15
 
 
+@functools.lru_cache(maxsize=1)
+def _assoc_draws():
+    """check_group_law's draws, built on first use for every later check:
+    the high halves of splitmix64 outputs 1 .. 3 * 10^5 seeded at 0, one
+    chunk at a time, as a read-only (10, 3, ASSOC_CHUNK) uint32 array of
+    1.2 MB.  numpy.random is not used: its import adds about 5 MB RSS."""
+    draws = np.empty((10 ** 5 // ASSOC_CHUNK, 3, ASSOC_CHUNK), dtype=np.uint32)
+    for k, d in enumerate(draws):
+        d[...] = (K.splitmix64(1 + k * d.size, d.size) >> np.uint64(32)).reshape(d.shape)
+    draws.flags.writeable = False
+    return draws
+
+
+def _assoc_triples(n):
+    """Per chunk, the codes x, y, z in [0, n) as a (3, ASSOC_CHUNK) int64
+    array: each draw d gives d n >> 32, the multiply-high of Lemire (ACM
+    TOMACS 2019), exact in uint64 and biased by at most n / 2^32 for any
+    n < 2^32, which no carrier nears, since its check builds arange(n)."""
+    for d in _assoc_draws():
+        # in place on one uint64 copy: d * np.uint64(n) takes numpy's
+        # casting loop, about four times slower
+        codes = d.astype(np.uint64)
+        codes *= np.uint64(n)
+        codes >>= np.uint64(32)
+        yield codes.view(np.int64)
+
+
 def check_group_law(X):
     """Raise AssertionError unless the int-coded law X is a group.
 
@@ -663,11 +692,11 @@ def check_group_law(X):
     the contract of close_many.  The check runs in this order: the
     identity on every code, both sides; associativity on every triple
     when len(X) <= 200, through the table T of mul, else on 10^5
-    near-uniform triples from splitmix64 seeded at 0 (_kernels.splitmix64)
-    in chunks, so no len(X)^2 array is built; two-sided inverses on every
-    code.  Up to 200 codes these imply that every row of the law is a
-    permutation.  Above 200 that is not checked row by row, which would
-    take len(X)^2 products.
+    near-uniform triples, the draws of _assoc_draws that every law shares
+    reduced to its codes by _assoc_triples, in chunks, so no len(X)^2
+    array is built; two-sided inverses on every code.  Up to 200 codes
+    these imply that every row of the law is a permutation.  Above 200
+    that is not checked row by row, which would take len(X)^2 products.
     """
     n = len(X)
     ids = np.arange(n, dtype=np.int64)
@@ -683,12 +712,7 @@ def check_group_law(X):
                 x, y, z = np.unravel_index(np.argmax(bad), bad.shape)
                 raise AssertionError("associativity fails at (%d, %d, %d)" % (a + x, y, z))
     else:
-        # the triples are outputs 1, 2, ... of splitmix64 seeded at 0, three
-        # per triple, drawn in numpy without numpy.random (importing it adds
-        # about 5 MB of resident memory); uint64 mod n is near-uniform
-        for c in range(1, 3 * 10 ** 5, 3 * ASSOC_CHUNK):
-            pos = K.splitmix64(c, 3 * ASSOC_CHUNK) % np.uint64(n)
-            x, y, z = pos.astype(np.int64).reshape(3, ASSOC_CHUNK)
+        for x, y, z in _assoc_triples(n):
             bad = X.mul(X.mul(x, y), z) != X.mul(x, X.mul(y, z))
             if bad.any():
                 i = np.argmax(bad)

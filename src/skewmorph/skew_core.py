@@ -119,18 +119,20 @@ def validate(p, n, images):
     """Check the skew-morphism law and return the validated object.
 
     Raises SkewValidationError carrying the witness element when some f_x
-    is no power of the candidate permutation.
+    is no power of the candidate permutation.  A refused value is read
+    from images itself when it is a list: the array of a list may have
+    rounded it to a float.
     """
     check_prime(p)
     if n < 1:
         raise ValueError("n must be positive")
-    images = np.asarray(images)
+    given, images = images, np.asarray(images)
     if images.shape != (p ** n,):
         raise SkewValidationError(
             "expected %d images, got shape %r" % (p ** n, images.shape))
     at = _bad_point(images, p ** n)
     if at >= 0:
-        raise _point_error(images, at, p ** n)
+        raise _point_error(given[at] if type(given) is list else images.item(at), at, p ** n)
     images = np.ascontiguousarray(images, dtype=K.IDX_DTYPE)
     status, order, pi, witness = K.validate_images(p, n, images)
     if status != K.OK:
@@ -160,10 +162,10 @@ def _bad_point(images, N):
     return int(np.argmax(bad)) if bad.any() else -1
 
 
-def _point_error(images, at, N):
-    """The refusal of the image at index at of a 1-D images array."""
+def _point_error(value, at, N):
+    """The refusal of value, the image at index at."""
     return SkewValidationError(
-        "image at index %d is %r, not an integer in [0, %d)" % (at, images.item(at), N),
+        "image at index %d is %r, not an integer in [0, %d)" % (at, value, N),
         status=K.NOT_PERMUTATION, witness=at)
 
 
@@ -507,11 +509,10 @@ def _parse_chunk(objs, pn=None):
     p, n = pn
     N = p ** n
     images = np.array(sigmas[:end]).reshape(end, N)
-    # a chunk's array may take a wider dtype from another record, so the
-    # refused value is read from the record's own array
+    # the chunk's array may round a value past 2^63 to a float, so the
+    # refused value is read from the record's own list
     at = _bad_point(images, N)
-    refuse(at // N if at >= 0 else None,
-           lambda i: _point_error(np.array(sigmas[i]), at % N, N))
+    refuse(at // N if at >= 0 else None, lambda i: _point_error(sigmas[i][at % N], at % N, N))
     images = np.ascontiguousarray(images[:end], dtype=K.IDX_DTYPE)
     orders, pis = [], []
     for row in images:

@@ -63,3 +63,13 @@ def inv_pair(X, a):
     gb = int(X.S[(X.order - ia) % X.order, X.neg[ga]])
     ib = (-int(X.PS[ia, gb])) % X.order
     return (gb, ib)
+
+
+def splitmix64_scalar(c):
+    """Output c of splitmix64 seeded at 0, c >= 1, by the scalar formula
+    on Python ints: the reference for _kernels.splitmix64."""
+    mask = (1 << 64) - 1
+    z = c * 0x9E3779B97F4A7C15 & mask
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
+    return z ^ (z >> 31)

@@ -21,6 +21,21 @@ def test_check_prime_rejects_composites():
         fpalg.check_prime(1)
 
 
+def test_check_prime_refuses_a_huge_p_before_trial_division(monkeypatch):
+    # a p past PRIME_MAX is refused by the bound alone: trial division of
+    # 10^18 + 3 would run for minutes
+    is_prime = fpalg.is_prime
+
+    def bounded(m):
+        assert m <= fpalg.PRIME_MAX, "is_prime called on %d" % m
+        return is_prime(m)
+
+    monkeypatch.setattr(fpalg, "is_prime", bounded)
+    with pytest.raises(ValueError, match=r"^p must be a prime <= 251, got 1000000000000000003$"):
+        fpalg.check_prime(10 ** 18 + 3)
+    fpalg.check_prime(251)
+
+
 def test_prime_divisors():
     assert fpalg.prime_divisors(1) == []
     assert fpalg.prime_divisors(2) == [2]

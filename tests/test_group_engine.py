@@ -9,6 +9,8 @@ from skewmorph import fpalg
 from skewmorph import group_engine as ge
 from skewmorph import skew_core as sc
 
+from conftest import splitmix64_scalar
+
 
 @pytest.fixture(scope="module")
 def x54(brute32):
@@ -391,6 +393,70 @@ def test_extension_self_test_rejects_bad_law(n):
     X = ge.FiniteGroup.whole(ge.Carrier(lambda a, b: T[a, b], lambda a: (-a) % n, n), (1,))
     with pytest.raises(AssertionError, match="associativity"):
         ge.check_group_law(X)
+
+
+def _reference_triples(k, n):
+    """Chunk k of check_group_law's sampled triples at n codes, as a
+    (3, ASSOC_CHUNK) array: the multiply-high of the high halves of the
+    scalar splitmix64 at counters 1 + 3 k ASSOC_CHUNK onward."""
+    size = 3 * ge.ASSOC_CHUNK
+    start = 1 + k * size
+    codes = [(splitmix64_scalar(c) >> 32) * n >> 32 for c in range(start, start + size)]
+    return np.array(codes).reshape(3, ge.ASSOC_CHUNK)
+
+
+def test_assoc_draws_are_the_high_halves_of_splitmix64():
+    draws = ge._assoc_draws()
+    assert draws.dtype == np.uint32 and draws.shape == (10, 3, ge.ASSOC_CHUNK)
+    assert not draws.flags.writeable
+    for c in (1, 150_001, 300_000):
+        assert draws.reshape(-1)[c - 1] == splitmix64_scalar(c) >> 32
+
+
+@pytest.mark.parametrize("n", [201, 2352, 4374, 2 ** 32 - 1])
+def test_assoc_triples_are_codes_of_the_law(n):
+    codes = np.stack(list(ge._assoc_triples(n)))
+    assert codes.shape == (10, 3, ge.ASSOC_CHUNK)
+    assert codes.min() >= 0 and codes.max() < n
+    if n == 201:
+        assert (np.bincount(codes.ravel(), minlength=n) > 0).all()
+
+
+def test_assoc_draws_are_built_once(monkeypatch):
+    # a build makes one splitmix64 call per chunk; every later check
+    # reads the cached draws
+    splitmix64, counts = K.splitmix64, []
+
+    def counted(start, count):
+        counts.append(count)
+        return splitmix64(start, count)
+
+    ge._assoc_draws.cache_clear()
+    monkeypatch.setattr(K, "splitmix64", counted)
+    ge.check_group_law(ge.cyclic_group(300))
+    assert counts == [3 * ge.ASSOC_CHUNK] * 10
+    ge.check_group_law(ge.cyclic_group(301))
+    assert len(counts) == 10
+
+
+def test_group_law_check_multiplies_every_sampled_triple():
+    # the associativity pass lies between the two identity products and
+    # the two inverse ones; per chunk it calls mul on (x, y), (xy, z),
+    # (y, z) and (x, yz)
+    n = 2352
+    C, calls = ge.cyclic_carrier(n), []
+
+    def mul(a, b):
+        calls.append(np.broadcast_arrays(a, b))
+        return C.mul(a, b)
+
+    ge.check_group_law(ge.Carrier(mul, C.inv, n))
+    assoc = calls[2:-2]
+    assert sum(a.size for a, _ in assoc) == 4 * 10 ** 5
+    for k, (xy, xyz) in ((0, assoc[:2]), (9, assoc[-4:-2])):
+        want = _reference_triples(k, n)
+        assert (xy[0] == want[0]).all() and (xy[1] == want[1]).all()
+        assert (xyz[1] == want[2]).all()
 
 
 def test_reference_group_relations():

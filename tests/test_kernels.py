@@ -7,6 +7,8 @@ import pytest
 from skewmorph import _kernels as K
 from skewmorph import fpalg
 
+from conftest import splitmix64_scalar
+
 
 def test_index_tables_shapes():
     add, sub, neg = K.index_tables(3, 2)
@@ -304,13 +306,7 @@ def test_validate_many_matches_per_row_across_chunks(request, members):
 
 def test_hash_weights_are_splitmix64():
     # the scalar splitmix64 formula, outputs 1..4 of the stream seeded at 0
-    mask = (1 << 64) - 1
-    want = []
-    for y in range(1, 5):
-        z = y * 0x9E3779B97F4A7C15 & mask
-        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask
-        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
-        want.append(z ^ (z >> 31))
+    want = [splitmix64_scalar(c) for c in range(1, 5)]
     assert want[0] == 0xE220A8397B1DCDAF
     assert K._hash_weights(4).dtype == np.int64
     assert K._hash_weights(4).view(np.uint64).tolist() == want

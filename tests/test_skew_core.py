@@ -508,6 +508,16 @@ def test_parse_record_rejections(brute32):
         with pytest.raises(sc.SkewValidationError,
                            match="^record field 'sigma' is %s, not a list$" % re.escape(text)):
             sc.parse_record(dict(obj, sigma=sigma))
+    # a value in [2^63, 2^64) is printed as the record holds it, not as the
+    # float its array would round it to, alone and after other records
+    big = {"p": 3, "n": 1, "sigma": [0, 2 ** 63, 1]}
+    text = "^image at index 1 is 9223372036854775808, not an integer in \\[0, 3\\)$"
+    with pytest.raises(sc.SkewValidationError, match=text):
+        sc.parse_record(big)
+    with pytest.raises(sc.SkewValidationError, match=text):
+        sc.validate(3, 1, big["sigma"])
+    i, error = sc._parse_chunk([dict(big, sigma=[0, 2, 1]), big])[1]
+    assert i == 1 and re.match(text, str(error))
 
 
 def test_read_jsonl_equals_parse_record_per_line(tmp_path, brute32, set52, set72, set33):

@@ -38,6 +38,7 @@ FPALG = ("tests/test_fpalg.py",)
 ENUM = ("tests/test_enumeration.py",)
 KERNELS = ("tests/test_kernels.py",)
 SKEW = ("tests/test_skew_core.py",)
+GROUP = ("tests/test_group_engine.py",)
 
 # name: (what it breaks, file, old text, new text, default selection)
 MUTANTS = {
@@ -51,6 +52,11 @@ MUTANTS = {
     "L4": ("the twist row dropped from the extension's mul", GE,
            "return _code(twist.take(q.take(j) * nb + y) * t + r.take(j))",
            "return _code(twist.take(y) * t + r.take(j))", LAWS),
+    "D1": ("check_group_law: only the first chunk of sampled triples tested", GE,
+           "for d in _assoc_draws():", "for d in _assoc_draws()[:1]:", GROUP),
+    "D2": ("check_group_law: the draws reduced by their low bits, d % n", GE,
+           "codes *= np.uint64(n)\n        codes >>= np.uint64(32)", "codes %= np.uint64(n)",
+           GROUP),
     "S4": ("_search_chunk: tried without its carry-over across values of a", SV,
            "int(tried[m] + c - first[m] + 1)", "int(c - first[m] + 1)", SEARCH),
     "S5": ("_search_chunk: in_T without its t < p guard", SV,
