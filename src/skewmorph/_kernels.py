@@ -11,14 +11,16 @@ find the permutations fixing 0 and their orders (a cycle walk for one
 row; for a block, a sort, then a walk of the basis points for an
 automorphism and of every point for any other row), and both settle an
 automorphism with _automorphisms: a permutation additive along the
-basis is F_p-linear, so pi is 1.  Any other row s must have every
-F[x] = s(x + .) - s(x) among the rows of its power table, which both
-take from power_rows, and both find that row by the _hash_weights row
-hash and confirm it exactly.  They differ in how they look it up:
-validate_images builds the whole (N, N) F of its row in one take and
-looks each hash up with one searchsorted in the sorted power hashes;
-validate_many's _power_match builds F for a chunk of rows and x at a
-time and compares every F hash with every power hash of its row.
+basis is F_p-linear, so pi is 1.  Any other row s of order o must have
+every F[x] = s(x + .) - s(x) among its power rows s^0 .. s^(o-1), from
+power_rows.  An anchor y*, a point whose s-cycle has length o, names
+the one candidate: with pos[s^e(y*)] = e and 0 off that cycle, F[x] can
+only be row pos[F[x, y*]], and one exact compare settles x.  A row with
+no anchor (so far only input that is no skew-morphism) compares each
+F[x] with every power row instead.  validate_images takes its anchor
+from its cycle walk and builds the (N, N) F of its row in one take;
+validate_many's _power_match takes each anchor from the power table and
+builds F for a chunk of rows and x at a time.
 """
 
 import math
@@ -63,16 +65,17 @@ def index_tables(p, n):
     return add.astype(IDX_DTYPE), sub.astype(IDX_DTYPE), neg.astype(IDX_DTYPE)
 
 
-def perm_order_capped(images, cap):
-    """Order of a permutation of range(N), -1 if it exceeds cap, or 0 if
-    images is none: a walk from an unseen point that ends on a seen point
-    other than its start means some point has two preimages."""
+def _cycle_walk(images, cap):
+    """(order, anchor): perm_order_capped's order, and the start of a
+    longest cycle if it is as long as the order, else -1.  A walk from an
+    unseen point that ends on a seen point other than its start means
+    some point has two preimages."""
     images = images.tolist()  # python ints walk faster than numpy scalars
     N = len(images)
     if not 0 <= min(images) <= max(images) < N:
-        return 0
+        return 0, -1
     seen = [False] * N
-    order = 1
+    order, longest, anchor = 1, 0, 0
     for start in range(N):
         if seen[start]:
             continue
@@ -83,9 +86,19 @@ def perm_order_capped(images, cap):
             x = images[x]
             length += 1
         if x != start:
-            return 0
+            return 0, -1
         order = math.lcm(order, length)
-    return order if order <= cap else -1
+        if length > longest:
+            longest, anchor = length, start
+    if order > cap:
+        return -1, -1
+    return order, anchor if longest == order else -1
+
+
+def perm_order_capped(images, cap):
+    """Order of a permutation of range(N), -1 if it exceeds cap, or 0 if
+    images is none."""
+    return _cycle_walk(images, cap)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +144,6 @@ def splitmix64(start, count):
     return z ^ (z >> np.uint64(31))
 
 
-@functools.lru_cache(maxsize=8)
-def _hash_weights(N):
-    """Fixed int64 weights of the row hash, splitmix64 of 1..N."""
-    return splitmix64(1, N).view(np.int64)
-
-
 @functools.lru_cache(maxsize=64)
 def _row_tables(p, n):
     """add as intp indices and -x * N by point x, as intp: the F table of
@@ -180,13 +187,20 @@ def _automorphisms(s, add, add_basis):
 
 def _power_match(s, P, add, neg):
     """The general law on a (b, N) chunk of permutations fixing 0 with
-    P[r, e] = s_r^e: F[r, x] = s(x + .) - s(x) must be a row of P[r], found
-    by the row hash and confirmed exactly.  Returns pi[r, x], that row's e,
-    and witness[r], the first x with no row (pi 0 there), or -1."""
+    P[r, e] = s_r^e, e < o: F[r, x] = s(x + .) - s(x) must be a row of
+    P[r], the one named by the anchor of row r, a point y* with
+    s^e(y*) != y* for 0 < e < o, and confirmed exactly.  Returns pi[r, x],
+    that row's e, and witness[r], the first x with no row (pi 0 there),
+    or -1."""
     b, E, N = P.shape
-    w = _hash_weights(N)
-    keys = (P.astype(np.int64) @ w)[:, None, :]
-    rows = np.arange(b)[:, None]
+    r = np.arange(b)
+    full = (P[:, 1:] != P[:, :1]).all(axis=1)
+    anchor = np.argmax(full, axis=1)
+    has = full.any(axis=1)
+    # pos[r, s^e(y*)] = e on the anchor's cycle, 0 elsewhere and on rows
+    # with no anchor
+    pos = np.zeros((b, N), dtype=np.intp)
+    pos[r[has, None], P[has, :, anchor[has]]] = np.arange(E)
     negs = neg.take(s).astype(np.intp) * N
     pi = np.zeros((b, N), dtype=IDX_DTYPE)
     ok = np.zeros((b, N), dtype=bool)
@@ -194,18 +208,12 @@ def _power_match(s, P, add, neg):
     for x in range(0, N, step):
         # F[r, j, y] = s(x + j + y) - s(x + j), by a flat take on add
         F = add.take(negs[:, x:x + step, None] + s.take(add[x:x + step], axis=1))
-        hit = (F.astype(np.int64) @ w)[:, :, None] == keys
-        cand = np.argmax(hit, axis=2)
-        found = hit.any(axis=2)
-        good = found & (P[rows, cand] == F).all(axis=2)
-        # a hash hit that fails the comparison is a collision: search exactly
-        for r, j in np.argwhere(found & ~good):
-            same = (P[r] == F[r, j]).all(axis=1)
-            if same.any():
-                cand[r, j] = np.argmax(same)
-                good[r, j] = True
+        cand = pos[r[:, None], F[r, :, anchor]]
+        for j in np.flatnonzero(~has):
+            # no anchor: the power row equal to each F[j, .], or row 0 if none is
+            cand[j] = [np.argmax((P[j] == f).all(axis=1)) for f in F[j]]
         pi[:, x:x + step] = cand
-        ok[:, x:x + step] = good
+        ok[:, x:x + step] = (P[r[:, None], cand] == F).all(axis=2)
     witness = np.where(ok.all(axis=1), -1, np.argmin(ok, axis=1))
     pi[witness >= 0] = 0
     return pi, witness
@@ -214,19 +222,18 @@ def _power_match(s, P, add, neg):
 def validate_images(p, n, images):
     """(status, order, pi, witness) for a candidate image array.
 
-    The one-row driver: one cycle walk (perm_order_capped) gives the
-    permutation verdict and the order, then _automorphisms settles a
-    linear map.  Any other row s meets the general law on 2-D arrays:
-    F[x, y] = s(x + y) - s(x) is one flat take on add, and each row F[x]
-    is looked up among the powers of s by its row hash, with one
-    searchsorted in the sorted hashes of power_rows.  Every hit is
-    confirmed exactly, and only a hit that fails the confirm is searched
-    exactly, so a hash collision costs time, never a wrong answer.
+    The one-row driver: one cycle walk (_cycle_walk) gives the
+    permutation verdict, the order o and the anchor, the start of a
+    longest cycle when it has length o.  _automorphisms settles a linear
+    map.  Any other row s meets the general law on 2-D arrays:
+    F[x, y] = s(x + y) - s(x) is one flat take on add, each F[x] names
+    its candidate power row pos[F[x, anchor]] (or, with no anchor, is
+    compared with every power row), and one exact compare settles it.
     """
     add = index_tables(p, n)[0]
     images = np.ascontiguousarray(images, dtype=IDX_DTYPE)
     N = len(images)
-    order = perm_order_capped(images, max(N - 1, 1))
+    order, anchor = _cycle_walk(images, max(N - 1, 1))
     if order == 0 or images[0] != 0:
         witness = int(_count_witness(images[None])[0])
         return NOT_PERMUTATION, 0, np.zeros(N, dtype=IDX_DTYPE), witness
@@ -236,28 +243,20 @@ def validate_images(p, n, images):
         pi = np.empty(N, dtype=IDX_DTYPE)
         pi.fill(order > 1)  # np.full costs twice as much on a short row
         return OK, order, pi, -1
-    w = _hash_weights(N)
     P = power_rows(images, order)
-    keys = P.dot(w)
-    by_key = np.argsort(keys)
-    keys = keys.take(by_key)
     # F[x, y] = s(x + y) - s(x) = add[-s(x), s(x + y)], by a flat take on add
     add_i, neg_n = _row_tables(p, n)
     F = add.take(neg_n.take(images)[:, None] + images.take(add_i))
-    found = F.dot(w)
-    at = np.minimum(keys.searchsorted(found), order - 1)
-    hit = keys.take(at) == found
-    pi = by_key.take(at)
-    good = hit & (P.take(pi, axis=0) == F).all(axis=1)
+    if anchor >= 0:
+        pos = np.zeros(N, dtype=np.intp)
+        pos[P[:, anchor]] = np.arange(order)
+        pi = pos.take(F[:, anchor])
+    else:
+        # no anchor: the power row equal to F[x], or row 0 if none is
+        pi = np.array([np.argmax((P == f).all(axis=1)) for f in F])
+    good = (P.take(pi, axis=0) == F).all(axis=1)
     if not good.all():
-        # a hash hit that fails the comparison is a collision: search exactly
-        for x in np.flatnonzero(hit & ~good):
-            same = (P == F[x]).all(axis=1)
-            if same.any():
-                pi[x] = np.argmax(same)
-                good[x] = True
-        if not good.all():
-            return NO_POWER_MATCH, order, np.zeros(N, dtype=IDX_DTYPE), int(np.argmin(good))
+        return NO_POWER_MATCH, order, np.zeros(N, dtype=IDX_DTYPE), int(np.argmin(good))
     return OK, order, pi.astype(IDX_DTYPE), -1
 
 

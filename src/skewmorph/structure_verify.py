@@ -81,7 +81,7 @@ def classify(sk):
             p_normal_in_x=True, core_rank=n, core_size=sk.N)
     pi = np.asarray(sk.pi)
     add, _, _ = K.index_tables(p, n)
-    S = K.power_rows(sk.images, o + 1)  # sigma^0 .. sigma^o, all read by the orbit mask
+    S = sk.power_table()  # sigma^0 .. sigma^(o-1): every power, for PS_k and the orbit mask
 
     mask = pi == 1
     PSk = pi.take(S[:k]).sum(axis=0) % o  # PS_k(g) = sum_{t<k} pi(sigma^t g)

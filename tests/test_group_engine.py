@@ -42,16 +42,16 @@ def permutation_group(rows, generators):
     the reference carrier for the paper's factorization X = G<s> below.
 
     Rows keep the order given, the identity first, and a * b is "a then
-    b", x -> b[a[x]].  A product row is located by its _kernels row-hash
-    key and a binary search over the sorted keys, then compared with the
-    row found, so a product that leaves the rows raises ValueError, as do
+    b", x -> b[a[x]].  A product row is located by its row-hash key, with
+    splitmix64 weights, and a binary search over the sorted keys, then
+    compared with the row found, so a product that leaves the rows raises ValueError, as do
     duplicate rows.
     """
     rows = np.ascontiguousarray(rows)
     M, N = rows.shape
     if (rows[0] != np.arange(N)).any():
         raise ValueError("the first row must be the identity")
-    w = K._hash_weights(N)
+    w = K.splitmix64(1, N).view(np.int64)
     keys = rows @ w
     order = np.argsort(keys)
     keys = keys[order]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from skewmorph import _kernels as K
+from skewmorph import enumeration as en
 from skewmorph import fpalg
 
 from conftest import splitmix64_scalar
@@ -308,15 +309,20 @@ def test_hash_weights_are_splitmix64():
     # the scalar splitmix64 formula, outputs 1..4 of the stream seeded at 0
     want = [splitmix64_scalar(c) for c in range(1, 5)]
     assert want[0] == 0xE220A8397B1DCDAF
-    assert K._hash_weights(4).dtype == np.int64
-    assert K._hash_weights(4).view(np.uint64).tolist() == want
+    assert K.splitmix64(1, 4).tolist() == want
     assert K.splitmix64(3, 2).tolist() == want[2:]
 
 
-def test_validate_many_survives_colliding_hashes(monkeypatch, brute32, set72, set33):
-    # every row hashes alike, in both drivers, so each pi(x) of a member
-    # that is no automorphism comes from the exact search
-    monkeypatch.setattr(K, "_hash_weights", lambda N: np.full(N, 7, dtype=np.int64))
+def _anchor(p, n, row):
+    # the cycle walk's anchor of a permutation fixing 0: a point whose
+    # cycle is as long as the order, or -1
+    return K._cycle_walk(row, p ** n - 1)[1]
+
+
+def test_both_drivers_match_the_reference_with_and_without_an_anchor(brute32, set72, set33):
+    # rows that reach the general law with an anchor, where pi(x) is read
+    # off the anchor's cycle, and without one, where each F[x] is compared
+    # with every power row
     rng = np.random.default_rng(7)
     for res in (brute32, set72, set33):
         p, n = res.p, res.n
@@ -328,6 +334,50 @@ def test_validate_many_survives_colliding_hashes(monkeypatch, brute32, set72, se
                                 _perms_fixing_0(rng, p ** n, 100), _malformed(rng, p ** n)])
         status = _assert_batch_matches_per_row(p, n, batch)
         assert (status[:len(gl) + len(other)] == K.OK).all()
+        law = batch[np.isin(status, [K.OK, K.NO_POWER_MATCH])]
+        law = law[~K._automorphisms(law, K.index_tables(p, n)[0], K._basis(p, n)[1])]
+        assert {_anchor(p, n, row) >= 0 for row in law} == {True, False}, (p, n)
+
+
+def _cycles_of_2_and_3(N):
+    # a permutation fixing 0 whose other points lie on 2- and 3-cycles,
+    # both kinds present: order 6, and no 6-cycle to anchor it
+    twos = next(k for k in range(1, N) if (N - 1 - 2 * k) % 3 == 0)
+    images = list(range(N))
+    at = 1
+    for length in [2] * twos + [3] * ((N - 1 - 2 * twos) // 3):
+        cycle = list(range(at, at + length))
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            images[a] = b
+        at += length
+    return np.array(images, dtype=K.IDX_DTYPE)
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (7, 2), (3, 3)])
+def test_row_of_order_6_without_a_6_cycle_is_refused(p, n):
+    row = _cycles_of_2_and_3(p ** n)
+    assert K._cycle_walk(row, p ** n - 1) == (6, -1)
+    status = _assert_batch_matches_per_row(p, n, row[None])
+    assert status.tolist() == [K.NO_POWER_MATCH]
+    # the reference's witness lies past x = 0, where F[0] = s is a power
+    assert _reference(p, n, row)[3] > 0
+
+
+@pytest.mark.parametrize("members", ["set52", "set72", "set33"])
+def test_every_enumerated_member_has_an_anchor(request, members):
+    # every member that is no automorphism takes the anchor path, in the
+    # cycle walk and in the power table alike
+    res = request.getfixturevalue(members)
+    p, n = res.p, res.n
+    for row in res.skews.images[~res.skews.aut]:
+        order, y = K._cycle_walk(row, p ** n - 1)
+        assert y >= 0 and len(set(K.power_rows(row, order)[:, y].tolist())) == order
+
+
+def test_every_53_seed_has_an_anchor():
+    seeds = en._canonical_config_seeds(5, 3, range(1, 5), fpalg.omega_set(5))
+    assert len(seeds) == 912
+    assert all(_anchor(5, 3, row) >= 0 for row in seeds.images)
 
 
 @pytest.mark.parametrize("members", ["set52", "set72"])

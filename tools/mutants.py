@@ -80,12 +80,12 @@ MUTANTS = {
            "seeds = seeds.take(np.arange(len(seeds)))", ENUM),
     "A1": ("_automorphisms: the last basis point skipped", KE,
            "at = s.take(add_basis, axis=1)", "at = s.take(add_basis[:-1], axis=1)", KERNELS),
-    "H1": ("_power_match: a hash hit accepted without the exact compare", KE,
-           "good = found & (P[rows, cand] == F).all(axis=2)", "good = found", KERNELS),
-    "H2": ("validate_images: a hash hit accepted without the exact compare", KE,
-           "good = hit & (P.take(pi, axis=0) == F).all(axis=1)", "good = hit", KERNELS),
-    "H3": ("validate_images: no exact search after a failed confirm", KE,
-           "for x in np.flatnonzero(hit & ~good):", "for x in ():", KERNELS),
+    "N1": ("_power_match: the anchor taken from a shortest cycle, not a full-length one", KE,
+           "anchor = np.argmax(full, axis=1)", "anchor = np.argmin(full, axis=1)", KERNELS),
+    "N2": ("_power_match: a row without an anchor skips the exact compare, failing at x = 0",
+           KE, "for j in np.flatnonzero(~has):", "for j in ():", KERNELS),
+    "N3": ("validate_images: the anchor from the first cycle walked, not a longest one", KE,
+           "longest, anchor = length, start", "longest, anchor = length, anchor", KERNELS),
     "O1": ("validate_many: the other rows' orders walked from the basis alone", KE,
            "order[rest] = _orders(batch, rest, ident)", "order[rest] = _orders(batch, rest, basis)",
            KERNELS),
