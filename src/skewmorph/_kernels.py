@@ -66,10 +66,11 @@ def index_tables(p, n):
 
 
 def _cycle_walk(images, cap):
-    """(order, anchor): perm_order_capped's order, and the start of a
-    longest cycle if it is as long as the order, else -1.  A walk from an
-    unseen point that ends on a seen point other than its start means
-    some point has two preimages."""
+    """(order, anchor): the order of a permutation of range(N), -1 if it
+    exceeds cap or 0 if images is none, and the start of a longest cycle
+    if that cycle is as long as the order, else -1.  A walk from an unseen
+    point that ends on a seen point other than its start means some point
+    has two preimages."""
     images = images.tolist()  # python ints walk faster than numpy scalars
     N = len(images)
     if not 0 <= min(images) <= max(images) < N:
@@ -93,12 +94,6 @@ def _cycle_walk(images, cap):
     if order > cap:
         return -1, -1
     return order, anchor if longest == order else -1
-
-
-def perm_order_capped(images, cap):
-    """Order of a permutation of range(N), -1 if it exceeds cap, or 0 if
-    images is none."""
-    return _cycle_walk(images, cap)[0]
 
 
 # ---------------------------------------------------------------------------

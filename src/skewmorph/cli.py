@@ -30,8 +30,6 @@ def build_parser():
     p_enum.add_argument("--method", choices=("brute", "structured", "both"),
                         default="structured")
     p_enum.add_argument("--out", default=".", help="output directory")
-    p_enum.add_argument("--workers", type=int, default=None,
-                        help="accepted and ignored: the seeds are built in one process")
     p_enum.add_argument("--sample-rate", type=float, default=0.01,
                         help="validation sample rate for count-only runs")
     p_enum.set_defaults(func=cmd_enum)

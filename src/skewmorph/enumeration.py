@@ -6,26 +6,30 @@ Three independent routes produce (pieces of) the same sets:
     leaves validated in one kernel call, the members those that pass;
   * the automorphism block, all of GL(n,p) read as permutations;
   * the non-normal block for odd p, built from the canonical affine
-    configuration (unipotent sigma_1, scaling-type sigma_2 acting on a
-    translation group T), recombined through the CRT exponents into s,
-    each seed read off by the orbit map of the regular group G (the action
-    of s carried over to G, no skew product built), then closed under
-    conjugation by GL(n,p).
+    configurations (i, sigma_2) (unipotent sigma_1, scaling-type sigma_2
+    acting on a translation group T), recombined through the CRT
+    exponents into s, each seed read off by the orbit map of the regular
+    group G (the action of s carried over to G, no skew product built),
+    then closed under conjugation by GL(n,p).
 
-The seeds are built in one process.  The closure step is the
-completeness argument made executable: the count against the closed
-formula is asserted, and at (3,2) the structured set must equal the
-brute set elementwise.  One closure routine serves both outcomes:
-full_enum makes (5,3) count-only by default, validating a sample of the
-members; everything else is materialized and validated in full, each
-member once.  A set travels as one skew_core.SkewBlock of validated
-image rows, from the kernel to the JSONL file, put in the order of
-skew_core.lex_order once per result.  Nothing merges duplicates: a
+Only the configurations with i = 1 are seeded: GL conjugation maps
+skew-morphisms to skew-morphisms, and the closure of the i = 1 seeds
+holds the seeds of every other i.  That was measured, not proved: the
+closure meets the formula at (p,2) for every odd p up to 17 and at
+(3,3) and (5,3), and a test finds every other seed in it at (5,2), (7,2)
+and (3,3).  The closure step is the completeness argument made
+executable: the count against the closed formula is asserted on every
+run, so a missed orbit is a finding, and at (3,2) the structured set
+must equal the brute set elementwise.  One closure routine serves both
+outcomes: full_enum makes (5,3) count-only by default, validating a
+sample of the members; everything else is materialized and validated in
+full, each member once.  A set travels as one skew_core.SkewBlock of
+validated image rows, from the kernel to the JSONL file, put in the
+order of skew_core.lex_order once per result.  Nothing merges duplicates: a
 repeated member shows as a count mismatch.
 """
 
 import csv
-import functools
 import os
 from dataclasses import dataclass
 
@@ -164,49 +168,40 @@ def _then(A, B):
     return B[:, A].transpose(1, 0, 2).reshape(-1, A.shape[1])
 
 
-@functools.lru_cache(maxsize=1)
-def _config_group(p, n, i):
-    """G = <translations, L^-i> of the configurations with this i, as
-    the permutation rows g_1^e_1 ... g_n^e_n of its generators, in the
-    big-endian order of (e_1, ..., e_n).  G does not depend on sigma_2;
-    configs run i-major, so one cached group serves each run of them."""
+def _config_group(p, n):
+    """G = <translations, L^-1> of the configurations with i = 1, as the
+    permutation rows g_1^e_1 ... g_n^e_n of its generators, in the
+    big-endian order of (e_1, ..., e_n).  G does not depend on sigma_2."""
     add = K.index_tables(p, n)[0]
     trans = [add[:, p ** (n - 1 - j)] for j in range(n)]
     L = fpalg.canonical_unipotent(n, p)
-    Li = fpalg.matrix_to_perm(fpalg.mat_pow(L, p - i, p), p)  # L^-i, as L has order p
-    # translation then L^-i
+    Li = fpalg.matrix_to_perm(fpalg.mat_pow(L, p - 1, p), p)  # L^-1, as L has order p
+    # translation then L^-1
     gens = [trans[0], Li[trans[1]]] if n == 2 else [trans[1], trans[2], Li[trans[0]]]
     rows = K.power_rows(gens[0], 1)  # the identity alone
     for g in gens:
         rows = _then(rows, K.power_rows(g, p))
-    rows.flags.writeable = False  # the cache hands the same array to every caller
     return rows
 
 
-def _seed_for_config(p, n, i, M2):
-    """The images of the seed of one canonical configuration, by the orbit map.
+def _canonical_config_seeds(p, n, sigma2_list):
+    """One validated seed skew-morphism per canonical (1, sigma_2), read
+    off by the orbit map, as a block in sigma2_list order.  The seeds are
+    validated in one batch, a failing one named by its index.
 
     G acts regularly on F_p^n and s fixes 0, so s * g = sigma(g) * s^e
     ("a then b") evaluated at 0 reads sigma(g)^-1(0) = s^-1(g^-1(0)).
     With psi(g) = g^-1(0), the seed is sigma = psi^-1 s^-1 psi on the
     rows of G, which label Z_p^n by their exponents.
     """
-    L = fpalg.canonical_unipotent(n, p)
-    k = fpalg.matrix_order(M2, p)
-    s = fpalg.matrix_to_perm(_crt_sigma(L, M2, k, p), p)
-    psi = np.argmin(_config_group(p, n, i), axis=1)
-    psi_inv = np.argsort(psi)
+    psi = np.argmin(_config_group(p, n), axis=1)
+    psi_inv = np.argsort(psi).astype(K.IDX_DTYPE)
     if (psi[psi_inv] != np.arange(p ** n)).any():
-        raise ValueError("canonical G is not regular on F_%d^%d (i=%d)" % (p, n, i))
-    return psi_inv[np.argsort(s)[psi]]
-
-
-def _canonical_config_seeds(p, n, i_values, sigma2_list):
-    """One validated seed skew-morphism per (i, sigma_2) canonical choice,
-    as a block in config order.  The seeds are validated in one batch, a
-    failing one named by its config index."""
-    rows = [_seed_for_config(p, n, i, M2) for i in i_values for M2 in sigma2_list]
-    return _validated_rows(p, n, _stack(rows, p ** n), "seed")
+        raise ValueError("canonical G is not regular on F_%d^%d" % (p, n))
+    L = fpalg.canonical_unipotent(n, p)
+    s = fpalg.matrix_to_perm(np.array(
+        [_crt_sigma(L, M2, fpalg.matrix_order(M2, p), p) for M2 in sigma2_list]), p)
+    return _validated_rows(p, n, psi_inv[np.argsort(s, axis=1)[:, psi]], "seed")
 
 
 def _scalar_sigma2_list(p):
@@ -231,14 +226,14 @@ def enum_nonnormal_n3(p, count_only=False, sample_rate=0.01):
 
 def _enum_nonnormal(p, n, stride=1):
     """The non-normal block of (p, n), n in {2, 3}: the seed of every
-    canonical (i, sigma_2), closed under GL conjugation and checked
+    canonical (1, sigma_2), closed under GL conjugation and checked
     against the formula, as (validated members, member count); stride
     is aut_closure's."""
     check_prime(p)
     if p == 2:
         raise ValueError("non-normal skew-morphisms need p odd")
     sigma2_list = _scalar_sigma2_list(p) if n == 2 else fpalg.omega_set(p)
-    seeds = _canonical_config_seeds(p, n, range(1, p), sigma2_list)
+    seeds = _canonical_config_seeds(p, n, sigma2_list)
     count, skews = aut_closure(p, n, seeds, stride)
     _check_nonnormal(p, n, count, skews)
     return skews, count
@@ -323,8 +318,7 @@ def full_enum(p, n, method="structured", count_only=None, sample_rate=0.01,
     sample_rate outside (0, 1] raises ValueError on every run.  A
     structured run whose memory model exceeds physical memory raises
     ValueError before anything large is built (_check_fits).  workers is
-    accepted and ignored, so that callers that pass it keep working: the
-    seeds are built in one process.
+    accepted and ignored, so that callers that pass it keep working.
     """
     check_prime(p)
     _sample_stride(sample_rate)

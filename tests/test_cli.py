@@ -65,12 +65,12 @@ def test_enum_count_mismatch_exits_1(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("argv, failing_call, failing_row, stream, message", [
     (["--p", "3", "--n", "2"], 1, 4, "err", "p=3 n=2: GL member 4 fails validation (status 2)"),
-    # the GL block is the first batch and the 2 seeds the second
+    # the GL block is the first batch and the one seed the second
     (["--p", "3", "--n", "2"], 2, 0, "err",
      "p=3 n=2: seed member 0 fails validation (status 2)"),
-    # the 2 seeds come first in the closure
+    # the seed comes first in the closure
     (["--p", "3", "--n", "2"], 3, 0, "err",
-     "p=3 n=2: closure member 2 fails validation (status 2)"),
+     "p=3 n=2: closure member 1 fails validation (status 2)"),
     # the brute route validates its search leaves in one batch: a rejected
     # leaf is no member, so the count falls short of the formula
     (["--p", "2", "--n", "2", "--method", "brute"], 1, 0, "out",
@@ -100,7 +100,7 @@ def test_enum_count_only_run_reports_hashed_and_sampled(tmp_path, monkeypatch, c
                         lambda *a, **kw: real(*a, **dict(kw, count_only=True)))
     assert run_cli(["enum", "--p", "3", "--n", "3", "--out", str(tmp_path)]) == 0
     text = capsys.readouterr().out
-    assert "count-only run: 13312 members hashed, 153 validated by sampling" in text
+    assert "count-only run: 13312 members hashed, 143 validated by sampling" in text
     assert "total 13312 = 11232 automorphisms + 2080 non-normal" in text
     assert (tmp_path / "summary_p3_n3_structured.csv").is_file()
     assert not list(tmp_path.glob("*.jsonl"))
@@ -314,14 +314,13 @@ def test_enum_byte_determinism(tmp_path):
            (b / "summary_p3_n2_structured.csv").read_bytes()
 
 
-def test_enum_workers_flag_is_accepted_and_ignored(tmp_path):
-    # the seeds are built in one process; --workers stays a valid flag
-    a = tmp_path / "a"
-    b = tmp_path / "b"
-    assert run_cli(["enum", "--p", "5", "--n", "2", "--workers", "2", "--out", str(a)]) == 0
-    assert run_cli(["enum", "--p", "5", "--n", "2", "--out", str(b)]) == 0
-    for name in ("skews_p5_n2_structured.jsonl", "summary_p5_n2_structured.csv"):
-        assert (a / name).read_bytes() == (b / name).read_bytes()
+def test_enum_workers_flag_is_refused(tmp_path, capsys):
+    # the flag is gone: argparse refuses it with exit 2 before any run
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["enum", "--p", "5", "--n", "2", "--workers", "2", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def _closure_with(monkeypatch, change):

@@ -151,32 +151,31 @@ def _omega(p):
 
 
 def test_seed_digests():
-    # sha256 of the concatenated seed images, in canonical config order,
-    # as extracted by the affine-map code this enumeration started from
-    sample53 = [(i, M2) for i in range(1, 5) for M2 in _omega(5)][::20]
+    # sha256 of the concatenated seed images of the i = 1 configurations,
+    # in sigma_2 order: the same rows as the i = 1 seeds extracted by the
+    # affine-map code this enumeration started from
     seeds = {
-        (5, 2): en._canonical_config_seeds(5, 2, range(1, 5), en._scalar_sigma2_list(5)),
-        (7, 2): en._canonical_config_seeds(7, 2, range(1, 7), en._scalar_sigma2_list(7)),
-        (3, 3): en._canonical_config_seeds(3, 3, range(1, 3), _omega(3)),
-        (5, 3): en._validated_rows(
-            5, 3, np.array([en._seed_for_config(5, 3, i, M2) for i, M2 in sample53]), "seed"),
+        (5, 2): en._canonical_config_seeds(5, 2, en._scalar_sigma2_list(5)),
+        (7, 2): en._canonical_config_seeds(7, 2, en._scalar_sigma2_list(7)),
+        (3, 3): en._canonical_config_seeds(3, 3, _omega(3)),
+        (5, 3): en._canonical_config_seeds(5, 3, _omega(5)),
     }
     assert {key: len(v) for key, v in seeds.items()} == {
-        (5, 2): 12, (7, 2): 30, (3, 3): 20, (5, 3): 46}
+        (5, 2): 3, (7, 2): 5, (3, 3): 10, (5, 3): 228}
     assert {key: _seed_digest(v) for key, v in seeds.items()} == {
-        (5, 2): "61de8ab2960b9c2388dcc9eb93170d37655407deb35e7141b62eb4220d409863",
-        (7, 2): "9f8a8b7269e08514aed32959c98ba8782100919d642fcf79c3c6ab6b5ca7670d",
-        (3, 3): "2eea1b1f775e4b1140117084c84a08c09ddb8c226bee18e21d38190705fcfd38",
-        (5, 3): "a807d68886379cd510e9435c79283002f7bf8dce8871708ec6e7f43470b6d798",
+        (5, 2): "32fc443632b8555d26a3eea49d7e19c6e716831903454764003c34c96b369d58",
+        (7, 2): "6d0bf6ddb9b1d370afdedcc5a030320fa4de0da2997cc2a8e3f828617c638f5f",
+        (3, 3): "e7701f294e74d8ddb77c026c279aa028c1feaa501b4be4129942a694924bb39b",
+        (5, 3): "b63721378cb2d4328cebb172b13c44a14e892d784f46c9e09d29f46eb966e43c",
     }
 
 
 def test_seed_needs_a_regular_group(monkeypatch):
     # every row the identity: all of G fixes 0, so psi is no bijection
     monkeypatch.setattr(en, "_config_group",
-                        lambda p, n, i: np.tile(np.arange(p ** n), (p ** n, 1)))
+                        lambda p, n: np.tile(np.arange(p ** n), (p ** n, 1)))
     with pytest.raises(ValueError, match="not regular"):
-        en._seed_for_config(3, 2, 1, en._scalar_sigma2_list(3)[0])
+        en._canonical_config_seeds(3, 2, en._scalar_sigma2_list(3))
 
 
 def test_count_only_flag_is_honoured_or_refused():
@@ -194,8 +193,8 @@ def test_count_only_path_at_33(set33):
     nn, count, validated = en.enum_nonnormal_n3(3, count_only=True, sample_rate=0.05)
     assert nn is None
     assert count == 2080
-    # the 20 seeds plus every 20th member in breadth-first closure order
-    assert validated == 123
+    # the 10 seeds plus every 20th member in breadth-first closure order
+    assert validated == 114
     full = {s.key() for s in set33.skews if not s.is_automorphism()}
     assert count == len(full)
 
@@ -203,11 +202,11 @@ def test_count_only_path_at_33(set33):
 def test_count_only_samples_fixed_closure_positions():
     # the seeds plus closure positions 20, 40, ...: the digest pins which
     # members the stride validates, not only how many
-    seeds = en._canonical_config_seeds(3, 3, range(1, 3), _omega(3))
+    seeds = en._canonical_config_seeds(3, 3, _omega(3))
     count, checked = en.aut_closure(3, 3, seeds, 20)
-    assert (count, len(checked)) == (2080, 123)
+    assert (count, len(checked)) == (2080, 114)
     assert _seed_digest(checked) == \
-        "0faca6c2d6cb0013e0275c85e2e7dd3d7c1ae9f11d490c488c596a364ad35fdf"
+        "f7e26c55ca22a98d824338e3b08aa03c5c1a92012cea52c527af8e4eb351e83c"
 
 
 @pytest.fixture
@@ -240,7 +239,7 @@ def test_each_member_validated_once(monkeypatch, kernel_rows):
 
     monkeypatch.setattr(en, "_canonical_config_seeds", counted_seeds)
     res = en.full_enum(3, 3)
-    assert res.count_total == 13312 and len(seeds) == 20
+    assert res.count_total == 13312 and len(seeds) == 10
     # the seeds are distinct, so every member goes through a kernel once
     assert sum(kernel_rows) == res.count_total
 

@@ -118,7 +118,20 @@ def test_permutation_group_refusals():
         permutation_group(_perm_rows([(1, 0, 2), (0, 1, 2)]), ())
 
 
-def _extracted_seed(p, n, i, M2):
+def _config_group_i(p, n, i):
+    """G_i = <translations, L^-i>, the regular group of the configurations
+    with this i, built as enumeration._config_group builds G_1."""
+    add = K.index_tables(p, n)[0]
+    trans = [add[:, p ** (n - 1 - j)] for j in range(n)]
+    Li = fpalg.matrix_to_perm(fpalg.mat_pow(fpalg.canonical_unipotent(n, p), p - i, p), p)
+    gens = [trans[0], Li[trans[1]]] if n == 2 else [trans[1], trans[2], Li[trans[0]]]
+    rows = K.power_rows(gens[0], 1)
+    for g in gens:
+        rows = en._then(rows, K.power_rows(g, p))
+    return rows
+
+
+def _extracted_seed(p, n, G_rows, M2):
     """The seed of one canonical configuration read off X = G<s>: X on
     the rows g then s^e, coded g * o + e with o the order of s, G closed
     inside X and extract_skew checking the rest of the factorization."""
@@ -127,20 +140,43 @@ def _extracted_seed(p, n, i, M2):
     s = fpalg.matrix_to_perm(en._crt_sigma(L, M2, k, p), p)
     o = k * p
     g_codes = [p ** (n - 1 - j) * o for j in range(n)]
-    X = permutation_group(en._then(en._config_group(p, n, i), K.power_rows(s, o)),
-                          g_codes + [1])
+    X = permutation_group(en._then(G_rows, K.power_rows(s, o)), g_codes + [1])
     G = X.subgroup(g_codes)
     assert len(G) == p ** n
     return sc.extract_skew(X, G, 1, g_codes)
 
 
+def _sigma2_list(p, n):
+    return en._scalar_sigma2_list(p) if n == 2 else fpalg.omega_set(p)
+
+
 @pytest.mark.parametrize("p, n", [(5, 2), (7, 2), (3, 3)])
 def test_extracted_seeds_equal_orbit_map_seeds(p, n):
-    sigma2_list = en._scalar_sigma2_list(p) if n == 2 else fpalg.omega_set(p)
-    for i in range(1, p):
+    sigma2_list = _sigma2_list(p, n)
+    seeds = en._canonical_config_seeds(p, n, sigma2_list).images
+    G_rows = en._config_group(p, n)
+    assert np.array_equal(_config_group_i(p, n, 1), G_rows)  # the test-local G_1
+    for M2, seed in zip(sigma2_list, seeds, strict=True):
+        assert np.array_equal(_extracted_seed(p, n, G_rows, M2).images, seed)
+
+
+@pytest.mark.parametrize("p, n", [(5, 2), (7, 2), (3, 3)])
+def test_seeds_of_every_other_i_lie_in_the_i1_closure(p, n):
+    # the enumeration seeds the configurations with i = 1 alone: the seed
+    # of every (i, sigma_2) with i >= 2, read off X = G_i<s>, must be a
+    # member of the GL closure of the i = 1 seeds
+    sigma2_list = _sigma2_list(p, n)
+    count, closure = en.aut_closure(p, n, en._canonical_config_seeds(p, n, sigma2_list))
+    assert count == en.nonnormal_count(p, n)
+    members = {row.tobytes() for row in closure.images}
+    checked = 0
+    for i in range(2, p):
+        G_rows = _config_group_i(p, n, i)
         for M2 in sigma2_list:
-            assert np.array_equal(_extracted_seed(p, n, i, M2).images,
-                                  en._seed_for_config(p, n, i, M2))
+            seed = _extracted_seed(p, n, G_rows, M2).images.astype(K.IDX_DTYPE)
+            assert seed.tobytes() in members, (i, M2.tolist())
+            checked += 1
+    assert checked == (p - 2) * len(sigma2_list)
 
 
 def test_closure_cap():

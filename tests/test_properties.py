@@ -51,7 +51,7 @@ def test_perm_order_is_minimal(seed):
     rng = np.random.default_rng(seed)
     tail = rng.permutation(np.arange(1, 9))
     images = np.concatenate([[0], tail]).astype(K.IDX_DTYPE)
-    order = K.perm_order_capped(images, 5000)
+    order = K._cycle_walk(images, 5000)[0]
     assert order >= 1
 
     def power(e):

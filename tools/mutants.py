@@ -91,10 +91,14 @@ MUTANTS = {
            KERNELS),
     "O2": ("validate_many: the other rows put in one order group", KE,
            "np.split(rest, np.flatnonzero(np.diff(order[rest])) + 1)", "[rest]", KERNELS),
-    "C1": ("_parse_chunk: pi compared on the chunk's first record alone", SC,
+    "C1": ("_canonical_config_seeds: the last sigma_2 left unseeded", EN,
+           "for M2 in sigma2_list]), p)", "for M2 in sigma2_list[:-1]]), p)", ENUM),
+    "C2": ("_config_group: G built with L^-2 in place of L^-1", EN,
+           "fpalg.mat_pow(L, p - 1, p)", "fpalg.mat_pow(L, p - 2, p)", ENUM),
+    "J1": ("_parse_chunk: pi compared on the chunk's first record alone", SC,
            "zip(objs[:end], block.pi.tolist())", "zip(objs[:min(end, 1)], block.pi.tolist())",
            SKEW),
-    "C2": ("_parse_chunk: each automorphism flag checked against the first record's verdict",
+    "J2": ("_parse_chunk: each automorphism flag checked against the first record's verdict",
            SC, "zip(flags[:end], aut)", "zip(flags[:end], aut[:1] * len(aut))", SKEW),
 }
 
