@@ -483,45 +483,79 @@ def normal_elem_abelian_subgroups(X, rank, p):
     return found
 
 
+# joins closed per level of find_complement's search, pairs at the first
 COMPLEMENT_PAIR_CAP = 10 ** 5
 
 
 def find_complement(X, N):
     """A subgroup K with K ∩ N = 1 and |K||N| = |X|, or None.
 
-    Tries cyclic K over all elements, then 2-generated K over elements
-    whose orders divide |X|/|N|, pairs in (i < j) order.  Complements of
-    larger generating rank are out of scope and trip the cap instead of
-    silently missing.  The candidates are closed in chunks by close_many
-    and only the first accepted K is built as a FiniteGroup.
+    N is a subgroup of X (_require_subgroup), so m = |X|/|N| is exact by
+    Lagrange.  The candidates are the elements x whose <x> misses N and
+    has order dividing m, since any K through x needs both; a cyclic K is
+    the first candidate of order m.  Otherwise the search keeps one
+    representative per distinct cyclic subgroup, the first candidate in
+    element order, and closes pairs of representatives in (i < j) order.
+    That gives the answer, generators included, of the search over all
+    candidate pairs: a pair's K = <<x>, <y>> depends only on its two
+    cyclic subgroups, so if the first accepted pair (x_i, x_j) had x_i
+    after its representative x_k, the pair (x_k, x_j) would be accepted
+    first; if x_j came after its representative x_l, the pair (x_l, x_i)
+    or (x_i, x_l) would be, as l < i or l > i, and l = i would make K
+    cyclic, found before any pair.
+
+    A join (pair or larger) of order dividing m that meets N trivially,
+    but is not a complement, is a proper subgroup of every complement
+    that contains it; any other join lies in none.  So the search goes on
+    level by level: each such join, one per subgroup, is joined with
+    every representative outside it, in join and then element order.  A
+    complement is generated by the representatives it contains, so it is
+    reached from any pair inside it, and an empty level proves that no
+    complement exists.  Each level is closed in chunks by close_many,
+    capped at m; a level of more than COMPLEMENT_PAIR_CAP joins is
+    refused.  Only the first accepted K is built as a FiniteGroup.
     """
     _require_subgroup(N, X)
     m = len(X) // len(N)
-    if len(N) * m != len(X):
-        raise ValueError("|N| does not divide |X|")
     if m == 1:
         return FiniteGroup.from_generators(X.carrier, ())
     C = X.carrier
     e = X.elements[1:]
     n_codes = N.elements
 
-    # any K through x needs <x> to miss N and its order to divide m
-    cands = []
-    for a, masks, over in _close_chunks(C, e[:, None], m):
+    def accepted(masks, over):
+        # (order divides m and K misses N, order is m), per row
         size = masks.sum(axis=1)
         keep = ~over & (m % size == 0) & (np.count_nonzero(masks[:, n_codes], axis=1) == 1)
-        cands += e[a + np.flatnonzero(keep)].tolist()
-        cyclic = np.flatnonzero(keep & (size == m))
-        if cyclic.size:
-            return X.subgroup((int(e[a + cyclic[0]]),))
-    n_pairs = len(cands) * (len(cands) - 1) // 2
-    if n_pairs > COMPLEMENT_PAIR_CAP:
-        raise RuntimeError("complement pair search exceeds cap (%d pairs)" % n_pairs)
-    rows = np.array(cands, dtype=np.int64)[np.stack(np.triu_indices(len(cands), 1), axis=1)]
-    for a, masks, over in _close_chunks(C, rows, m):
-        hit = ~over & (masks.sum(axis=1) == m) & (np.count_nonzero(masks[:, n_codes], axis=1) == 1)
-        if hit.any():
-            return FiniteGroup.from_generators(C, rows[a + np.argmax(hit)].tolist(), cap=m)
+        return keep, keep & (size == m)
+
+    first = {}  # cyclic subgroup mask -> its first candidate
+    for a, masks, over in _close_chunks(C, e[:, None], m):
+        keep, cyclic = accepted(masks, over)
+        if cyclic.any():
+            return X.subgroup((int(e[a + np.argmax(cyclic)]),))
+        for i in np.flatnonzero(keep):
+            first.setdefault(masks[i].tobytes(), int(e[a + i]))
+    reps = np.array(list(first.values()), dtype=np.int64)
+    rows = reps[np.stack(np.triu_indices(len(reps), 1), axis=1)]
+    seen = set()
+    while len(rows):
+        if len(rows) > COMPLEMENT_PAIR_CAP:
+            raise RuntimeError("complement search exceeds cap (%d joins of %d generators)"
+                               % rows.shape)
+        joins, outside = [], []
+        for a, masks, over in _close_chunks(C, rows, m):
+            keep, hit = accepted(masks, over)
+            if hit.any():
+                return FiniteGroup.from_generators(C, rows[a + np.argmax(hit)].tolist(), cap=m)
+            for i in np.flatnonzero(keep):
+                key = masks[i].tobytes()
+                if key not in seen:
+                    seen.add(key)
+                    joins.append(a + i)
+                    outside.append(~masks[i, reps])
+        j, k = np.nonzero(np.array(outside, dtype=bool).reshape(-1, len(reps)))
+        rows = np.concatenate([rows[joins][j], reps[k][:, None]], axis=1)
     return None
 
 
@@ -622,28 +656,29 @@ def build_extension(base, top_order, action, twist=None, name="extension"):
     if (apow[t, gens] != conj_c).any():
         raise ValueError("t-th power of the action is not conjugation by the twist")
     apow = apow[:t]
-    ipow = np.argsort(apow, axis=1)
+    ipow = np.argsort(apow, axis=1).ravel()
     # twist[q] is y -> y c^q; wrap[j] is y -> alpha^j(y) c^-1 for j > 0
-    # and the identity for j = 0, so neither law branches on its input;
-    # the laws read these (rows, nb) tables flat, at row * nb + y
-    twist = np.stack([apow[0], base.mul(apow[0], c)]).ravel()
+    # and the identity for j = 0
+    twist = np.stack([apow[0], base.mul(apow[0], c)])
     wrap = base.mul(apow, base.inv(c))
     wrap[0] = apow[0]
-    wrap, ipow = wrap.ravel(), ipow.ravel()
     # a code b t + j splits into (hi, lo) = (b, j), and j1 + j2 into (q, r)
     hi, lo = split_tables(nb * t, t)
     q, r = split_tables(2 * t, t)
+    # the result code of each law in one table, read flat at row * nb + y:
+    # prod[j1 + j2, y] codes y c^q x^r, and back[j, y] codes wrap[j](y)
+    # x^(t - j mod t), so neither law branches on its input
+    prod = (twist[q] * t + r[:, None]).ravel()
+    back = (wrap * t + r[t - np.arange(t)][:, None]).ravel()
 
     def mul(u, v):
         j1 = lo.take(u)
-        j = j1 + lo.take(v)
         y = base.mul(hi.take(u), ipow.take(j1 * nb + hi.take(v)))
-        return _code(twist.take(q.take(j) * nb + y) * t + r.take(j))
+        return _code(prod.take((j1 + lo.take(v)) * nb + y))
 
     # (b x^j)^-1 = alpha^j(b^-1) c^-1 x^(t-j) for j > 0
     def inv(u):
-        j = lo.take(u)
-        return _code(wrap.take(j * nb + base.inv(hi.take(u))) * t + r.take(t - j))
+        return _code(back.take(lo.take(u) * nb + base.inv(hi.take(u))))
 
     carrier = Carrier(mul, inv, nb * t, name)
     gens = tuple(g * t for g in base.generators) + (1 % t,)

@@ -627,31 +627,87 @@ def _scalar_find_complement(X, N):
 
 
 def test_find_complement_first_pair(x54, e1_group, closures):
-    _, X = x54
-    rank2 = ge.normal_elem_abelian_subgroups(X, 2, p=3)
-    rank1 = ge.normal_elem_abelian_subgroups(X, 1, p=3)
-    assert len(rank2) == 2 and len(rank1) >= 1
-    found = []
-    for N in rank2 + rank1:
-        start = len(closures)
-        K = ge.find_complement(X, N)
-        # the candidates are closed in batches; only the K returned is
-        # built as a FiniteGroup
-        assert len(closures) - start == (K is not None)
-        ref = _scalar_find_complement(X, N)
-        found.append(K is not None)
-        if ref is None:
-            assert K is None
-            continue
-        assert np.array_equal(K.elements, ref.elements) and K.generators == ref.generators
-        assert K.carrier is X.carrier
-    assert found[:2] == [True, True]
+    # every complement here has at most two generators, so the scalar
+    # search over all candidate pairs is the reference, generators too;
+    # e2's first rank-2 answer pairs an involution with an element of
+    # order 3, whose cyclic subgroup has a second generator
+    found = {}
+    for name, X in (("x54", x54[1]), ("e2", ge.example_e2()["X"])):
+        rank2 = ge.normal_elem_abelian_subgroups(X, 2, p=3)
+        rank1 = ge.normal_elem_abelian_subgroups(X, 1, p=3)
+        assert len(rank2) == 2 and len(rank1) >= 1
+        assert ge.normal_elem_abelian_subgroups(X, 3, p=3) == []
+        found[name] = []
+        for N in rank2 + rank1:
+            start = len(closures)
+            K = ge.find_complement(X, N)
+            # the candidates are closed in batches; only the K returned is
+            # built as a FiniteGroup
+            assert len(closures) - start == (K is not None)
+            ref = _scalar_find_complement(X, N)
+            found[name].append(None if K is None else len(K.generators))
+            if ref is None:
+                assert K is None
+                continue
+            assert np.array_equal(K.elements, ref.elements) and K.generators == ref.generators
+            assert K.carrier is X.carrier
+    assert found["x54"][:2] == [2, 1] and found["e2"][:2] == [2, 1]
     rank4 = ge.normal_elem_abelian_subgroups(e1_group, 4, p=3)
     assert len(rank4) == 1
     start = len(closures)
     assert ge.find_complement(e1_group, rank4[0]) is None
     assert len(closures) == start
     assert _scalar_find_complement(e1_group, rank4[0]) is None
+
+
+def _z2cubed_by_z3():
+    """Z_2^3 x Z_3 as an extension with the identity action, and N = <x>."""
+    E = ge.elementary_abelian_group(2, 3)
+    X = ge.build_extension(E, 3, {g: g for g in E.generators})
+    return X, X.subgroup((X.generators[-1],))
+
+
+def test_find_complement_needs_three_generators(closures):
+    # the only complement of N is Z_2^3, which no pair generates; the
+    # reference closes every tuple of at most floor(log2 m) elements, as
+    # every group of order m has a generating set that small
+    X, N = _z2cubed_by_z3()
+    m = len(X) // len(N)
+    assert m == 8
+    start = len(closures)
+    K = ge.find_complement(X, N)
+    assert len(closures) - start == 1
+    ref = set()
+    others = X.elements[1:].tolist()
+    for k in range(1, m.bit_length()):
+        for gens in itertools.combinations(others, k):
+            H = _scalar_closure(X, gens)
+            if len(H) == m and not any(N.mask[h] for h in H - {0}):
+                ref.add(frozenset(H))
+    assert len(ref) == 1
+    assert K is not None and len(K) == 8 and len(K.generators) == 3
+    assert frozenset(K.elements.tolist()) in ref
+    assert _scalar_find_complement(X, N) is None
+
+
+def test_find_complement_of_the_whole_group():
+    X = ge.cyclic_group(9)
+    K = ge.find_complement(X, X)
+    assert K.elements.tolist() == [0] and K.generators == ()
+
+
+def test_find_complement_cap_bounds_each_level(monkeypatch):
+    # 7 involutions give 21 pairs; the 7 Klein four-groups they close to
+    # each meet 4 of them outside, so level 3 has 28 joins
+    X, N = _z2cubed_by_z3()
+    monkeypatch.setattr(ge, "COMPLEMENT_PAIR_CAP", 20)
+    with pytest.raises(RuntimeError, match=r"exceeds cap \(21 joins of 2 generators\)"):
+        ge.find_complement(X, N)
+    monkeypatch.setattr(ge, "COMPLEMENT_PAIR_CAP", 27)
+    with pytest.raises(RuntimeError, match=r"exceeds cap \(28 joins of 3 generators\)"):
+        ge.find_complement(X, N)
+    monkeypatch.setattr(ge, "COMPLEMENT_PAIR_CAP", 28)
+    assert len(ge.find_complement(X, N)) == 8
 
 
 def _scalar_normal_search(X, rank, p):

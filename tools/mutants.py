@@ -44,19 +44,25 @@ GROUP = ("tests/test_group_engine.py",)
 MUTANTS = {
     "L1": ("split tables off by one at every code c = -1 mod t", GE,
            "return c // t, c % t", "return (c + 1) // t, c % t", LAWS),
-    "L2": ("q and r of j1 + j2 swapped in the extension law", GE,
-           "q, r = split_tables(2 * t, t)", "r, q = split_tables(2 * t, t)", LAWS),
+    "L2": ("q and r of j1 + j2 swapped in the extension's product table", GE,
+           "prod = (twist[q] * t + r[:, None]).ravel()",
+           "prod = (twist[r] * t + q[:, None]).ravel()", LAWS),
     "L3": ("_code dropped from the extension's mul", GE,
-           "return _code(twist.take(q.take(j) * nb + y) * t + r.take(j))",
-           "return twist.take(q.take(j) * nb + y) * t + r.take(j)", LAWS),
-    "L4": ("the twist row dropped from the extension's mul", GE,
-           "return _code(twist.take(q.take(j) * nb + y) * t + r.take(j))",
-           "return _code(twist.take(y) * t + r.take(j))", LAWS),
+           "return _code(prod.take((j1 + lo.take(v)) * nb + y))",
+           "return prod.take((j1 + lo.take(v)) * nb + y)", LAWS),
+    "L4": ("the twist row dropped from the extension's product table", GE,
+           "prod = (twist[q] * t + r[:, None]).ravel()",
+           "prod = (twist[0] * t + r[:, None]).ravel()", LAWS),
     "D1": ("check_group_law: only the first chunk of sampled triples tested", GE,
            "for d in _assoc_draws():", "for d in _assoc_draws()[:1]:", GROUP),
     "D2": ("check_group_law: the draws reduced by their low bits, d % n", GE,
            "codes *= np.uint64(n)\n        codes >>= np.uint64(32)", "codes %= np.uint64(n)",
            GROUP),
+    "F1": ("find_complement: each cyclic subgroup's last candidate kept, not its first", GE,
+           "first.setdefault(masks[i].tobytes(), int(e[a + i]))",
+           "first[masks[i].tobytes()] = int(e[a + i])", GROUP),
+    "F2": ("find_complement: the join search stopped after pairs", GE,
+           "while len(rows):", "if len(rows):", GROUP),
     "S4": ("_search_chunk: tried without its carry-over across values of a", SV,
            "int(tried[m] + c - first[m] + 1)", "int(c - first[m] + 1)", SEARCH),
     "S5": ("_search_chunk: in_T without its t < p guard", SV,
