@@ -35,6 +35,33 @@ def test_cyclic_and_elementary_abelian():
     assert len(E) == 9
     assert E.is_abelian()
     assert ge.elementary_abelian_rank(E, 3) == 2
+    assert repr(C.carrier) == "Carrier(Z_12)" and repr(C) == "FiniteGroup(|G|=12, Z_12)"
+    # 1 has order 12 in the carrier, beyond the order 3 of <4>
+    H = C.subgroup((4,))
+    with pytest.raises(ValueError, match="exceeds group order"):
+        H.cycle(1)
+    with pytest.raises(ValueError, match="generators leave the group"):
+        H.subgroup((1,))
+
+
+def test_power_with_negative_exponent(e1_group):
+    # e2's X (54 codes) has a table law, e1's X (729 codes) the formula
+    for X in (ge.example_e2()["X"], e1_group):
+        assert len(X) in (54, 729)
+        x = X.generators[-1]
+        assert X.power(x, -1) == X.inv(x)
+        assert X.power(x, -5) == X.inv(X.power(x, 5))
+        assert X.mul(X.power(x, -7), X.power(x, 7)) == 0
+        e = X.elements
+        assert np.array_equal(X.power(e, -2), X.inv(X.mul(e, e)))
+
+
+def test_subgroup_relation_refusals():
+    C = ge.cyclic_group(12)
+    with pytest.raises(ValueError, match="carrier mismatch"):
+        ge.is_normal(ge.cyclic_group(12), C)
+    with pytest.raises(ValueError, match="not contained"):
+        ge.core(C, C.subgroup((4,)))
 
 
 def permutation_group(rows, generators):
@@ -287,6 +314,9 @@ def test_quotient_group(x54):
     for a in X.elements[::7]:
         for b in X.elements[::11]:
             assert cmap[X.mul(a, b)] == Q.mul(cmap[a], cmap[b])
+    e2 = ge.example_e2()
+    with pytest.raises(ValueError, match="not normal"):
+        ge.quotient_group(e2["X"], e2["G"])
 
 
 def test_quotient_cmap_is_an_array_homomorphism(x54):
@@ -336,6 +366,31 @@ def test_commutator_words(x54):
     assert ge.iterated_commutator(X, a, b, 1, 1) == X.commutator(a, b)
     with pytest.raises(ValueError):
         ge.left_normed_commutator(X, [a])
+    with pytest.raises(ValueError, match="positive"):
+        ge.iterated_commutator(X, a, b, 0, 1)
+
+
+def _symmetric_group_4():
+    """S_4 = (F_2^2 : Z_3) : Z_2: x of order 3 sends a -> b -> ab, and
+    the top involution swaps a and b and inverts x."""
+    V = ge.elementary_abelian_group(2, 2)
+    a, b = V.generators
+    A4 = ge.build_extension(V, 3, {a: b, b: V.mul(a, b)}, name="A_4")
+    a, b, x = A4.generators
+    return ge.build_extension(A4, 2, {a: b, b: a, x: A4.inv(x)}, name="S_4")
+
+
+def test_metabelian_identity_refusals(x54):
+    _, X = x54
+    with pytest.raises(ValueError, match="n must be positive"):
+        ge.metabelian_identity_check(X, 1, 2, 0)
+    # S_4' = A_4 is not abelian
+    S4 = _symmetric_group_4()
+    orders = np.bincount([S4.element_order(x) for x in S4.elements.tolist()])
+    assert len(S4) == 24 and orders.tolist() == [0, 1, 9, 8, 6]
+    assert not ge.is_metabelian(S4)
+    with pytest.raises(ValueError, match="not metabelian"):
+        ge.metabelian_identity_check(S4, 1, 2, 2)
 
 
 def test_elementary_abelian_rank_rejects():
@@ -344,6 +399,8 @@ def test_elementary_abelian_rank_rejects():
     C6 = ge.cyclic_group(6)
     assert ge.elementary_abelian_rank(C6) is None
     assert ge.elementary_abelian_rank(C9.subgroup((3,)), 3) == 1
+    assert ge.elementary_abelian_rank(C9.subgroup((3,)), 2) is None
+    assert ge.elementary_abelian_rank(C9.subgroup(()), 5) == 0
 
 
 def test_normal_elem_abelian_subgroups(x54):
@@ -355,6 +412,8 @@ def test_normal_elem_abelian_subgroups(x54):
         assert ge.is_normal(H, X)
         assert ge.elementary_abelian_rank(H, 3) == 2
         assert ge.has_complement(X, H)
+    with pytest.raises(ValueError, match="too large"):
+        ge.normal_elem_abelian_subgroups(ge.cyclic_group(5001), 1, p=3)
 
 
 def test_complement_absence():

@@ -44,15 +44,20 @@ GROUP = ("tests/test_group_engine.py",)
 MUTANTS = {
     "L1": ("split tables off by one at every code c = -1 mod t", GE,
            "return c // t, c % t", "return (c + 1) // t, c % t", LAWS),
-    "L2": ("q and r of j1 + j2 swapped in the extension's product table", GE,
+    "L2": ("q and r of j1 + j2 swapped in the formula law's result table", GE,
            "prod = (twist[q] * t + r[:, None]).ravel()",
            "prod = (twist[r] * t + q[:, None]).ravel()", LAWS),
-    "L3": ("_code dropped from the extension's mul", GE,
+    "L3": ("_code dropped from the formula law's mul", GE,
            "return _code(prod.take((j1 + lo.take(v)) * nb + y))",
            "return prod.take((j1 + lo.take(v)) * nb + y)", LAWS),
-    "L4": ("the twist row dropped from the extension's product table", GE,
+    "L4": ("the twist row dropped from the formula law's result table", GE,
            "prod = (twist[q] * t + r[:, None]).ravel()",
            "prod = (twist[0] * t + r[:, None]).ravel()", LAWS),
+    "T1": ("a small extension's product table left unbuilt in its last row chunk", GE,
+           "for a in range(0, n, step):\n        table[",
+           "for a in range(0, n - n % step, step):\n        table[", LAWS),
+    "T2": ("a small extension's product table read transposed, at v n + u", GE,
+           "_code(table.take(u * n + v))", "_code(table.take(v * n + u))", LAWS),
     "D1": ("check_group_law: only the first chunk of sampled triples tested", GE,
            "for d in _assoc_draws():", "for d in _assoc_draws()[:1]:", GROUP),
     "D2": ("check_group_law: the draws reduced by their low bits, d % n", GE,
