@@ -8,9 +8,9 @@ Three independent routes produce (pieces of) the same sets:
   * the non-normal block for odd p, built from the canonical affine
     configurations (i, sigma_2) (unipotent sigma_1, scaling-type sigma_2
     acting on a translation group T), recombined through the CRT
-    exponents into s, each seed read off by the orbit map of the regular
-    group G (the action of s carried over to G, no skew product built),
-    then closed under conjugation by GL(n,p).
+    exponents into s, each seed read off by the orbit map g -> g^-1(0) of
+    the regular group G, computed on its exponent grid without G's rows,
+    then closed under GL(n,p) conjugation, breadth-first, layer by layer.
 
 Only the configurations with i = 1 are seeded: GL conjugation maps
 skew-morphisms to skew-morphisms, and the closure of the i = 1 seeds
@@ -162,26 +162,21 @@ def _crt_sigma(L, M2, k, p):
     return fpalg.mat_pow(L, u, p) @ fpalg.mat_pow(M2, v, p) % p
 
 
-def _then(A, B):
-    """The permutation rows a then b, x -> b[a[x]], for every row a of A
-    and b of B, row a * len(B) + b."""
-    return B[:, A].transpose(1, 0, 2).reshape(-1, A.shape[1])
-
-
-def _config_group(p, n):
-    """G = <translations, L^-1> of the configurations with i = 1, as the
-    permutation rows g_1^e_1 ... g_n^e_n of its generators, in the
-    big-endian order of (e_1, ..., e_n).  G does not depend on sigma_2."""
+def _orbit_map(p, n):
+    """psi(g) = g^-1(0) = g_1^-e_1(... g_n^-e_n(0)) for g = g_1^e_1 then ...
+    then g_n^e_n in G = <translations, L^-1>, the regular group of the i = 1
+    configurations, in the big-endian order of (e_1, ..., e_n): the exponent
+    grid, its generators taken last to first.  G does not depend on sigma_2."""
     add = K.index_tables(p, n)[0]
     trans = [add[:, p ** (n - 1 - j)] for j in range(n)]
     L = fpalg.canonical_unipotent(n, p)
     Li = fpalg.matrix_to_perm(fpalg.mat_pow(L, p - 1, p), p)  # L^-1, as L has order p
     # translation then L^-1
     gens = [trans[0], Li[trans[1]]] if n == 2 else [trans[1], trans[2], Li[trans[0]]]
-    rows = K.power_rows(gens[0], 1)  # the identity alone
-    for g in gens:
-        rows = _then(rows, K.power_rows(g, p))
-    return rows
+    psi = np.zeros(1, dtype=np.int64)
+    for g in reversed(gens):
+        psi = K.power_rows(np.argsort(g), p)[:, psi].ravel()
+    return psi
 
 
 def _canonical_config_seeds(p, n, sigma2_list):
@@ -194,7 +189,7 @@ def _canonical_config_seeds(p, n, sigma2_list):
     With psi(g) = g^-1(0), the seed is sigma = psi^-1 s^-1 psi on the
     rows of G, which label Z_p^n by their exponents.
     """
-    psi = np.argmin(_config_group(p, n), axis=1)
+    psi = _orbit_map(p, n)
     psi_inv = np.argsort(psi).astype(K.IDX_DTYPE)
     if (psi[psi_inv] != np.arange(p ** n)).any():
         raise ValueError("canonical G is not regular on F_%d^%d" % (p, n))
@@ -254,54 +249,44 @@ def _check_nonnormal(p, n, count, validated):
 # closure under conjugation by GL(n,p)
 
 
-def _closure_rows(p, n, rows):
-    """Breadth-first GL-conjugation closure of the distinct rows, as the
-    new conjugates alone.
-
-    The order depends only on the row order and the generator list, so a
-    sample taken by position is the same on every run.
-    """
-    gens = [(a, np.argsort(a).astype(K.IDX_DTYPE))
-            for a in fpalg.matrix_to_perm(fpalg.gl_generators(n, p), p)]
-    seen = {row.tobytes() for row in rows}
-    frontier = list(rows)
-    while frontier:
-        batch = np.stack(frontier)
-        frontier = []
-        for a, ainv in gens:
-            for row in K.conj_batch(batch, a, ainv):
-                key = row.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    row = row.copy()
-                    frontier.append(row)
-                    yield row
-
-
 def aut_closure(p, n, seeds, stride=1):
     """Orbit closure of seed skew-morphisms (a block or a member list)
     under all GL conjugations, as (member count, block of the validated
     members in member order).
 
     The distinct seeds, each at its first position in the block, are
-    kept as they are and come first.  Every stride-th member by closure
-    position is validated, in one batch, each named by its closure
-    position; stride 1 validates, and returns, every member once.
+    kept as they are and come first.  The closure is breadth-first: each
+    generator conjugates the whole layer in one batch, and its new rows, in
+    row order, join the next layer.  So every stride-th member by closure
+    position, the same on every run, is validated, in one batch, each named
+    by its position; stride 1 validates, and returns, every member once.
     """
     seeds = sc.as_block(seeds, p, n)
     seeds = seeds.take(np.sort(np.unique(seeds.images, axis=0, return_index=True)[1]))
-    count = len(seeds)
-    rows, at = [], []
-    for count, row in enumerate(_closure_rows(p, n, seeds.images), count + 1):
-        if count % stride == 0:
-            rows.append(row)
-            at.append(count - 1)
-    closed = _validated_rows(p, n, _stack(rows, p ** n), "closure", at)
+    gens = [(a, np.argsort(a).astype(K.IDX_DTYPE))
+            for a in fpalg.matrix_to_perm(fpalg.gl_generators(n, p), p)]
+    seen = {row.tobytes() for row in seeds.images}
+    layer, count, rows = seeds.images, len(seeds), [seeds.images[:0]]
+    while len(layer):
+        layer = np.concatenate([_new_rows(K.conj_batch(layer, a, ainv), seen)
+                                for a, ainv in gens])
+        pos = np.arange(count, count + len(layer))
+        rows.append(layer[(pos + 1) % stride == 0])
+        count += len(layer)
+    at = np.arange(stride - 1, count, stride)  # the closure positions sampled, past the seeds
+    closed = _validated_rows(p, n, np.concatenate(rows), "closure", at[at >= len(seeds)])
     return count, sc.member_block(p, n, [seeds, closed])
 
 
-def _stack(rows, N):
-    return np.array(rows, dtype=K.IDX_DTYPE).reshape(len(rows), N)
+def _new_rows(batch, seen):
+    """The rows of batch not in seen yet, in row order, each added to seen."""
+    keep = []
+    for r, row in enumerate(batch):
+        key = row.tobytes()
+        if key not in seen:
+            seen.add(key)
+            keep.append(r)
+    return batch[keep]
 
 
 # ---------------------------------------------------------------------------

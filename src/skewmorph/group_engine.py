@@ -209,10 +209,6 @@ class FiniteGroup:
             raise ValueError("generators leave the group")
         return H
 
-    def is_abelian(self):
-        g = np.array(self.generators, dtype=np.int64)
-        return bool((self.mul(g[:, None], g) == self.mul(g, g[:, None])).all())
-
     def __repr__(self):
         return "FiniteGroup(|G|=%d, %s)" % (len(self), self.carrier.name)
 

@@ -376,7 +376,10 @@ def extract_skew(X, G, s, generators):
     with X = G<s>, G ∩ <s> = 1 and <s> core-free; generators fixes the
     isomorphism G -> F_p^n (listed generator order maps to basis order).
     The label of g' is read for all g and all i at once, from a dense
-    label array over the carrier's codes.
+    label array over the carrier's codes.  Neither the group law nor s in
+    X is checked up front: a law that is no group can make the powers of
+    s repeat, and an s outside X can pass every count yet leave some s g
+    without a factorization; each is refused when it shows.
     """
     mul, inv = X.mul, X.inv
     s_pows = X.cycle(s)
@@ -443,15 +446,6 @@ def skew_to_obj(sk):
 
 def json_bool(b):
     return "true" if b else "false"
-
-
-def parse_record(obj):
-    """Validate one JSONL record dict back into a SkewMorphism: the
-    one-record case of read_jsonl's checks."""
-    members, failure = _parse_chunk([obj])
-    if failure:
-        raise failure[1]
-    return members[0]
 
 
 def _parse_chunk(objs, pn=None):

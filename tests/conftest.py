@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from skewmorph import enumeration as en
@@ -39,6 +40,12 @@ def small_brutes():
 @pytest.fixture(scope="session")
 def example_reports():
     return {tag: sv.build_and_verify_example(tag) for tag in ("e1", "e2", "e3")}
+
+
+def is_abelian(G):
+    """Whether the generators of the group_engine group G commute pairwise."""
+    g = np.array(G.generators, dtype=np.int64)
+    return bool((G.mul(g[:, None], g) == G.mul(g, g[:, None])).all())
 
 
 # the law of skew_core.SkewProductGroup on pairs (g, i), one pair at a

@@ -39,6 +39,13 @@ def test_enum_brute_23(tmp_path, capsys):
     assert len(jsonl.read_text().splitlines()) == 168
 
 
+def test_enum_brute_past_its_cap_exits_2(tmp_path, capsys):
+    assert run_cli(["enum", "--p", "5", "--n", "2", "--method", "brute",
+                    "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: exhaustive search capped at p**n <= 9, got 25\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_enum_invalid_n():
     with pytest.raises(SystemExit) as ei:
         run_cli(["enum", "--p", "3", "--n", "4"])

@@ -35,6 +35,8 @@ def test_nonnormal_count_values():
     assert en.nonnormal_count(7, 2) == 1440
     assert en.nonnormal_count(3, 3) == 2080
     assert en.nonnormal_count(5, 3) == 678528
+    with pytest.raises(ValueError, match="^n must be 1, 2 or 3$"):
+        en.nonnormal_count(3, 4)
     # blocks add up: total = |GL| + non-normal
     for p, n in ((3, 2), (5, 2), (3, 3), (5, 3)):
         assert en.formula_count(p, n) == fpalg.gl_order(n, p) + en.nonnormal_count(p, n)
@@ -47,6 +49,8 @@ def test_small_brute_counts():
     r = en.brute_force_enum(5, 1)
     assert r.count_total == 4
     assert r.count_aut == 4  # Z_p has only automorphisms
+    with pytest.raises(ValueError, match=r"^exhaustive search capped at p\*\*n <= 9, got 25$"):
+        en.full_enum(5, 2, method="brute")
 
 
 def test_enum_automorphisms():
@@ -61,6 +65,8 @@ def test_enum_nonnormal_n2():
     assert len(skews) == 16
     assert all(not s.is_automorphism() for s in skews)
     assert all(s.k >= 2 and s.m == 1 for s in skews)
+    with pytest.raises(ValueError, match="^non-normal skew-morphisms need p odd$"):
+        en.enum_nonnormal_n2(2)
 
 
 def test_structured_equals_brute(brute32, struct32):
@@ -171,9 +177,8 @@ def test_seed_digests():
 
 
 def test_seed_needs_a_regular_group(monkeypatch):
-    # every row the identity: all of G fixes 0, so psi is no bijection
-    monkeypatch.setattr(en, "_config_group",
-                        lambda p, n: np.tile(np.arange(p ** n), (p ** n, 1)))
+    # all of G fixing 0, as when every row is the identity: psi is no bijection
+    monkeypatch.setattr(en, "_orbit_map", lambda p, n: np.zeros(p ** n, dtype=np.int64))
     with pytest.raises(ValueError, match="not regular"):
         en._canonical_config_seeds(3, 2, en._scalar_sigma2_list(3))
 
@@ -207,6 +212,21 @@ def test_count_only_samples_fixed_closure_positions():
     assert (count, len(checked)) == (2080, 114)
     assert _seed_digest(checked) == \
         "f7e26c55ca22a98d824338e3b08aa03c5c1a92012cea52c527af8e4eb351e83c"
+
+
+@pytest.mark.parametrize("p, n, stride, digest", [
+    (3, 3, 20, "f7e26c55ca22a98d824338e3b08aa03c5c1a92012cea52c527af8e4eb351e83c"),
+    (5, 2, 7, "a37e5310d7609606df95e683ac93f37c3353a085465b3d628ca993e1205ab5f3"),
+    (7, 2, 1, "6ecf17396264acd7fbd9ad087b84592fce847d29fd65b52a71a7e4a19d26a550"),
+])
+def test_closure_order_digests(p, n, stride, digest):
+    # the breadth-first closure order, generator then row within a layer,
+    # fixes which members a stride samples: a reordered closure samples
+    # other members, and at stride 1 the digest pins the whole block
+    sigma2_list = en._scalar_sigma2_list(p) if n == 2 else _omega(p)
+    count, checked = en.aut_closure(p, n, en._canonical_config_seeds(p, n, sigma2_list), stride)
+    assert count == en.nonnormal_count(p, n)
+    assert _seed_digest(checked) == digest
 
 
 @pytest.fixture

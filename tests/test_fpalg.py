@@ -113,6 +113,29 @@ def test_matrix_order_divides_gl_order():
             found += 1
 
 
+def test_input_refusals(monkeypatch):
+    # a singular matrix never reaches I: refused once the cap is spent
+    monkeypatch.setattr(fpalg, "ORDER_CAP", 8)
+    with pytest.raises(RuntimeError, match="^order cap exceeded$"):
+        fpalg.matrix_order(np.array([[1, 0], [0, 0]]), 3)
+    with pytest.raises(ValueError, match=r"^GL enumeration too large: p\*\*\(n\*n\) = 40353607$"):
+        fpalg.gl_matrices_array(3, 7)
+    with pytest.raises(ValueError, match=r"^canonical unipotent defined for n in \{2, 3\}$"):
+        fpalg.canonical_unipotent(4, 3)
+    # the commutant of the (3,23) unipotent has dimension 5: 23**5 > SPACE_CAP
+    assert 23 ** 5 > fpalg.SPACE_CAP
+    with pytest.raises(ValueError, match=r"^commutant too large to enumerate: p\*\*5$"):
+        fpalg.omega_set(23)
+    with pytest.raises(ValueError, match="^omega set is defined for odd p$"):
+        fpalg.omega_set(2)
+    M = np.eye(3, dtype=np.int64)
+    M[1, 0] = 1
+    with pytest.raises(ValueError, match="^matrix does not stabilize the reference plane$"):
+        fpalg.moves_every_line(M, 3)
+    M[1, 0] = 3  # zero mod p: accepted
+    assert fpalg.moves_every_line(2 * M, 3)
+
+
 def test_row_convention_apply():
     # x -> x M acts on row vectors; the (1,0) row picks out the first row
     M = fpalg.matrix(((1, 1), (0, 1)), 3)

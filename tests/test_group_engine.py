@@ -9,7 +9,7 @@ from skewmorph import fpalg
 from skewmorph import group_engine as ge
 from skewmorph import skew_core as sc
 
-from conftest import splitmix64_scalar
+from conftest import is_abelian, splitmix64_scalar
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +33,7 @@ def test_cyclic_and_elementary_abelian():
     assert C.element_order(4) == 3
     E = ge.elementary_abelian_group(3, 2)
     assert len(E) == 9
-    assert E.is_abelian()
+    assert is_abelian(E)
     assert ge.elementary_abelian_rank(E, 3) == 2
     assert repr(C.carrier) == "Carrier(Z_12)" and repr(C) == "FiniteGroup(|G|=12, Z_12)"
     # 1 has order 12 in the carrier, beyond the order 3 of <4>
@@ -145,16 +145,53 @@ def test_permutation_group_refusals():
         permutation_group(_perm_rows([(1, 0, 2), (0, 1, 2)]), ())
 
 
+def test_extract_skew_refuses_a_law_that_is_no_group():
+    # Z_4 with 2 * 0 = 1 and 2 * 1 = 0: the powers of 1 return to 0 as
+    # 0, 1, 1, so they collapse before the order is reached
+    table = (np.arange(4)[:, None] + np.arange(4)) % 4
+    table[2, :2] = [1, 0]
+    flat = table.ravel()
+    law = ge.Carrier(lambda a, b: ge._code(flat.take(np.multiply(a, 4) + b)),
+                     lambda a: a, 4, "no group")
+    X = ge.FiniteGroup.whole(law, (1,))
+    G = ge.FiniteGroup(law, np.array([True, False, True, False]), (2,))
+    assert X.cycle(1).tolist() == [0, 1, 1]
+    with pytest.raises(ValueError, match="^element powers collapse early$"):
+        sc.extract_skew(X, G, 1, (2,))
+
+
+def test_extract_skew_refuses_s_outside_x():
+    # in S_4, X = <(0 1), (2 3)> has order 4 = |G| ord(s) for G = <(0 1)>
+    # and s = (0 2), and G meets <s> trivially; but s lies outside X, and
+    # s (0 1) is no g' s^e: X = G<s> fails although |X| = |G| ord(s)
+    rows = _perm_rows(itertools.permutations(range(4)))
+    S4 = permutation_group(rows, ())
+    ids = {tuple(r): i for i, r in enumerate(rows.tolist())}
+    g, s = ids[(1, 0, 2, 3)], ids[(2, 1, 0, 3)]
+    X = S4.subgroup((g, ids[(0, 1, 3, 2)]))
+    G = X.subgroup((g,))
+    assert len(X) == 4 and len(G) == 2 and not X.mask[s]
+    with pytest.raises(ValueError, match="^no factorization g' s\\^e found; not complementary$"):
+        sc.extract_skew(X, G, s, (g,))
+
+
+def _then(A, B):
+    """The permutation rows a then b, x -> b[a[x]], for every row a of A
+    and b of B, row a * len(B) + b."""
+    return B[:, A].transpose(1, 0, 2).reshape(-1, A.shape[1])
+
+
 def _config_group_i(p, n, i):
     """G_i = <translations, L^-i>, the regular group of the configurations
-    with this i, built as enumeration._config_group builds G_1."""
+    with this i, as the permutation rows g_1^e_1 ... g_n^e_n of its
+    generators, in the big-endian order of (e_1, ..., e_n)."""
     add = K.index_tables(p, n)[0]
     trans = [add[:, p ** (n - 1 - j)] for j in range(n)]
     Li = fpalg.matrix_to_perm(fpalg.mat_pow(fpalg.canonical_unipotent(n, p), p - i, p), p)
     gens = [trans[0], Li[trans[1]]] if n == 2 else [trans[1], trans[2], Li[trans[0]]]
     rows = K.power_rows(gens[0], 1)
     for g in gens:
-        rows = en._then(rows, K.power_rows(g, p))
+        rows = _then(rows, K.power_rows(g, p))
     return rows
 
 
@@ -167,7 +204,7 @@ def _extracted_seed(p, n, G_rows, M2):
     s = fpalg.matrix_to_perm(en._crt_sigma(L, M2, k, p), p)
     o = k * p
     g_codes = [p ** (n - 1 - j) * o for j in range(n)]
-    X = permutation_group(en._then(G_rows, K.power_rows(s, o)), g_codes + [1])
+    X = permutation_group(_then(G_rows, K.power_rows(s, o)), g_codes + [1])
     G = X.subgroup(g_codes)
     assert len(G) == p ** n
     return sc.extract_skew(X, G, 1, g_codes)
@@ -181,8 +218,9 @@ def _sigma2_list(p, n):
 def test_extracted_seeds_equal_orbit_map_seeds(p, n):
     sigma2_list = _sigma2_list(p, n)
     seeds = en._canonical_config_seeds(p, n, sigma2_list).images
-    G_rows = en._config_group(p, n)
-    assert np.array_equal(_config_group_i(p, n, 1), G_rows)  # the test-local G_1
+    G_rows = _config_group_i(p, n, 1)
+    # the orbit map psi(g) = g^-1(0) of the seeds, read off G_1's rows
+    assert np.array_equal(np.argmin(G_rows, axis=1), en._orbit_map(p, n))
     for M2, seed in zip(sigma2_list, seeds, strict=True):
         assert np.array_equal(_extracted_seed(p, n, G_rows, M2).images, seed)
 
@@ -299,7 +337,7 @@ def test_derived_subgroup_and_metabelian(x54):
     D = X.subgroup(np.unique(X.commutator(e[:, None], e)).tolist())
     assert len(D) == 9
     assert ge.is_normal(D, X)
-    assert D.is_abelian()
+    assert is_abelian(D)
     assert ge.is_metabelian(X)
 
 
@@ -309,7 +347,7 @@ def test_quotient_group(x54):
     C = ge.core(G, X)
     Q, cmap = ge.quotient_group(X, C)
     assert len(Q) == 18
-    assert not Q.is_abelian()
+    assert not is_abelian(Q)
     # cmap is a homomorphism onto Q
     for a in X.elements[::7]:
         for b in X.elements[::11]:

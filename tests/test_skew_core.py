@@ -31,6 +31,11 @@ def test_identity_validates():
     assert sk.order == 1 and sk.k == 1 and sk.m == 0
     assert sk.is_automorphism()
     assert (sk.pi == 0).all()
+    assert repr(sk) == "SkewMorphism(p=3, n=2, order=1, k=1, m=0)"
+    # equal members from different arrays hash alike; a set keeps one
+    twin = sc.validate(3, 2, list(range(9)))
+    assert twin == sk and hash(twin) == hash(sk) and len({sk, twin}) == 1
+    assert len({sk, sc.validate(3, 2, fpalg.matrix_to_perm(2 * np.eye(2, dtype=np.int64), 3))}) == 2
 
 
 def test_from_matrix_is_automorphism():
@@ -79,6 +84,8 @@ def test_power_table_matches_step_by_step(set72, set33):
 
 
 def test_validation_rejections():
+    with pytest.raises(ValueError, match="^n must be positive$"):
+        sc.validate(3, 0, [0])
     with pytest.raises(sc.SkewValidationError):
         sc.validate(3, 2, np.arange(8))
     bad = np.arange(9)
@@ -471,18 +478,27 @@ def test_values_the_cast_would_change_are_refused(images, index):
         sc.validate(2, 1, np.array([False, True]))
 
 
+def parse_record(obj):
+    """One JSONL record dict validated back into a SkewMorphism: the
+    one-record case of read_jsonl's checks."""
+    members, failure = sc._parse_chunk([obj])
+    if failure:
+        raise failure[1]
+    return members[0]
+
+
 @pytest.mark.parametrize("sigma, index", [
     ([0, 65538, 65537], 1), ([0, 2.7, 1], 1), ([0, 2, True], 2)],
     ids=["wrap", "float", "bool"])
 def test_parse_record_refuses_values_the_cast_would_change(sigma, index):
     with pytest.raises(sc.SkewValidationError, match="index %d" % index):
-        sc.parse_record({"p": 3, "n": 1, "sigma": sigma})
+        parse_record({"p": 3, "n": 1, "sigma": sigma})
     # a float or a bool is no integer field either
     good = {"p": 3, "n": 1, "sigma": [0, 2, 1]}
-    assert sc.parse_record(good).images.tolist() == [0, 2, 1]
+    assert parse_record(good).images.tolist() == [0, 2, 1]
     for field, value in (("p", 3.0), ("n", True), ("order", 2.0), ("pi", [0, 1.0, 1])):
         with pytest.raises(sc.SkewValidationError, match=repr(field)):
-            sc.parse_record(dict(good, **{field: value}))
+            parse_record(dict(good, **{field: value}))
 
 
 def test_parse_record_rejections(brute32):
@@ -493,27 +509,27 @@ def test_parse_record_rejections(brute32):
         broken = dict(obj)
         del broken[missing]
         with pytest.raises(sc.SkewValidationError, match="^record missing field '%s'$" % missing):
-            sc.parse_record(broken)
+            parse_record(broken)
     for field in ("order", "k", "m"):
         broken = dict(obj, **{field: obj[field] + 1})
         with pytest.raises(sc.SkewValidationError,
                            match="^record field '%s' = %d disagrees with recomputed %d$"
                            % (field, obj[field] + 1, obj[field])):
-            sc.parse_record(broken)
+            parse_record(broken)
     broken = dict(obj, pi=[0] * len(obj["pi"]))
     with pytest.raises(sc.SkewValidationError,
                        match="^record power function disagrees with recomputed one$"):
-        sc.parse_record(broken)
+        parse_record(broken)
     for sigma, text in ((5, "5"), (None, "null"), ("012", '"012"'), ({"0": 0}, '{"0": 0}')):
         with pytest.raises(sc.SkewValidationError,
                            match="^record field 'sigma' is %s, not a list$" % re.escape(text)):
-            sc.parse_record(dict(obj, sigma=sigma))
+            parse_record(dict(obj, sigma=sigma))
     # a value in [2^63, 2^64) is printed as the record holds it, not as the
     # float its array would round it to, alone and after other records
     big = {"p": 3, "n": 1, "sigma": [0, 2 ** 63, 1]}
     text = "^image at index 1 is 9223372036854775808, not an integer in \\[0, 3\\)$"
     with pytest.raises(sc.SkewValidationError, match=text):
-        sc.parse_record(big)
+        parse_record(big)
     with pytest.raises(sc.SkewValidationError, match=text):
         sc.validate(3, 1, big["sigma"])
     i, error = sc._parse_chunk([dict(big, sigma=[0, 2, 1]), big])[1]
@@ -526,7 +542,7 @@ def test_read_jsonl_equals_parse_record_per_line(tmp_path, brute32, set52, set72
         path = tmp_path / "set.jsonl"
         sc.write_jsonl(res.skews, path)
         got = sc.read_jsonl(path)
-        want = [sc.parse_record(json.loads(line)) for line in path.read_text().splitlines()]
+        want = [parse_record(json.loads(line)) for line in path.read_text().splitlines()]
         assert len(got) == len(want) == len(res.skews)
         for a, b in zip(got, want):
             assert a.images.tolist() == b.images.tolist() and a.pi.tolist() == b.pi.tolist()

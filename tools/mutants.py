@@ -104,8 +104,13 @@ MUTANTS = {
            "np.split(rest, np.flatnonzero(np.diff(order[rest])) + 1)", "[rest]", KERNELS),
     "C1": ("_canonical_config_seeds: the last sigma_2 left unseeded", EN,
            "for M2 in sigma2_list]), p)", "for M2 in sigma2_list[:-1]]), p)", ENUM),
-    "C2": ("_config_group: G built with L^-2 in place of L^-1", EN,
+    "C2": ("_orbit_map: G's last generator built with L^-2 in place of L^-1", EN,
            "fpalg.mat_pow(L, p - 1, p)", "fpalg.mat_pow(L, p - 2, p)", ENUM),
+    "C3": ("_orbit_map: the generators taken first to last", EN,
+           "for g in reversed(gens):", "for g in gens:", ENUM),
+    "R2": ("aut_closure: the stride sample taken at pos % stride, not (pos + 1) % stride", EN,
+           "rows.append(layer[(pos + 1) % stride == 0])", "rows.append(layer[pos % stride == 0])",
+           ENUM),
     "J1": ("_parse_chunk: pi compared on the chunk's first record alone", SC,
            "zip(objs[:end], block.pi.tolist())", "zip(objs[:min(end, 1)], block.pi.tolist())",
            SKEW),
